@@ -202,19 +202,22 @@ def cmd_regret(args) -> dict:
                                          recipe="streaming", projection=False)
                 rep = lemma1_check(ledger, loss, {})
             elif args.check == "thm1":
-                rep = theorem1_check(examples, loss, args.C, seed=inst_seed)
+                rep = theorem1_check(examples, loss, args.C)
             else:
-                rep = theorem2_check(examples, loss, args.C, seed=inst_seed)
+                rep = theorem2_check(examples, loss, args.C)
             slacks.append(rep.slack)
             failures += 0 if rep.passed else 1
-            reports.append({
+            item = {
                 "seed": inst_seed,
                 "empirical_regret": rep.empirical_regret,
                 "bound_value": rep.bound_value,
                 "slack": rep.slack,
                 "passed": rep.passed,
                 "components": rep.components,
-            })
+            }
+            if rep.oracle is not None:
+                item["oracle"] = rep.oracle._asdict()
+            reports.append(item)
         summary = {
             "instances": args.instances,
             "failures": failures,

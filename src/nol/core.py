@@ -50,16 +50,10 @@ class SparseExample:
     def from_dict(cls, feats: Mapping[int, float], label: float) -> "SparseExample":
         return cls(tuple(sorted(feats.items())), label)
 
-    def as_dict(self) -> dict:
-        return dict(self.features)
-
     def scaled(self, scale: Mapping[int, float]) -> "SparseExample":
         """Return a copy with each feature i multiplied by scale.get(i, 1)."""
         pairs = tuple((i, v * scale.get(i, 1.0)) for i, v in self.features)
         return SparseExample(pairs, self.label)
-
-    def max_index(self) -> int:
-        return self.features[-1][0] if self.features else -1
 
 
 def _check_binary_label(y: float):

@@ -8,7 +8,9 @@ The pieces:
   with the transductive or streaming conditioner, optional per-step projection
   onto the comparator ball, and a full per-round ledger;
 * a regret oracle (``best_in_hindsight``) with two independent routes: a
-  refined grid search over the feasible set and projected subgradient descent;
+  certified one (an exact LP for hinge loss, restarted FISTA for the smooth
+  losses), which bounds its own suboptimality, and a refined grid search
+  over the feasible set as the cross-check;
 * numeric evaluators for the telescoping inequality (``lemma1_check``), the
   two-pass bound (``theorem1_check``), the one-pass bound (``theorem2_check``)
   and the exchangeable-sequence quantities (``corollary1_quantities``).
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -34,8 +36,10 @@ from .conditioners import (
 from .core import Loss, SparseExample, clip_prediction
 from .errors import NolError
 
-ORACLE_REL_TOL = 1e-3   # noise floor between the two regret oracles
+ORACLE_REL_TOL = 1e-3   # most a bound check widens by for the oracle's error
 SLACK_TOL = 1e-6        # bound-check tolerance after widening by the above
+FISTA_GAP_TOL = 1e-9    # FISTA stops at a Frank-Wolfe gap <= this * max(1, |f|)
+FISTA_MAX_ITER = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -86,18 +90,6 @@ def _vec_loss(kind: str, preds: np.ndarray, y: np.ndarray):
     if kind == "logistic":
         m = y * preds
         return np.logaddexp(0.0, -m), -y * expit(-m)
-    raise ValueError(f"unknown loss kind {kind!r}")
-
-
-def _vec_loss_matrix(kind: str, preds: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Total loss per row of a (n_points, T) prediction matrix."""
-    if kind == "squared":
-        diff = preds - y
-        return (diff * diff).sum(axis=1)
-    if kind == "hinge":
-        return np.maximum(0.0, 1.0 - y * preds).sum(axis=1)
-    if kind == "logistic":
-        return np.logaddexp(0.0, -y * preds).sum(axis=1)
     raise ValueError(f"unknown loss kind {kind!r}")
 
 
@@ -266,16 +258,81 @@ def grid_minimize(objective_batch, d: int, C: float, q: int,
     return best_u, best_f
 
 
+class OracleCertificate(NamedTuple):
+    """How a hindsight comparator was found, and how far from optimal it is."""
+
+    method: str       # "lp", "fista" or "grid"
+    gap: float        # upper bound on (returned loss - minimum loss); inf for grid
+    iterations: int   # LP solver iterations or FISTA steps; 0 for grid
+
+
+def _hinge_lp(Xu: np.ndarray, y: np.ndarray, C: float):
+    """Total hinge loss over the L1 ball, solved exactly as the dual LP
+
+        max sum_t a_t - C s  s.t.  |sum_t a_t y_t x_tj| <= s,  0 <= a <= 1,  s >= 0
+
+    (2d rows, T+1 columns). u is read off the row multipliers. The gap is the
+    primal loss at u minus the dual objective recomputed at the clipped a, so
+    it holds whatever the solver's tolerances. Returns (u, loss, certificate).
+    """
+    from scipy.optimize import linprog
+
+    T, d = Xu.shape
+    Z = (y[:, None] * Xu).T
+    ones = np.ones((d, 1))
+    res = linprog(np.append(-np.ones(T), C),
+                  A_ub=np.block([[Z, -ones], [-Z, -ones]]), b_ub=np.zeros(2 * d),
+                  bounds=[(0.0, 1.0)] * T + [(0.0, None)], method="highs")
+    if res.status != 0:
+        raise NolError(f"hinge LP oracle failed: {res.message}")
+    mu = res.ineqlin.marginals
+    u = _project_ball(mu[d:] - mu[:d], C, 1)
+    a = np.clip(res.x[:T], 0.0, 1.0)
+    dual = float(a.sum() - C * np.abs(Z @ a).max())
+    f = float(_vec_loss("hinge", Xu @ u, y)[0].sum())
+    return u, f, OracleCertificate("lp", max(0.0, f - dual), int(res.nit))
+
+
+def _fista(kind: str, Xu: np.ndarray, y: np.ndarray, C: float, q: int):
+    """Accelerated projected gradient (Beck & Teboulle) for squared and
+    logistic loss, step 1/L with L from the Frobenius norm of Xu, momentum
+    restarted whenever it points against the last step (O'Donoghue & Candes).
+    Stops on the Frank-Wolfe gap g.u + C ||g||_* (the dual norm of the ball's
+    q-norm), an upper bound on f(u) - min f. Returns (u, loss, certificate).
+    """
+    L = float((Xu * Xu).sum()) * (0.25 if kind == "logistic" else 2.0)
+    dual_ord = np.inf if q == 1 else 2
+    u = v = np.zeros(Xu.shape[1])
+    t = 1.0
+    for k in range(FISTA_MAX_ITER + 1):
+        lvals, dl = _vec_loss(kind, Xu @ u, y)
+        f = float(lvals.sum())
+        g = Xu.T @ dl
+        gap = max(0.0, float(g @ u) + C * float(np.linalg.norm(g, dual_ord)))
+        if gap <= FISTA_GAP_TOL * max(1.0, abs(f)) or k == FISTA_MAX_ITER:
+            break
+        gv = g if v is u else Xu.T @ _vec_loss(kind, Xu @ v, y)[1]
+        u_new = _project_ball(v - gv / L, C, q)
+        if (v - u_new) @ (u_new - u) > 0.0:  # momentum against the step: restart
+            t, v = 1.0, u_new
+        else:
+            t_next = (1.0 + math.sqrt(1.0 + 4.0 * t * t)) / 2.0
+            v = u_new + ((t - 1.0) / t_next) * (u_new - u)
+            t = t_next
+        u = u_new
+    return u, f, OracleCertificate("fista", gap, k)
+
+
 def best_in_hindsight(examples: Sequence[SparseExample], loss: Loss,
-                      ball: ComparatorBall, method: str = "subgradient",
-                      iterations: int = 100_000, restarts: int = 5,
-                      seed: int = 0):
+                      ball: ComparatorBall, method: str = "certified"):
     """Minimizer of the total loss over the comparator ball.
 
-    method "grid": refined grid search over the feasible set (d <= 3).
-    method "subgradient": projected subgradient descent, step C/sqrt(k),
-    best iterate over the given restarts (first restart starts at 0).
-    Returns (w* as dict, total loss at w*).
+    method "certified": an exact LP for hinge loss (L1 ball only) and FISTA
+    for squared and logistic loss; the certificate's gap bounds how far the
+    returned loss is above the minimum.
+    method "grid": refined grid search over the feasible set (d <= 3), the
+    independent cross-check; it certifies nothing (gap inf).
+    Returns (w* as dict, total loss at w*, OracleCertificate).
     """
     coords, Xu, y = _dense_in_ball_coords(examples, ball)
     d = len(coords)
@@ -288,35 +345,23 @@ def best_in_hindsight(examples: Sequence[SparseExample], loss: Loss,
             raise NolError("grid oracle supports d <= 3")
 
         def objective(P):
-            return _vec_loss_matrix(kind, P @ Xu.T, y)
+            return _vec_loss(kind, P @ Xu.T, y)[0].sum(axis=1)
 
         u_best, f_best = grid_minimize(objective, d, ball.C, ball.q)
-    elif method == "subgradient":
-        rng = np.random.default_rng(seed)
-        u_best, f_best = None, math.inf
-        for r in range(restarts):
-            if r == 0:
-                u = np.zeros(d)
-            else:
-                u = _project_ball(rng.uniform(-ball.C, ball.C, size=d), ball.C, ball.q)
-            for k in range(1, iterations + 1):
-                preds = Xu @ u
-                lvals, gvals = _vec_loss(kind, preds, y)
-                f = float(lvals.sum())
-                if f < f_best:
-                    f_best = f
-                    u_best = u.copy()
-                grad = Xu.T @ gvals
-                gnorm = np.linalg.norm(grad)
-                if gnorm == 0.0:
-                    break
-                u = _project_ball(u - (ball.C / math.sqrt(k)) * grad / gnorm, ball.C, ball.q)
+        cert = OracleCertificate("grid", math.inf, 0)
+    elif method == "certified":
+        if kind == "hinge":
+            if ball.q != 1:
+                raise NolError("the hinge-loss oracle is an LP over the L1 ball only")
+            u_best, f_best, cert = _hinge_lp(Xu, y, ball.C)
+        else:
+            u_best, f_best, cert = _fista(kind, Xu, y, ball.C, ball.q)
     else:
         raise ValueError(f"unknown oracle method {method!r}")
 
     # w_i = u_i / m_i  (u lives in the S^{-1/2} coordinates)
     w_star = {i: float(u_best[j]) / ball.box.m[i] for j, i in enumerate(coords)}
-    return w_star, f_best
+    return w_star, f_best, cert
 
 
 def empirical_regret(learner_total_loss: float, comparator_total_loss: float) -> float:
@@ -337,6 +382,7 @@ class BoundReport:
     passed: bool
     components: Dict[str, float] = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
+    oracle: Optional[OracleCertificate] = None
 
 
 def _norm_A(diff: Dict[int, float], A: Dict[int, float]) -> float:
@@ -405,9 +451,10 @@ def lemma1_check(ledger: RegretLedger, loss: Loss, w: Dict[int, float]) -> Bound
     )
 
 
-def _widened_report(check: str, regret: float, wstar_loss: float, bound: float,
-                    components: Dict[str, float], extras: Optional[dict] = None) -> BoundReport:
-    widen = ORACLE_REL_TOL * abs(wstar_loss)
+def _widened_report(check: str, regret: float, wstar_loss: float, cert: OracleCertificate,
+                    bound: float, components: Dict[str, float],
+                    extras: Optional[dict] = None) -> BoundReport:
+    widen = min(cert.gap, ORACLE_REL_TOL * abs(wstar_loss))
     slack = bound - (regret - widen)
     return BoundReport(
         check=check,
@@ -418,23 +465,20 @@ def _widened_report(check: str, regret: float, wstar_loss: float, bound: float,
         passed=slack >= -SLACK_TOL,
         components=components,
         extras=extras or {},
+        oracle=cert,
     )
 
 
-def theorem1_check(examples: Sequence[SparseExample], loss: Loss, C: float,
-                   oracle: str = "subgradient", oracle_iterations: int = 20_000,
-                   oracle_restarts: int = 2, seed: int = 0) -> BoundReport:
+def theorem1_check(examples: Sequence[SparseExample], loss: Loss, C: float) -> BoundReport:
     """Two-pass conditioner with per-step projection:
     R_T <= 2 sqrt(2) C sum_i sqrt(S_ii sum_j g_ji^2)."""
     ledger = conditioned_run(examples, loss, C, recipe="transductive",
                              q=1, projection=True)
     bound = 2.0 * SQRT2 * lemma2_bound(ledger.sum_g2, ledger.box, C)
     ball = ComparatorBall(ledger.box, C, q=1)
-    _, wstar_loss = best_in_hindsight(examples, loss, ball, method=oracle,
-                                      iterations=oracle_iterations,
-                                      restarts=oracle_restarts, seed=seed)
+    _, wstar_loss, cert = best_in_hindsight(examples, loss, ball)
     regret = empirical_regret(ledger.total_loss, wstar_loss)
-    return _widened_report("theorem1", regret, wstar_loss, bound,
+    return _widened_report("theorem1", regret, wstar_loss, cert, bound,
                            {"lemma2_bound": bound / (2.0 * SQRT2)},
                            {"learner_loss": ledger.total_loss,
                             "comparator_loss": wstar_loss})
@@ -453,9 +497,7 @@ def theorem2_components(ledger: RegretLedger) -> Dict[int, float]:
     return out
 
 
-def theorem2_check(examples: Sequence[SparseExample], loss: Loss, C: float,
-                   oracle: str = "subgradient", oracle_iterations: int = 20_000,
-                   oracle_restarts: int = 2, seed: int = 0) -> BoundReport:
+def theorem2_check(examples: Sequence[SparseExample], loss: Loss, C: float) -> BoundReport:
     """One-pass conditioner with projection onto the running box's ball:
     R_T <= C sum_i (sqrt(sum g^2)/max|x_i|) (1 + 6 Delta_i + Delta_i^2)/(2 sqrt 2)."""
     ledger = conditioned_run(examples, loss, C, recipe="streaming",
@@ -463,16 +505,14 @@ def theorem2_check(examples: Sequence[SparseExample], loss: Loss, C: float,
     per_coord = theorem2_components(ledger)
     bound = sum(per_coord.values())
     ball = ComparatorBall(ledger.box, C, q=1)
-    _, wstar_loss = best_in_hindsight(examples, loss, ball, method=oracle,
-                                      iterations=oracle_iterations,
-                                      restarts=oracle_restarts, seed=seed)
+    _, wstar_loss, cert = best_in_hindsight(examples, loss, ball)
     regret = empirical_regret(ledger.total_loss, wstar_loss)
     extras = {
         "learner_loss": ledger.total_loss,
         "comparator_loss": wstar_loss,
         "delta": ledger.delta_ratios(),
     }
-    return _widened_report("theorem2", regret, wstar_loss, bound,
+    return _widened_report("theorem2", regret, wstar_loss, cert, bound,
                            {str(i): v for i, v in per_coord.items()}, extras)
 
 

@@ -119,6 +119,19 @@ class TestRegret:
         assert rep["summary"]["min_slack"] >= -1e-6
         assert len(rep["reports"]) == 3
 
+    @pytest.mark.parametrize("check,loss,method", [("thm1", "hinge", "lp"),
+                                                   ("thm2", "logistic", "fista")])
+    def test_theorem_items_carry_oracle_certificate(self, capsys, check, loss, method):
+        rep = run_report(capsys, [
+            "regret", "--check", check, "--instances", "2", "--T", "60",
+            "--loss", loss])
+        assert rep["summary"]["failures"] == 0
+        for item in rep["reports"]:
+            oracle = item["oracle"]
+            assert oracle["method"] == method
+            assert 0.0 <= oracle["gap"] < 1e-6
+            assert isinstance(oracle["iterations"], int) and oracle["iterations"] >= 0
+
     def test_cor1_summary_tau(self, capsys):
         rep = run_report(capsys, [
             "regret", "--check", "cor1", "--d", "10", "--delta", "0.1",
