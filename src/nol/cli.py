@@ -10,17 +10,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
-from dataclasses import asdict
 from typing import List, Optional
 
 from . import data as data_io
 from .core import get_loss
 from .errors import DataFormatError, NumericFault
-from .evaluate import SweepSpec, default_eta_grid, plot_csv_rows, progressive_validation, sweep
-from .learners import LearnerConfig, run_stream
+from .evaluate import SweepSpec, default_eta_grid, plot_csv_rows, sweep
+from .learners import KINDS, LearnerConfig, run_stream
 from .regret import (
     corollary1_montecarlo,
     corollary1_tau,
@@ -76,6 +74,22 @@ def _emit(report: dict, path: Optional[str]):
             fh.write(text + "\n")
     else:
         sys.stdout.write(text + "\n")
+
+
+def _learner_kinds(text: str) -> List[str]:
+    kinds = [k.strip() for k in text.split(",") if k.strip()]
+    unknown = [k for k in kinds if k not in KINDS]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown learner kind(s) {', '.join(unknown)}; expected some of {', '.join(KINDS)}")
+    return kinds
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be strictly positive, got {text}")
+    return value
 
 
 def _add_data_flags(p):
@@ -141,10 +155,10 @@ def _parse_eta_grid(spec: str) -> List[float]:
 
 def cmd_sweep(args) -> dict:
     examples, digest = _load_examples(args)
-    kinds = [k.strip() for k in args.learners.split(",") if k.strip()]
+    kinds = args.learners
     grid = _parse_eta_grid(args.eta_grid) if args.eta_grid else default_eta_grid()
     spec = SweepSpec(kinds=kinds, loss=args.loss, eta_grid=grid, task=args.task,
-                     clip_c=args.clip_c, normalization=args.normalize)
+                     clip_c=args.clip_c)
     t0 = time.perf_counter()
     report = sweep(spec, examples)
     elapsed = time.perf_counter() - t0
@@ -260,13 +274,13 @@ def build_parser() -> _Parser:
 
     p_sweep = sub.add_parser("sweep", help="learning-rate sweep over learners")
     _add_data_flags(p_sweep)
-    p_sweep.add_argument("--learners", required=True,
+    p_sweep.add_argument("--learners", required=True, type=_learner_kinds,
                          help="comma-separated learner kinds")
     p_sweep.add_argument("--loss", required=True,
                          choices=["squared", "hinge", "logistic"])
     p_sweep.add_argument("--eta-grid", dest="eta_grid",
                          help="LO..HI, expanded by powers of two")
-    p_sweep.add_argument("--clip-c", type=float, dest="clip_c")
+    p_sweep.add_argument("--clip-c", type=_positive, dest="clip_c")
     p_sweep.add_argument("--plot-data", dest="plot_data",
                          help="write learner,eta,loss CSV here")
     p_sweep.set_defaults(func=cmd_sweep)

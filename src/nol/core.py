@@ -1,14 +1,18 @@
 """Sparse examples, convex losses, and prediction primitives.
 
 Everything downstream (learners, conditioners, the regret lab) works with
-``SparseExample`` and one of the three losses defined here.
+``SparseExample`` and one of the three losses defined here. Each loss has a
+scalar form for one prediction and a numpy form for an array of them, with
+the same expressions in both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass
+from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import InvalidLabel, NumericFault
 
@@ -62,7 +66,12 @@ def _check_binary_label(y: float):
 
 
 class Loss:
-    """A convex loss of the prediction with its derivative d loss / d yhat."""
+    """A convex loss of the prediction with its derivative d loss / d yhat.
+
+    ``values`` and ``values_and_derivatives`` are the elementwise numpy forms
+    over an array of predictions; y is an array of labels or one label for
+    all of them. They do not check labels.
+    """
 
     kind = "abstract"
     classification = False
@@ -75,6 +84,12 @@ class Loss:
 
     def value_and_derivative(self, yhat: float, y: float):
         return self.value(yhat, y), self.derivative(yhat, y)
+
+    def values(self, preds: np.ndarray, y) -> np.ndarray:
+        raise NotImplementedError
+
+    def values_and_derivatives(self, preds: np.ndarray, y):
+        raise NotImplementedError
 
     def __repr__(self):
         return f"Loss({self.kind})"
@@ -89,6 +104,14 @@ class SquaredLoss(Loss):
 
     def derivative(self, yhat, y):
         return 2.0 * (yhat - y)
+
+    def values(self, preds, y):
+        d = preds - y
+        return d * d
+
+    def values_and_derivatives(self, preds, y):
+        d = preds - y
+        return d * d, 2.0 * d
 
 
 class HingeLoss(Loss):
@@ -106,6 +129,13 @@ class HingeLoss(Loss):
         if y * yhat < 1.0:
             return -y
         return 0.0
+
+    def values(self, preds, y):
+        return np.maximum(0.0, 1.0 - y * preds)
+
+    def values_and_derivatives(self, preds, y):
+        m = y * preds
+        return np.maximum(0.0, 1.0 - m), np.where(m < 1.0, -y, 0.0)
 
 
 class LogisticLoss(Loss):
@@ -125,6 +155,17 @@ class LogisticLoss(Loss):
         if m >= 0:
             return -y * math.exp(-m) / (1.0 + math.exp(-m))
         return -y / (1.0 + math.exp(m))
+
+    def values(self, preds, y):
+        m = y * preds
+        return np.maximum(0.0, -m) + np.log1p(np.exp(-np.abs(m)))
+
+    def values_and_derivatives(self, preds, y):
+        m = y * preds
+        e = np.exp(-np.abs(m))
+        # the scalar branches: e / (1 + e) for m >= 0, 1 / (1 + e) otherwise
+        return (np.maximum(0.0, -m) + np.log1p(e),
+                -y * (np.where(m >= 0.0, e, 1.0) / (1.0 + e)))
 
 
 _LOSSES = {

@@ -2,25 +2,27 @@
 
 Progressive validation measures each example's loss before its update, so the
 running average estimates generalization without a holdout set. Sweeps search
-a geometric learning-rate grid per learner; significance between two loss
-sequences is decided by disjointness of relative-entropy Chernoff confidence
-intervals on the means.
+a geometric learning-rate grid per learner in one pass over the stream per
+learner; significance between two loss sequences is decided by disjointness
+of relative-entropy Chernoff confidence intervals on the means.
+
+A non-finite prediction, loss or weight is a ``NumericFault`` naming the
+example: it ends a progressive run, and it fails only its own cell of a sweep.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .core import Loss, SparseExample, get_loss
 from .data import regression_loss_scale
-from .errors import DataFormatError
-from .learners import Learner, LearnerConfig
+from .errors import NolError, NumericFault
+from .learners import GridLearner, Learner, LearnerConfig
 
 
 def default_eta_grid(lo_exp: int = -20, hi_exp: int = 6, base: float = 2.0) -> List[float]:
@@ -40,6 +42,24 @@ class ProgressiveResult:
     n_examples: int
 
 
+def _numeric(n: int, fn, ex: SparseExample):
+    """fn(ex), its numeric faults and overflows a NumericFault naming example n."""
+    try:
+        return fn(ex)
+    except NumericFault as e:
+        raise NumericFault(f"example {n}: {e}") from e
+    except (OverflowError, ValueError) as e:   # math.fsum over overflowing terms
+        raise NumericFault(f"example {n}: non-finite sum ({e})") from e
+
+
+def _finite(n: int, what: str, value: float, yhat: Optional[float] = None) -> float:
+    """value, or a NumericFault naming example n if it is not finite."""
+    if not math.isfinite(value):
+        at = "" if yhat is None else f" at prediction {yhat!r}"
+        raise NumericFault(f"example {n}: non-finite {what} {value!r}{at}")
+    return value
+
+
 def progressive_validation(config: LearnerConfig, loss: Loss,
                            examples: Sequence[SparseExample],
                            task: str = "classification",
@@ -54,14 +74,16 @@ def progressive_validation(config: LearnerConfig, loss: Loss,
         loss_scale = regression_loss_scale(ex.label for ex in examples)
     learner = Learner(config, loss)
     train, ev = [], []
-    for ex in examples:
-        yhat, lval = learner.observe(ex)
-        train.append(lval)
+    for n, ex in enumerate(examples, start=1):
+        yhat, lval = _numeric(n, learner.observe, ex)
+        _finite(n, "prediction", yhat)
+        train.append(_finite(n, "loss", lval, yhat))
         if task == "classification":
             pred_label = 1.0 if yhat > 0 else (-1.0 if yhat < 0 else 0.0)
             ev.append(0.0 if pred_label == ex.label else 1.0)
         else:
-            ev.append((yhat - ex.label) ** 2 / loss_scale)
+            d = yhat - ex.label
+            ev.append(_finite(n, "eval loss", d * d / loss_scale, yhat))
     n = len(train)
     if n == 0:
         raise ValueError("no examples")
@@ -79,18 +101,20 @@ def multiclass_progressive(config: LearnerConfig, loss: Loss,
     learners: Dict[float, Learner] = {}
     classes: List[float] = []
     train, ev = [], []
-    for ex in examples:
+    for n, ex in enumerate(examples, start=1):
         if ex.label not in learners:
             learners[ex.label] = Learner(config, loss)
             classes.append(ex.label)
-        scores = {c: learners[c].predict(ex) for c in classes}
+        scores = {c: _finite(n, "prediction", _numeric(n, learners[c].predict, ex))
+                  for c in classes}
         pred = max(classes, key=lambda c: scores[c])
         ev.append(0.0 if pred == ex.label else 1.0)
         round_train = 0.0
         for c in classes:
             binary = SparseExample(ex.features, 1.0 if c == ex.label else -1.0)
-            _, lval = learners[c].observe(binary)
-            round_train += lval
+            yhat, lval = _numeric(n, learners[c].observe, binary)
+            _finite(n, "prediction", yhat)
+            round_train += _finite(n, "loss", lval, yhat)
         train.append(round_train)
     n = len(train)
     return ProgressiveResult(train, ev, sum(train) / n, sum(ev) / n, n)
@@ -107,7 +131,6 @@ class SweepSpec:
     task: str = "classification"
     multiclass: bool = False
     clip_c: Optional[float] = None
-    normalization: str = "none"
 
     def __post_init__(self):
         if not self.eta_grid:
@@ -132,45 +155,101 @@ class ComparisonReport:
     best: Dict[str, Tuple[float, float]]   # kind -> (eta*, best eval loss)
 
 
-def _max_workers() -> int:
-    env = os.environ.get("NOL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _record(errors: List[Optional[str]], n: int, faults: Dict[int, str]):
+    for r, reason in faults.items():
+        if errors[r] is None:
+            errors[r] = f"example {n}: {reason}"
+
+
+def _grid_progressive(learner: GridLearner, examples: Sequence[SparseExample],
+                      task: str, loss_scale: Optional[float]):
+    """progressive_validation for every row of the grid learner: (average
+    training losses, average eval losses, per-row error or None)."""
+    rows = len(learner.etas)
+    train, ev = np.zeros(rows), np.zeros(rows)
+    errors: List[Optional[str]] = [None] * rows
+    n = 0
+    for n, ex in enumerate(examples, start=1):
+        yhat, lval, faults = learner.observe(ex)
+        _record(errors, n, faults)
+        train += lval
+        if task == "classification":
+            ev += np.sign(yhat) != ex.label
+        else:
+            d = yhat - ex.label
+            e = d * d / loss_scale
+            ev += e
+            if not np.isfinite(e).all():
+                _record(errors, n, {int(r): f"non-finite eval loss {float(e[r])!r} "
+                                            f"at prediction {float(yhat[r])!r}"
+                                    for r in np.flatnonzero(~np.isfinite(e))})
+    if n == 0:
+        raise ValueError("no examples")
+    return train / n, ev / n, errors
+
+
+def _grid_multiclass(kind: str, spec: SweepSpec, loss: Loss,
+                     examples: Sequence[SparseExample]):
+    """multiclass_progressive for every eta of the grid: one grid learner per
+    class, so k classes x n_eta rows."""
+    rows = len(spec.eta_grid)
+    learners: Dict[float, GridLearner] = {}
+    classes: List[float] = []
+    train, ev = np.zeros(rows), np.zeros(rows)
+    errors: List[Optional[str]] = [None] * rows
+    n = 0
+    for n, ex in enumerate(examples, start=1):
+        if ex.label not in learners:
+            learners[ex.label] = GridLearner(kind, spec.eta_grid, loss, spec.clip_c)
+            classes.append(ex.label)
+        scores = np.array([learners[c].predict(ex) for c in classes])
+        if not np.isfinite(scores).all():
+            _record(errors, n, {int(r): f"non-finite prediction {float(scores[k, r])!r}"
+                                for k, r in zip(*np.nonzero(~np.isfinite(scores)))})
+        # argmax takes the first of tied classes, as max() over classes does
+        ev += scores.argmax(axis=0) != classes.index(ex.label)
+        round_train = 0.0
+        for c in classes:
+            binary = SparseExample(ex.features, 1.0 if c == ex.label else -1.0)
+            _, lval, faults = learners[c].observe(binary)
+            _record(errors, n, faults)
+            round_train = round_train + lval
+        train += round_train
+    if n == 0:
+        raise ValueError("no examples")
+    return train / n, ev / n, errors
 
 
 def sweep(spec: SweepSpec, examples: Sequence[SparseExample]) -> ComparisonReport:
-    """Run every (kind, eta) pair independently; failures mark their cell
-    without aborting the sweep. Results are gathered by cell index so the
-    report is deterministic regardless of parallelism."""
+    """Progressive validation of every (kind, eta) pair, one pass over the
+    stream per kind through a GridLearner (one per class when multiclass).
+
+    A row whose prediction, loss or weights turn non-finite becomes an error
+    cell with the NumericFault message; an error that concerns the whole pass
+    (an invalid label, say) marks every cell of that kind.
+    """
     loss = get_loss(spec.loss)
     loss_scale = None
     if spec.task == "regression":
         loss_scale = regression_loss_scale(ex.label for ex in examples)
 
-    jobs = [(kind, eta) for kind in spec.kinds for eta in spec.eta_grid]
-
-    def run_cell(job):
-        kind, eta = job
+    cells: List[SweepCell] = []
+    for kind in spec.kinds:
         try:
-            config = LearnerConfig(kind=kind, eta=eta, clip_c=spec.clip_c)
-            if spec.multiclass:
-                res = multiclass_progressive(config, loss, examples)
+            with np.errstate(all="ignore"):
+                if spec.multiclass:
+                    train, ev, errors = _grid_multiclass(kind, spec, loss, examples)
+                else:
+                    learner = GridLearner(kind, spec.eta_grid, loss, spec.clip_c)
+                    train, ev, errors = _grid_progressive(learner, examples, spec.task,
+                                                          loss_scale)
+        except (NolError, ArithmeticError) as e:   # failed cells are reported, not fatal
+            errors = [str(e)] * len(spec.eta_grid)
+        for r, eta in enumerate(spec.eta_grid):
+            if errors[r] is None:
+                cells.append(SweepCell(kind, eta, float(ev[r]), float(train[r])))
             else:
-                res = progressive_validation(config, loss, examples, spec.task, loss_scale)
-            return SweepCell(kind, eta, res.average_eval_loss, res.average_training_loss)
-        except Exception as e:  # failed cells are reported, not fatal
-            return SweepCell(kind, eta, None, None, error=str(e))
-
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_cell, jobs))
-    else:
-        cells = [run_cell(j) for j in jobs]
+                cells.append(SweepCell(kind, eta, None, None, error=errors[r]))
 
     best: Dict[str, Tuple[float, float]] = {}
     for cell in cells:

@@ -12,17 +12,24 @@ Five learners share the interface:
 * ``adagrad`` -- diagonal adaptive gradient baseline (not scale invariant).
 * ``sgd``     -- plain stochastic gradient descent baseline.
 
-All per-coordinate state lives in dicts keyed by feature index, so the
-index space is unbounded and grows on demand.
+``Learner`` runs one learning rate and keeps all per-coordinate state in
+dicts keyed by feature index, so the index space is unbounded and grows on
+demand. ``GridLearner`` runs a whole grid of learning rates in one pass: the
+stream statistics (t, the scale trackers, N) stay scalar dicts and floats
+shared by every rate, and the weights and gradient accumulators are
+(n_eta, capacity) numpy arrays whose columns are features in order of first
+appearance, the capacity doubling on demand.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Dict, Iterable, Optional, Sequence
 
-from .core import Loss, SparseExample, clip_prediction, get_loss
+import numpy as np
+
+from .core import Loss, SparseExample, _check_binary_label, clip_prediction
 from .errors import NumericFault
 
 KINDS = ("ng", "nag", "snag", "adagrad", "sgd")
@@ -188,6 +195,196 @@ class Learner:
             "N": self.N,
             "t": self.t,
         }
+
+
+# ---------------------------------------------------------------------------
+# Every learning rate of a grid at once
+#
+# A stats stage updates the shared statistics with the same expressions as
+# Learner.observe and returns (squash factors, or None when nothing
+# squashes; the per-coordinate denominator of the step). A step stage
+# returns the updated weight block, or None for no update. The elementwise
+# arithmetic follows Learner's operation order; only the prediction's dot
+# product is summed differently.
+
+def _track_max(g: "GridLearner", supp, squash):
+    """ng/nag: running max |x_i|, squash(old max, new max) on growth, and N."""
+    s = g.s
+    factors = None
+    for k, (i, v) in enumerate(supp):
+        av = abs(v)
+        si = s.get(i, 0.0)
+        if av > si:
+            if si > 0.0:
+                if factors is None:
+                    factors = [1.0] * len(supp)
+                factors[k] = squash(si, av)
+            s[i] = av
+    g.N += math.fsum((v * v) / (s[i] * s[i]) for i, v in supp)
+    return factors
+
+
+def _stats_ng(g: "GridLearner", supp):
+    factors = _track_max(g, supp, lambda si, av: (si * si) / (av * av))
+    return factors, [g.s[i] * g.s[i] for i, _ in supp]
+
+
+def _stats_nag(g: "GridLearner", supp):
+    return _track_max(g, supp, lambda si, av: si / av), [g.s[i] for i, _ in supp]
+
+
+def _stats_snag(g: "GridLearner", supp):
+    s, sigma, t = g.s, g.sigma, g.t
+    factors = None
+    for k, (i, v) in enumerate(supp):
+        s[i] = s.get(i, 0.0) + v * v
+        sig_new = math.sqrt(s[i] / t)
+        sig_old = sigma.get(i, 0.0)
+        if sig_new > sig_old and sig_old > 0.0:
+            if factors is None:
+                factors = [1.0] * len(supp)
+            factors[k] = sig_old / sig_new
+        sigma[i] = sig_new
+    scale = [sigma[i] for i, _ in supp]
+    g.N += math.fsum((v * v) / (q * q) for (_, v), q in zip(supp, scale))
+    return factors, scale
+
+
+def _no_stats(g: "GridLearner", supp):
+    return None, None
+
+
+def _accumulate(g: "GridLearner", cols, grad):
+    Gb = g.G[:, cols] + grad * grad
+    g.G[:, cols] = Gb
+    return Gb
+
+
+def _step_ng(g: "GridLearner", Wx, x, gp, cols, scale):
+    if g.N == 0.0:
+        return None
+    factor = g.etas * (g.t / g.N)
+    return Wx - (factor[:, None] * (gp[:, None] * x)) / scale
+
+
+def _step_nag(g: "GridLearner", Wx, x, gp, cols, scale):
+    if g.N == 0.0:
+        return None
+    grad = gp[:, None] * x
+    Gb = _accumulate(g, cols, grad)
+    num = (g.etas * math.sqrt(g.t / g.N))[:, None] * grad
+    return Wx - np.divide(num, scale * np.sqrt(Gb), out=np.zeros_like(num), where=Gb != 0.0)
+
+
+def _step_adagrad(g: "GridLearner", Wx, x, gp, cols, scale):
+    grad = gp[:, None] * x
+    Gb = _accumulate(g, cols, grad)
+    num = g.etas[:, None] * grad
+    return Wx - np.divide(num, np.sqrt(Gb), out=np.zeros_like(num), where=Gb != 0.0)
+
+
+def _step_sgd(g: "GridLearner", Wx, x, gp, cols, scale):
+    return Wx - (g.etas * gp)[:, None] * x
+
+
+_STAGES = {
+    "ng": (_stats_ng, _step_ng),
+    "nag": (_stats_nag, _step_nag),
+    "snag": (_stats_snag, _step_nag),
+    "adagrad": (_no_stats, _step_adagrad),
+    "sgd": (_no_stats, _step_sgd),
+}
+
+
+class GridLearner:
+    """One learner kind and loss at every learning rate of a grid.
+
+    Row r follows Learner(LearnerConfig(kind, etas[r], clip_c), loss) up to
+    the summation order of the prediction. A row whose raw prediction, loss
+    or weights turn non-finite is reported by ``observe`` and reset to zero
+    so that it stays finite; its later results mean nothing. Run it under
+    ``np.errstate``, since such rows overflow by design.
+    """
+
+    def __init__(self, kind: str, etas: Sequence[float], loss: Loss,
+                 clip_c: Optional[float] = None):
+        for eta in etas:
+            LearnerConfig(kind, eta, clip_c)   # the scalar path's validation
+        self.loss = loss
+        self.clip_c = clip_c
+        self.etas = np.array(etas, dtype=float)
+        self.s: dict = {}
+        self.sigma: dict = {}
+        self.N = 0.0
+        self.t = 0
+        self.columns: Dict[int, int] = {}   # feature index -> column of W and G
+        self.W = np.zeros((len(etas), 16))
+        self.G = np.zeros_like(self.W) if kind in ("nag", "snag", "adagrad") else None
+        self._stats, self._step = _STAGES[kind]
+
+    def _gather(self, supp):
+        """Column indices of the support, assigning columns to new features."""
+        columns = self.columns
+        cols = []
+        for i, _ in supp:
+            c = columns.get(i)
+            if c is None:
+                c = columns[i] = len(columns)
+                if c == self.W.shape[1]:
+                    self.W = np.concatenate([self.W, np.zeros_like(self.W)], axis=1)
+                    if self.G is not None:
+                        self.G = np.concatenate([self.G, np.zeros_like(self.G)], axis=1)
+            cols.append(c)
+        return np.array(cols, dtype=np.intp), np.array([v for _, v in supp])
+
+    def predict(self, ex: SparseExample) -> np.ndarray:
+        """Raw predictions of every row, without observing the example."""
+        cols, x = self._gather(ex.features)
+        return self.W[:, cols] @ x
+
+    def observe(self, ex: SparseExample):
+        """Learner.observe for every row at once.
+
+        Returns (predictions, progressive losses, faults), the first two
+        (n_eta,) arrays and faults a dict row -> reason for the rows that
+        turned non-finite on this example.
+        """
+        self.t += 1
+        supp = ex.features
+        factors, scale = self._stats(self, supp)
+        cols, x = self._gather(supp)
+        Wx = self.W[:, cols]
+        if factors is not None:
+            Wx *= factors
+        raw = Wx @ x
+        yhat = raw if self.clip_c is None else np.clip(raw, -self.clip_c, self.clip_c)
+        if self.loss.classification:
+            _check_binary_label(ex.label)
+        lval, gp = self.loss.values_and_derivatives(yhat, ex.label)
+
+        new = self._step(self, Wx, x, gp, cols, scale) if supp and gp.any() else None
+        if new is None:
+            new = Wx
+        if new is not Wx or factors is not None:
+            self.W[:, cols] = new
+
+        faults = {}
+        if not np.isfinite(new).all():
+            for r, k in zip(*np.nonzero(~np.isfinite(new))):
+                faults.setdefault(int(r), f"non-finite weight {float(new[r, k])!r} "
+                                          f"at coordinate {supp[k][0]}")
+        if not (np.isfinite(raw).all() and np.isfinite(lval).all()):
+            for r in np.flatnonzero(~np.isfinite(raw)):
+                faults.setdefault(int(r), f"non-finite prediction {float(raw[r])!r}")
+            for r in np.flatnonzero(~np.isfinite(lval)):
+                faults.setdefault(int(r), f"non-finite loss {float(lval[r])!r} "
+                                          f"at prediction {float(yhat[r])!r}")
+        if faults:
+            rows = list(faults)
+            self.W[rows] = 0.0
+            if self.G is not None:
+                self.G[rows] = 0.0
+        return yhat, lval, faults
 
 
 @dataclass

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .conditioners import (
     ComparatorBall,
@@ -36,8 +35,7 @@ from .conditioners import (
 from .core import Loss, SparseExample, clip_prediction
 from .errors import NolError
 
-ORACLE_REL_TOL = 1e-3   # most a bound check widens by for the oracle's error
-SLACK_TOL = 1e-6        # bound-check tolerance after widening by the above
+SLACK_TOL = 1e-6        # bound-check tolerance, after adding the oracle's certified gap
 FISTA_GAP_TOL = 1e-9    # FISTA stops at a Frank-Wolfe gap <= this * max(1, |f|)
 FISTA_MAX_ITER = 10_000
 
@@ -74,23 +72,6 @@ def random_instance(seed: int, d: int = 3, T: int = 200, classification: bool = 
         SparseExample(tuple((j, X[t, j]) for j in range(d) if X[t, j] != 0.0), y[t])
         for t in range(T)
     ]
-
-
-# ---------------------------------------------------------------------------
-# Vectorized losses for the oracles
-
-def _vec_loss(kind: str, preds: np.ndarray, y: np.ndarray):
-    """(losses, dloss/dpred) arrays for a batch of predictions."""
-    if kind == "squared":
-        diff = preds - y
-        return diff * diff, 2.0 * diff
-    if kind == "hinge":
-        m = y * preds
-        return np.maximum(0.0, 1.0 - m), np.where(m < 1.0, -y, 0.0)
-    if kind == "logistic":
-        m = y * preds
-        return np.logaddexp(0.0, -m), -y * expit(-m)
-    raise ValueError(f"unknown loss kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +247,7 @@ class OracleCertificate(NamedTuple):
     iterations: int   # LP solver iterations or FISTA steps; 0 for grid
 
 
-def _hinge_lp(Xu: np.ndarray, y: np.ndarray, C: float):
+def _hinge_lp(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float):
     """Total hinge loss over the L1 ball, solved exactly as the dual LP
 
         max sum_t a_t - C s  s.t.  |sum_t a_t y_t x_tj| <= s,  0 <= a <= 1,  s >= 0
@@ -289,29 +270,29 @@ def _hinge_lp(Xu: np.ndarray, y: np.ndarray, C: float):
     u = _project_ball(mu[d:] - mu[:d], C, 1)
     a = np.clip(res.x[:T], 0.0, 1.0)
     dual = float(a.sum() - C * np.abs(Z @ a).max())
-    f = float(_vec_loss("hinge", Xu @ u, y)[0].sum())
+    f = float(loss.values(Xu @ u, y).sum())
     return u, f, OracleCertificate("lp", max(0.0, f - dual), int(res.nit))
 
 
-def _fista(kind: str, Xu: np.ndarray, y: np.ndarray, C: float, q: int):
+def _fista(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float, q: int):
     """Accelerated projected gradient (Beck & Teboulle) for squared and
     logistic loss, step 1/L with L from the Frobenius norm of Xu, momentum
     restarted whenever it points against the last step (O'Donoghue & Candes).
     Stops on the Frank-Wolfe gap g.u + C ||g||_* (the dual norm of the ball's
     q-norm), an upper bound on f(u) - min f. Returns (u, loss, certificate).
     """
-    L = float((Xu * Xu).sum()) * (0.25 if kind == "logistic" else 2.0)
+    L = float((Xu * Xu).sum()) * (0.25 if loss.kind == "logistic" else 2.0)
     dual_ord = np.inf if q == 1 else 2
     u = v = np.zeros(Xu.shape[1])
     t = 1.0
     for k in range(FISTA_MAX_ITER + 1):
-        lvals, dl = _vec_loss(kind, Xu @ u, y)
+        lvals, dl = loss.values_and_derivatives(Xu @ u, y)
         f = float(lvals.sum())
         g = Xu.T @ dl
         gap = max(0.0, float(g @ u) + C * float(np.linalg.norm(g, dual_ord)))
         if gap <= FISTA_GAP_TOL * max(1.0, abs(f)) or k == FISTA_MAX_ITER:
             break
-        gv = g if v is u else Xu.T @ _vec_loss(kind, Xu @ v, y)[1]
+        gv = g if v is u else Xu.T @ loss.values_and_derivatives(Xu @ v, y)[1]
         u_new = _project_ball(v - gv / L, C, q)
         if (v - u_new) @ (u_new - u) > 0.0:  # momentum against the step: restart
             t, v = 1.0, u_new
@@ -338,24 +319,23 @@ def best_in_hindsight(examples: Sequence[SparseExample], loss: Loss,
     d = len(coords)
     if d == 0:
         raise NolError("empty comparator ball: no coordinate ever observed nonzero")
-    kind = loss.kind
 
     if method == "grid":
         if d > 3:
             raise NolError("grid oracle supports d <= 3")
 
         def objective(P):
-            return _vec_loss(kind, P @ Xu.T, y)[0].sum(axis=1)
+            return loss.values(P @ Xu.T, y).sum(axis=1)
 
         u_best, f_best = grid_minimize(objective, d, ball.C, ball.q)
         cert = OracleCertificate("grid", math.inf, 0)
     elif method == "certified":
-        if kind == "hinge":
+        if loss.kind == "hinge":
             if ball.q != 1:
                 raise NolError("the hinge-loss oracle is an LP over the L1 ball only")
-            u_best, f_best, cert = _hinge_lp(Xu, y, ball.C)
+            u_best, f_best, cert = _hinge_lp(loss, Xu, y, ball.C)
         else:
-            u_best, f_best, cert = _fista(kind, Xu, y, ball.C, ball.q)
+            u_best, f_best, cert = _fista(loss, Xu, y, ball.C, ball.q)
     else:
         raise ValueError(f"unknown oracle method {method!r}")
 
@@ -377,8 +357,8 @@ class BoundReport:
     check: str
     empirical_regret: float
     bound_value: float
-    slack: float                 # bound - regret, after oracle widening
-    raw_slack: float             # bound - regret, unwidened
+    slack: float                 # bound - (regret + the oracle's certified gap)
+    raw_slack: float             # bound - regret
     passed: bool
     components: Dict[str, float] = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
@@ -451,11 +431,12 @@ def lemma1_check(ledger: RegretLedger, loss: Loss, w: Dict[int, float]) -> Bound
     )
 
 
-def _widened_report(check: str, regret: float, wstar_loss: float, cert: OracleCertificate,
+def _widened_report(check: str, regret: float, cert: OracleCertificate,
                     bound: float, components: Dict[str, float],
                     extras: Optional[dict] = None) -> BoundReport:
-    widen = min(cert.gap, ORACLE_REL_TOL * abs(wstar_loss))
-    slack = bound - (regret - widen)
+    # The oracle's loss is at most cert.gap above the true minimum, so the
+    # true regret is at most regret + cert.gap.
+    slack = bound - (regret + cert.gap)
     return BoundReport(
         check=check,
         empirical_regret=regret,
@@ -478,7 +459,7 @@ def theorem1_check(examples: Sequence[SparseExample], loss: Loss, C: float) -> B
     ball = ComparatorBall(ledger.box, C, q=1)
     _, wstar_loss, cert = best_in_hindsight(examples, loss, ball)
     regret = empirical_regret(ledger.total_loss, wstar_loss)
-    return _widened_report("theorem1", regret, wstar_loss, cert, bound,
+    return _widened_report("theorem1", regret, cert, bound,
                            {"lemma2_bound": bound / (2.0 * SQRT2)},
                            {"learner_loss": ledger.total_loss,
                             "comparator_loss": wstar_loss})
@@ -512,7 +493,7 @@ def theorem2_check(examples: Sequence[SparseExample], loss: Loss, C: float) -> B
         "comparator_loss": wstar_loss,
         "delta": ledger.delta_ratios(),
     }
-    return _widened_report("theorem2", regret, wstar_loss, cert, bound,
+    return _widened_report("theorem2", regret, cert, bound,
                            {str(i): v for i, v in per_coord.items()}, extras)
 
 

@@ -100,6 +100,33 @@ class TestSweep:
         r2 = run_report(capsys, self.BASE)
         assert r1["cells"] == r2["cells"]
 
+    def test_overflowing_cells_are_strict_json(self, capsys):
+        code, out, err = run_cli(capsys, [
+            "sweep", "--synth", "figure1:s=1,T=150", "--seed", "3", "--learners", "ng,sgd",
+            "--loss", "squared", "--task", "regression", "--eta-grid", "8..64"])
+        assert code == 0, err
+
+        def reject(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        rep = json.loads(out, parse_constant=reject)
+        jsonschema.validate(rep, SCHEMA)
+        failed = [c for c in rep["cells"] if c["error"] is not None]
+        assert {(c["learner"], c["eta"]) for c in failed} == {
+            ("ng", 16.0), ("ng", 32.0), ("ng", 64.0), ("sgd", 32.0), ("sgd", 64.0)}
+        for c in failed:
+            assert c["loss"] is None and c["training_loss"] is None
+            assert c["error"].startswith("example ")
+            assert ": non-finite loss inf at prediction " in c["error"]
+        assert rep["best"]["ng"]["loss"] is not None
+
+    def test_unknown_learner_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, [
+            "sweep", "--synth", "figure1:T=10", "--learners", "nag,bogus",
+            "--loss", "hinge"])
+        assert code == 1
+        assert "bogus" in err
+
     def test_bad_eta_grid(self, capsys):
         code, _, err = run_cli(capsys, [
             "sweep", "--synth", "figure1:T=10", "--learners", "sgd",

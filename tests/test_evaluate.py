@@ -1,11 +1,11 @@
 import math
-import os
 
 import numpy as np
 import pytest
 
 from nol.core import SparseExample, get_loss
-from nol.data import synth_figure1
+from nol.data import regression_loss_scale, synth_figure1, synth_scaled
+from nol.errors import NolError, NumericFault
 from nol.evaluate import (
     ComparisonReport,
     SweepSpec,
@@ -17,7 +17,7 @@ from nol.evaluate import (
     significance,
     sweep,
 )
-from nol.learners import LearnerConfig
+from nol.learners import KINDS, LearnerConfig
 
 
 def ex(feats, y=1.0):
@@ -60,6 +60,14 @@ class TestProgressiveValidation:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             progressive_validation(LearnerConfig("sgd", 0.1), SQ, [])
+
+    def test_overflow_is_numeric_fault(self):
+        # the squared loss of the 148th prediction overflows; the fault names
+        # the example and the values instead of a bare OverflowError
+        stream = synth_figure1(1.0, 150, seed=3)
+        with pytest.raises(NumericFault,
+                           match=r"^example 148: non-finite loss inf at prediction -2\.556"):
+            progressive_validation(LearnerConfig("ng", 16.0), SQ, stream, task="regression")
 
 
 class TestMulticlass:
@@ -115,20 +123,12 @@ class TestSweep:
             assert rep.best[kind][1] == lo
             assert rep.best[kind][0] in [c.eta for c in cells if c.eval_loss == lo]
 
-    def test_deterministic_and_thread_invariant(self):
+    def test_deterministic(self):
         stream = synth_figure1(1.0, 100, seed=5)
         r1 = sweep(self.small_spec(), stream)
-        old = os.environ.get("NOL_THREADS")
-        os.environ["NOL_THREADS"] = "4"
-        try:
-            r2 = sweep(self.small_spec(), stream)
-        finally:
-            if old is None:
-                del os.environ["NOL_THREADS"]
-            else:
-                os.environ["NOL_THREADS"] = old
-        assert [(c.kind, c.eta, c.eval_loss) for c in r1.cells] == \
-               [(c.kind, c.eta, c.eval_loss) for c in r2.cells]
+        r2 = sweep(self.small_spec(), stream)
+        assert [(c.kind, c.eta, c.eval_loss, c.training_loss) for c in r1.cells] == \
+               [(c.kind, c.eta, c.eval_loss, c.training_loss) for c in r2.cells]
 
     def test_failed_cell_marked_not_fatal(self):
         # enormous constant rate diverges sgd on squared loss
@@ -150,6 +150,102 @@ class TestSweep:
         kind, eta, loss = rows[1].split(",")
         assert kind == "nag" and float(eta) == 0.25
         assert float(loss) == rep.cells[0].eval_loss
+
+
+# The batched sweep sums each prediction's dot product in another order than
+# the scalar learner's fsum, and numpy's exp can differ from libm's by an ulp;
+# constant-step ng amplifies that most. The worst difference measured over the
+# cases below was 2.4e-7 relative (ng, squared loss, eta=16).
+TRAINING_LOSS_RTOL = 1e-6
+
+SWEEP_STREAMS = {
+    "figure1_s1": lambda: synth_figure1(1.0, 150, seed=3),
+    "figure1_s1000": lambda: synth_figure1(1e3, 150, seed=3),
+    "scaled_d4": lambda: synth_scaled(4, 300, seed=1),
+}
+
+
+def _matches_scalar(rep, reference):
+    """Every cell of a sweep against reference(kind, eta) run per cell."""
+    best = {}
+    for cell in rep.cells:
+        try:
+            res = reference(cell.kind, cell.eta)
+        except (NolError, ArithmeticError) as e:
+            # same fault, same example; the offending value may differ in its last digits
+            assert cell.error is not None, (cell, e)
+            assert cell.error.split(" at prediction")[0] == str(e).split(" at prediction")[0]
+            continue
+        assert cell.error is None, (cell, res)
+        assert type(cell.eval_loss) is float and type(cell.training_loss) is float
+        assert cell.training_loss == pytest.approx(res.average_training_loss,
+                                                   rel=TRAINING_LOSS_RTOL), cell
+        yield cell, res
+        if cell.kind not in best or res.average_eval_loss < best[cell.kind][1]:
+            best[cell.kind] = (cell.eta, res.average_eval_loss)
+    assert {k: eta for k, (eta, _) in best.items()} == \
+           {k: eta for k, (eta, _) in rep.best.items()}
+
+
+class TestSweepMatchesScalar:
+    @pytest.mark.parametrize("clip_c", [None, 1.0])
+    @pytest.mark.parametrize("loss_kind", ["squared", "hinge", "logistic"])
+    @pytest.mark.parametrize("stream_name", sorted(SWEEP_STREAMS))
+    def test_cells_match_progressive_validation(self, stream_name, loss_kind, clip_c):
+        stream = SWEEP_STREAMS[stream_name]()
+        loss = get_loss(loss_kind)
+        task = "regression" if loss_kind == "squared" else "classification"
+        scale = regression_loss_scale(ex.label for ex in stream) if task == "regression" else None
+        rep = sweep(SweepSpec(kinds=list(KINDS), loss=loss_kind, task=task, clip_c=clip_c),
+                    stream)
+        assert len(rep.cells) == len(KINDS) * 27
+
+        def reference(kind, eta):
+            return progressive_validation(LearnerConfig(kind, eta, clip_c), loss, stream,
+                                          task, scale)
+
+        for cell, res in _matches_scalar(rep, reference):
+            if task == "classification":
+                assert cell.eval_loss == res.average_eval_loss, cell
+            else:
+                assert cell.eval_loss == pytest.approx(res.average_eval_loss,
+                                                       rel=TRAINING_LOSS_RTOL), cell
+
+    def test_overflowing_cells_fail_with_numeric_fault(self):
+        rep = sweep(SweepSpec(kinds=["ng", "sgd"], loss="squared", task="regression"),
+                    synth_figure1(1.0, 150, seed=3))
+        failed = {(c.kind, c.eta): c.error for c in rep.cells if c.error is not None}
+        assert set(failed) == {("ng", 16.0), ("ng", 32.0), ("ng", 64.0),
+                               ("sgd", 32.0), ("sgd", 64.0)}
+        assert failed["ng", 16.0].startswith("example 148: non-finite loss inf at prediction")
+        assert all(c.eval_loss is None and c.training_loss is None
+                   for c in rep.cells if c.error is not None)
+
+    def test_multiclass_matches_multiclass_progressive(self):
+        rng = np.random.default_rng(8)
+        stream = []
+        for _ in range(200):
+            c = int(rng.integers(0, 3))
+            x = {c: 1.0, 3: float(rng.normal() * 0.1), 4: float(rng.normal() * 100.0)}
+            stream.append(ex(x, float(c)))
+        grid = [2.0 ** e for e in range(-12, 7, 2)]
+        for loss_kind in ("hinge", "logistic", "squared"):
+            loss = get_loss(loss_kind)
+            rep = sweep(SweepSpec(kinds=list(KINDS), loss=loss_kind, eta_grid=grid,
+                                  multiclass=True), stream)
+
+            def reference(kind, eta):
+                return multiclass_progressive(LearnerConfig(kind, eta), loss, stream)
+
+            for cell, res in _matches_scalar(rep, reference):
+                assert cell.eval_loss == res.average_eval_loss, cell
+
+    def test_invalid_label_fails_every_cell_of_the_kind(self):
+        stream = [ex({0: 1.0}, 1.0), ex({0: 2.0}, 2.0)]
+        rep = sweep(SweepSpec(kinds=["nag"], loss="hinge", eta_grid=[0.5, 1.0]), stream)
+        assert [c.error for c in rep.cells] == \
+               ["classification label must be -1 or +1, got 2.0"] * 2
+        assert rep.best == {}
 
 
 class TestKLInterval:

@@ -5,7 +5,7 @@ import pytest
 
 from nol.core import SparseExample, get_loss
 from nol.errors import NumericFault
-from nol.learners import Learner, LearnerConfig, run_stream
+from nol.learners import KINDS, GridLearner, Learner, LearnerConfig, run_stream
 from nol.regret import apply_scaling, random_instance
 
 SQ = get_loss("squared")
@@ -204,3 +204,34 @@ class TestInvariants:
         for e in stream:
             l.observe(e)
         assert l.w.get(57, 0.0) == 0.0
+
+
+class TestGridLearner:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_follow_scalar_learners(self, kind):
+        # the stream statistics are bitwise the scalar learner's; the weights
+        # differ only through the summation order of the predictions
+        stream = random_instance(4, d=5, T=120)
+        loss = get_loss("logistic")
+        etas = [0.01, 0.1, 1.0]
+        grid = GridLearner(kind, etas, loss)
+        scalars = [Learner(LearnerConfig(kind, eta), loss) for eta in etas]
+        for x in stream:
+            yhat, lval, faults = grid.observe(x)
+            assert faults == {}
+            for r, learner in enumerate(scalars):
+                want_yhat, want_lval = learner.observe(x)
+                assert yhat[r] == pytest.approx(want_yhat, rel=1e-9, abs=1e-12)
+                assert lval[r] == pytest.approx(want_lval, rel=1e-9)
+        for learner in scalars:
+            assert (grid.t, grid.N, grid.s, grid.sigma) == \
+                   (learner.t, learner.N, learner.s, learner.sigma)
+        for r, learner in enumerate(scalars):
+            for i, c in grid.columns.items():
+                assert grid.W[r, c] == pytest.approx(learner.w.get(i, 0.0), rel=1e-9, abs=1e-12)
+
+    def test_columns_grow_past_capacity(self):
+        grid = GridLearner("nag", [0.5, 1.0], SQ)
+        for i in range(40):
+            grid.observe(ex({i: 1.0, 1000 + i: -2.0}))
+        assert len(grid.columns) == 80 and grid.W.shape == (2, 128) == grid.G.shape
