@@ -1,8 +1,9 @@
 """Command-line entry point: train, sweep, regret.
 
-Reports are schema-versioned JSON written to stdout or --report; plot data is
-plain CSV. Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
-fault. Nothing but the report is written to stdout.
+Reports are schema-versioned JSON, one line with sorted keys, written to
+stdout or --report; plot data is plain CSV. Exit codes: 0 success, 1 usage
+error, 2 data error, 3 numeric fault. Nothing but the report is written to
+stdout.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from typing import List, Optional
@@ -68,12 +70,14 @@ def _load_examples(args):
 
 
 def _emit(report: dict, path: Optional[str]):
-    text = json.dumps(report, indent=2, sort_keys=True)
+    # one line: json.dumps takes the C encoder only without indent, and only
+    # as a one-shot dumps (json.dump to a file streams through the Python one)
+    text = json.dumps(report, sort_keys=True) + "\n"
     if path:
         with open(path, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 def _learner_kinds(text: str) -> List[str]:
@@ -142,12 +146,17 @@ def _parse_eta_grid(spec: str) -> List[float]:
     lo_s, sep, hi_s = spec.partition("..")
     if not sep:
         raise DataFormatError(f"bad eta grid {spec!r}; expected LO..HI")
-    lo, hi = float(lo_s), float(hi_s)
-    if not (lo > 0 and hi >= lo):
-        raise DataFormatError("eta grid bounds must satisfy 0 < LO <= HI")
+    try:
+        lo, hi = float(lo_s), float(hi_s)
+    except ValueError:
+        raise DataFormatError(f"bad eta grid {spec!r}; expected LO..HI")
+    if not (0 < lo <= hi < math.inf):
+        raise DataFormatError("eta grid bounds must be finite and satisfy 0 < LO <= HI")
+    # capped so that doubling past the largest float ends the loop
+    limit = min(hi * (1 + 1e-12), sys.float_info.max)
     grid = []
     e = lo
-    while e <= hi * (1 + 1e-12):
+    while e <= limit:
         grid.append(e)
         e *= 2.0
     return grid
@@ -266,7 +275,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--loss", required=True,
                          choices=["squared", "hinge", "logistic"])
     p_train.add_argument("--eta", type=float, required=True)
-    p_train.add_argument("--clip-c", type=float, dest="clip_c")
+    p_train.add_argument("--clip-c", type=_positive, dest="clip_c")
     p_train.add_argument("--eta-decay", action="store_true", dest="eta_decay")
     p_train.add_argument("--thin", type=int, default=1,
                          help="keep every k-th trace entry")

@@ -60,6 +60,16 @@ class SparseExample:
         return SparseExample(pairs, self.label)
 
 
+def _validated_example(features: tuple, label: float) -> SparseExample:
+    """A SparseExample without ``__post_init__``'s checks, for pairs the
+    caller has already checked: int indices strictly increasing from 0 or
+    more, finite nonzero float values, and a finite float label."""
+    ex = object.__new__(SparseExample)
+    object.__setattr__(ex, "features", features)
+    object.__setattr__(ex, "label", label)
+    return ex
+
+
 def _check_binary_label(y: float):
     if y not in (-1.0, 1.0):
         raise InvalidLabel(f"classification label must be -1 or +1, got {y!r}")

@@ -6,16 +6,43 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import lt
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .core import SparseExample
+from .core import SparseExample, _validated_example
 from .errors import DataFormatError
 
 
 # ---------------------------------------------------------------------------
 # svmlight-like text format: "label idx:val idx:val ..."
+
+def _checked_pairs(tokens: Sequence[str], line_number: int) -> list:
+    """The nonzero (index, value) pairs of a line's tokens, checked one token
+    at a time; raises the DataFormatError that names the first bad token."""
+    feats = []
+    prev = -1
+    for tok in tokens:
+        idx_s, _, val_s = tok.partition(":")
+        try:
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError:
+            raise DataFormatError(f"line {line_number}: malformed token {tok!r}")
+        if idx < 0:
+            raise DataFormatError(f"line {line_number}: negative index {idx}")
+        if idx <= prev:
+            raise DataFormatError(
+                f"line {line_number}: indices must be strictly increasing, got {idx} after {prev}")
+        if not math.isfinite(val):
+            raise DataFormatError(f"line {line_number}: non-finite value in {tok!r}")
+        prev = idx
+        if val != 0.0:
+            feats.append((idx, val))
+    return feats
+
 
 def parse_svmlight_line(line: str, line_number: int = 0) -> SparseExample:
     parts = line.split()
@@ -25,25 +52,29 @@ def parse_svmlight_line(line: str, line_number: int = 0) -> SparseExample:
         label = float(parts[0])
     except ValueError:
         raise DataFormatError(f"line {line_number}: bad label {parts[0]!r}")
-    feats = []
-    prev = -1
-    for tok in parts[1:]:
-        idx_s, _, val_s = tok.partition(":")
+    tokens = parts[1:]
+    # The whole line at once, with the conversions _checked_pairs makes per
+    # token, so both accept the same lines; any failure (or a sum of finite
+    # values that overflows) goes to _checked_pairs, which names the fault.
+    if tokens:
+        idx_s, _, val_s = zip(*map(str.partition, tokens, repeat(":")))
         try:
-            idx = int(idx_s)
-            val = float(val_s)
+            idx = list(map(int, idx_s))
+            vals = list(map(float, val_s))
+            ok = idx[0] >= 0 and all(map(lt, idx, idx[1:])) and math.isfinite(sum(vals))
         except ValueError:
-            raise DataFormatError(f"line {line_number}: malformed token {tok!r}")
-        if idx <= prev:
-            raise DataFormatError(
-                f"line {line_number}: indices must be strictly increasing, got {idx} after {prev}")
-        if idx < 0:
-            raise DataFormatError(f"line {line_number}: negative index {idx}")
-        if not math.isfinite(val):
-            raise DataFormatError(f"line {line_number}: non-finite value in {tok!r}")
-        prev = idx
-        feats.append((idx, val))
-    return SparseExample(tuple(feats), label)
+            ok = False
+        if not ok:
+            pairs = _checked_pairs(tokens, line_number)
+        elif 0.0 in vals:
+            pairs = [(i, v) for i, v in zip(idx, vals) if v != 0.0]
+        else:
+            pairs = zip(idx, vals)
+    else:
+        pairs = ()
+    if not math.isfinite(label):
+        raise DataFormatError(f"line {line_number}: non-finite label {parts[0]!r}")
+    return _validated_example(tuple(pairs), label)
 
 
 def serialize_svmlight(ex: SparseExample) -> str:
@@ -132,6 +163,8 @@ def read_delimited(lines: Iterable[str], label_column: Optional[str] = None,
                 raise DataFormatError(f"line {n}: bad label {label_cell!r}")
         if label_transform and label in label_transform:
             label = float(label_transform[label])
+        if not math.isfinite(label):
+            raise DataFormatError(f"line {n}: non-finite label {label_cell!r}")
         yield SparseExample.from_dict(feats, label)
 
 
@@ -147,11 +180,18 @@ class NormalizerStats:
     count: int = 0
 
     def apply(self, ex: SparseExample) -> SparseExample:
-        pairs = tuple(
-            (i, v / self.scale[i] if self.scale.get(i, 0.0) > 0.0 else v)
-            for i, v in ex.features
-        )
-        return SparseExample(pairs, ex.label)
+        scale = self.scale.get
+        pairs = []
+        for i, v in ex.features:
+            si = scale(i, 0.0)
+            if si > 0.0:
+                v = v / si
+                # compute_normalizer's statistics keep |v / si| <= sqrt(count),
+                # so the quotient is finite; it can underflow to zero
+                if v == 0.0:
+                    continue
+            pairs.append((i, v))
+        return _validated_example(tuple(pairs), ex.label)
 
 
 def compute_normalizer(examples: Sequence[SparseExample], mode: str) -> NormalizerStats:

@@ -148,7 +148,7 @@ class Learner:
                 si = s[i]
                 wi = w.get(i, 0.0) - factor * (gp * v) / (si * si)
                 if not math.isfinite(wi):
-                    raise NumericFault(f"non-finite weight update at coordinate {i}")
+                    raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
                 w[i] = wi
         elif kind in ("nag", "snag"):
             if N == 0.0:
@@ -163,7 +163,7 @@ class Learner:
                     continue
                 wi = w.get(i, 0.0) - cfg.eta * root_tn * g / (scale[i] * math.sqrt(Gi))
                 if not math.isfinite(wi):
-                    raise NumericFault(f"non-finite weight update at coordinate {i}")
+                    raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
                 w[i] = wi
         elif kind == "adagrad":
             for i, v in supp:
@@ -174,23 +174,24 @@ class Learner:
                     continue
                 wi = w.get(i, 0.0) - cfg.eta * g / math.sqrt(Gi)
                 if not math.isfinite(wi):
-                    raise NumericFault(f"non-finite weight update at coordinate {i}")
+                    raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
                 w[i] = wi
         else:  # sgd
             eta_t = cfg.eta / math.sqrt(t) if cfg.eta_decay else cfg.eta
             for i, v in supp:
                 wi = w.get(i, 0.0) - eta_t * gp * v
                 if not math.isfinite(wi):
-                    raise NumericFault(f"non-finite weight update at coordinate {i}")
+                    raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
                 w[i] = wi
 
     def state_dump(self) -> dict:
         """Flat serialization for warm restarts: (index, w, s, G) plus scalars."""
-        indices = sorted(set(self.w) | set(self.s) | set(self.G))
+        w, s, G = self.w, self.s, self.G
+        w_at, s_at, G_at = w.get, s.get, G.get
         return {
             "coordinates": [
-                [i, self.w.get(i, 0.0), self.s.get(i, 0.0), self.G.get(i, 0.0)]
-                for i in indices
+                [i, w_at(i, 0.0), s_at(i, 0.0), G_at(i, 0.0)]
+                for i in sorted(w.keys() | s.keys() | G.keys())
             ],
             "N": self.N,
             "t": self.t,

@@ -1,10 +1,12 @@
 import json
+import types
 from importlib import resources
 
 import jsonschema
 import pytest
 
-from nol.cli import main
+from nol import cli
+from nol.cli import _parse_eta_grid, main
 
 SCHEMA = json.loads(
     resources.files("nol").joinpath("schema/report.schema.json").read_text())
@@ -55,6 +57,12 @@ class TestTrain:
         assert out == ""
         rep = json.loads(path.read_text())
         jsonschema.validate(rep, SCHEMA)
+
+    @pytest.mark.parametrize("clip", ["0", "-1"])
+    def test_nonpositive_clip_c_is_usage_error(self, capsys, clip):
+        code, _, err = run_cli(capsys, self.BASE + ["--clip-c", clip])
+        assert code == 1
+        assert "--clip-c" in err
 
     def test_svmlight_file(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
@@ -134,6 +142,18 @@ class TestSweep:
         assert code == 2
         assert "data error" in err
 
+    @pytest.mark.parametrize("grid", ["1..inf", "nan..1", "1..nan", "inf..inf", "a..1"])
+    def test_unusable_eta_grid_is_data_error(self, capsys, grid):
+        code, _, err = run_cli(capsys, [
+            "sweep", "--synth", "figure1:T=10", "--learners", "sgd",
+            "--loss", "hinge", "--eta-grid", grid])
+        assert code == 2
+        assert "data error" in err
+
+    def test_eta_grid_stops_at_largest_float(self):
+        grid = _parse_eta_grid("1..1.7976931348623157e308")
+        assert grid == [2.0 ** k for k in range(1024)]
+
 
 class TestRegret:
     def test_lemma1_suite(self, capsys):
@@ -207,6 +227,15 @@ class TestExitCodes:
             "hinge", "--eta", "0.5"])
         assert code == 2
 
+    def test_overflowing_update_names_example_coordinate_and_value(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1 0:1e300\n-1 0:1e300\n")
+        code, _, err = run_cli(capsys, [
+            "train", "--data", str(path), "--learner", "sgd", "--loss",
+            "squared", "--eta", "1e10"])
+        assert code == 3
+        assert err == "numeric fault: example 1: non-finite weight inf at coordinate 0\n"
+
     def test_numeric_fault(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("1 0:10\n" * 200)
@@ -215,3 +244,24 @@ class TestExitCodes:
             "squared", "--eta", "1e150"])
         assert code == 3
         assert "numeric fault" in err
+
+
+class TestReportFormat:
+    @pytest.mark.parametrize("argv", [
+        TestTrain.BASE,
+        TestSweep.BASE,
+        ["regret", "--check", "lemma1", "--instances", "2", "--T", "40"],
+    ], ids=["train", "sweep", "regret"])
+    def test_one_line_of_sorted_json_on_stdout_and_in_file(
+            self, capsys, tmp_path, monkeypatch, argv):
+        # a fixed clock, so both runs report the same timing
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0, err
+        path = tmp_path / "r.json"
+        code, quiet, err = run_cli(capsys, argv + ["--report", str(path)])
+        assert code == 0, err
+        assert quiet == ""
+        assert path.read_bytes() == out.encode()
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert out[:-1] == json.dumps(json.loads(out), sort_keys=True)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nol.core import SparseExample
 from nol.data import (
@@ -33,12 +35,27 @@ class TestSvmlight:
         e = parse_svmlight_line("-1")
         assert e.label == -1.0 and e.features == ()
 
-    @pytest.mark.parametrize("bad", [
-        "", "x 0:1", "1 0:abc", "1 3:1 1:2", "1 -2:1", "1 0:inf",
-    ])
-    def test_parse_rejects(self, bad):
-        with pytest.raises(DataFormatError):
+    REJECTS = [
+        ("", "empty line"),
+        ("x 0:1", "bad label 'x'"),
+        ("1 0:abc", "malformed token '0:abc'"),
+        ("1 3:1 1:2", "indices must be strictly increasing, got 1 after 3"),
+        ("1 -2:1", "negative index -2"),
+        ("1 0:inf", "non-finite value in '0:inf'"),
+        ("1 3:", "malformed token '3:'"),
+        ("1 :3", "malformed token ':3'"),
+        ("1 1:2:3", "malformed token '1:2:3'"),
+        ("1 5", "malformed token '5'"),
+        ("1 1.5:2", "malformed token '1.5:2'"),
+        ("1 0:1 0:2", "indices must be strictly increasing, got 0 after 0"),
+        ("nan 0:1", "non-finite label 'nan'"),
+    ]
+
+    @pytest.mark.parametrize("bad,message", REJECTS, ids=[bad for bad, _ in REJECTS])
+    def test_parse_rejects(self, bad, message):
+        with pytest.raises(DataFormatError) as excinfo:
             parse_svmlight_line(bad, line_number=7)
+        assert str(excinfo.value) == f"line 7: {message}"
 
     def test_round_trip(self):
         rng = np.random.default_rng(17)
@@ -52,6 +69,30 @@ class TestSvmlight:
             e = SparseExample(feats, label)
             back = parse_svmlight_line(serialize_svmlight(e))
             assert back == e
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_parse_equals_checking_constructor(self, data):
+        number = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0])
+        spellings = st.sampled_from(["{!r}", "+{!r}", "{:e}", "{:+E}", "{:.3g}"])
+
+        def spell(x):
+            text = data.draw(spellings).format(x).replace("+-", "-")
+            # "{:.3g}" can round a finite value up past the largest float
+            return text if math.isfinite(float(text)) else repr(x)
+
+        label = spell(data.draw(number))
+        indices = sorted(data.draw(st.sets(st.integers(0, 10 ** 6), max_size=12)))
+        idx_texts = [data.draw(st.sampled_from(["{}", "+{}", "00{}"])).format(i) for i in indices]
+        val_texts = [spell(data.draw(number)) for _ in indices]
+        sep = data.draw(st.sampled_from([" ", "\t", "  "]))
+        line = sep.join([label] + [f"{i}:{v}" for i, v in zip(idx_texts, val_texts)])
+
+        got = parse_svmlight_line(line)
+        want = SparseExample(tuple(zip(indices, map(float, val_texts))), float(label))
+        assert got == want and hash(got) == hash(want)
+        assert type(got.label) is float
+        assert all(type(i) is int and type(v) is float for i, v in got.features)
 
     def test_reader_skips_blank_and_comments(self):
         lines = ["# header", "", "1 0:1", "   ", "-1 1:2"]
@@ -104,6 +145,12 @@ class TestDelimited:
         with pytest.raises(DataFormatError, match="line 2"):
             list(read_delimited(["a,b,y", "1,2"]))
 
+    @pytest.mark.parametrize("label", ["nan", "inf"])
+    def test_non_finite_label_rejected(self, label):
+        with pytest.raises(DataFormatError) as excinfo:
+            list(read_delimited(["a,y", "1,1", f"2,{label}"]))
+        assert str(excinfo.value) == f"line 3: non-finite label {label!r}"
+
     def test_empty_file_rejected(self):
         with pytest.raises(DataFormatError):
             list(read_delimited([]))
@@ -142,6 +189,20 @@ class TestPrenormalize:
         _, out = prenormalize(rows, "sqnorm")
         m2 = sum(v * v for e in out for _, v in e.features) / len(rows)
         assert m2 == pytest.approx(1.0, rel=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(st.dictionaries(
+        st.integers(0, 5),
+        st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: v != 0.0)
+        | st.sampled_from([5e-324, -1e-310, 1e300, -1.7e308])),
+        min_size=1, max_size=8))
+    def test_output_equals_checked_copy(self, rows):
+        examples = [ex(r) for r in rows]
+        for mode in ("maxnorm", "sqnorm"):
+            _, out = prenormalize(examples, mode)
+            for e in out:
+                assert e == SparseExample(e.features, e.label)
+                assert all(type(v) is float and math.isfinite(v) for _, v in e.features)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
