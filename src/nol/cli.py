@@ -35,10 +35,9 @@ SCHEMA_VERSION = 1
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1, not argparse's default 2
+    # usage problems exit 1, not argparse's default 2, with one stderr line
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message} (see {self.prog} -h)\n")
         raise SystemExit(1)
 
 
@@ -89,17 +88,36 @@ def _learner_kinds(text: str) -> List[str]:
     return kinds
 
 
-def _positive(text: str) -> float:
-    value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be strictly positive, got {text}")
-    return value
+def _checked(convert, test, what):
+    """An argparse type: convert the text, then require test(value)."""
+    def parse(text):
+        value = convert(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+_positive = _checked(float, lambda v: v > 0, "strictly positive")
+_finite_positive = _checked(float, lambda v: 0 < v < math.inf, "finite and strictly positive")
+_finite_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
+_positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+
+
+def _synth_spec(text: str) -> str:
+    try:
+        data_io.parse_synth_spec(text)
+    except DataFormatError as e:
+        raise argparse.ArgumentTypeError(str(e))
+    return text
 
 
 def _add_data_flags(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--data", help="path to a dataset file")
-    src.add_argument("--synth", help="generator spec, e.g. figure1:s=1,T=1000")
+    src.add_argument("--synth", type=_synth_spec,
+                     help="generator spec, e.g. figure1:s=1,T=1000")
     p.add_argument("--format", choices=["svmlight", "csv"], default="svmlight")
     p.add_argument("--task", choices=["classification", "regression"],
                    default="classification")
@@ -274,7 +292,7 @@ def build_parser() -> _Parser:
                          choices=["ng", "nag", "snag", "adagrad", "sgd"])
     p_train.add_argument("--loss", required=True,
                          choices=["squared", "hinge", "logistic"])
-    p_train.add_argument("--eta", type=float, required=True)
+    p_train.add_argument("--eta", type=_finite_nonnegative, required=True)
     p_train.add_argument("--clip-c", type=_positive, dest="clip_c")
     p_train.add_argument("--eta-decay", action="store_true", dest="eta_decay")
     p_train.add_argument("--thin", type=int, default=1,
@@ -299,11 +317,11 @@ def build_parser() -> _Parser:
                           choices=["lemma1", "thm1", "thm2", "cor1"])
     p_regret.add_argument("--instances", type=int, default=10)
     p_regret.add_argument("--seed", type=int, default=0)
-    p_regret.add_argument("-C", type=float, default=1.0, dest="C")
+    p_regret.add_argument("-C", type=_finite_positive, default=1.0, dest="C")
     p_regret.add_argument("--loss", default="squared",
                           choices=["squared", "hinge", "logistic"])
-    p_regret.add_argument("--d", type=int, default=3)
-    p_regret.add_argument("--T", type=int, default=200)
+    p_regret.add_argument("--d", type=_positive_int, default=3)
+    p_regret.add_argument("--T", type=_positive_int, default=200)
     p_regret.add_argument("--delta", type=float, default=0.1)
     p_regret.add_argument("--nu", type=float, default=0.5)
     p_regret.add_argument("--report")

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
-from scipy.optimize import brentq
-
 from .core import SparseExample
 
 SQRT2 = math.sqrt(2.0)
@@ -69,8 +67,8 @@ class ComparatorBall:
     q: int = 1
 
     def __post_init__(self):
-        if self.C <= 0:
-            raise ValueError("C must be strictly positive")
+        if not 0 < self.C < math.inf:
+            raise ValueError("C must be finite and strictly positive")
         if self.q not in (1, 2):
             raise ValueError("q must be 1 or 2")
 
@@ -194,27 +192,27 @@ def _project_weighted_l1(u: Dict[int, float], d: Dict[int, float], C: float) -> 
 
 
 def _project_weighted_l2(u: Dict[int, float], d: Dict[int, float], C: float) -> Dict[int, float]:
-    """min sum d_i (v_i - u_i)^2 s.t. ||v||_2 <= C, via a monotone
-    root-find on the Lagrange multiplier: v_i = d_i u_i / (d_i + lam)."""
-    norm2 = math.sqrt(sum(v * v for v in u.values()))
-    if norm2 <= C:
+    """min sum d_i (v_i - u_i)^2 s.t. ||v||_2 <= C: v_i = d_i u_i / (d_i + lam),
+    with lam the root of the secular equation sum v_i(lam)^2 = C^2 (the
+    trust-region subproblem's; More & Sorensen, 1983). Its left side is convex
+    and decreasing in lam, so Newton's iterates from lam = 0 rise
+    monotonically to the root, with no bracket; they stop once roundoff ends
+    the rise."""
+    if math.sqrt(sum(v * v for v in u.values())) <= C:
         return dict(u)
 
     keys = list(u)
-
-    def constraint(lam):
-        total = 0.0
-        for i in keys:
-            vi = d[i] * u[i] / (d[i] + lam)
-            total += vi * vi
-        return math.sqrt(total) - C
-
-    hi = 1.0
-    while constraint(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e30:
+    lam = 0.0
+    while True:
+        v = [d[i] * u[i] / (d[i] + lam) for i in keys]
+        excess = sum(vi * vi for vi in v) - C * C
+        slope = 2.0 * sum(vi * vi / (d[i] + lam) for vi, i in zip(v, keys))
+        if not (excess > 0.0 and slope > 0.0):
             break
-    lam = brentq(constraint, 0.0, hi, xtol=1e-15, rtol=8.9e-16)
+        nxt = lam + excess / slope
+        if not nxt > lam:
+            break
+        lam = nxt
     return {i: d[i] * u[i] / (d[i] + lam) for i in keys}
 
 

@@ -201,18 +201,20 @@ def compute_normalizer(examples: Sequence[SparseExample], mode: str) -> Normaliz
         raise ValueError(f"unknown normalization mode {mode!r}")
     n = len(examples)
     stats: Dict[int, float] = {}
-    if mode == "maxnorm":
-        for ex in examples:
-            for i, v in ex.features:
-                av = abs(v)
-                if av > stats.get(i, 0.0):
-                    stats[i] = av
-    else:
+    for ex in examples:
+        for i, v in ex.features:
+            av = abs(v)
+            if av > stats.get(i, 0.0):
+                stats[i] = av
+    if mode == "sqnorm":
+        # squares of values scaled by the feature's max neither overflow nor
+        # underflow to zero (the max itself contributes 1)
         sums: Dict[int, float] = {}
         for ex in examples:
             for i, v in ex.features:
-                sums[i] = sums.get(i, 0.0) + v * v
-        stats = {i: math.sqrt(s / n) for i, s in sums.items() if s > 0.0}
+                r = v / stats[i]
+                sums[i] = sums.get(i, 0.0) + r * r
+        stats = {i: stats[i] * math.sqrt(s / n) for i, s in sums.items()}
     return NormalizerStats(mode, stats, n)
 
 
@@ -294,12 +296,16 @@ def parse_synth_spec(spec: str):
         if name == "figure1":
             s = float(args.get("s", 1.0))
             T = int(args.get("T", 1000))
+            if not 0 < s < math.inf:
+                raise ValueError("scale s must be finite and strictly positive")
             return lambda seed: synth_figure1(s=s, T=T, seed=seed)
         if name == "scaled":
             d = int(args.get("d", 5))
             T = int(args.get("T", 1000))
             lo = float(args.get("lo", -3.0))
             hi = float(args.get("hi", 3.0))
+            if d < 0 or not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError("d must be >= 0 and lo, hi finite")
             return lambda seed: synth_scaled(
                 d=d, T=T, seed=seed, log10_scale_lo=lo, log10_scale_hi=hi)
     except ValueError as e:

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import Loss, SparseExample, get_loss
 from .data import regression_loss_scale
@@ -293,12 +292,25 @@ def kl_confidence_interval(mean: float, n: int, alpha: float) -> Tuple[float, fl
     if mean >= 1.0 or _kl_bernoulli(mean, 1.0 - 1e-15) <= target:
         hi = 1.0
     else:
-        hi = brentq(lambda q: _kl_bernoulli(mean, q) - target, mean, 1.0 - 1e-15)
+        hi = _bisect_kl(mean, target, mean, 1.0 - 1e-15)
     if mean <= 0.0 or _kl_bernoulli(mean, 1e-15) <= target:
         lo = 0.0
     else:
-        lo = brentq(lambda q: _kl_bernoulli(mean, q) - target, 1e-15, mean)
+        lo = _bisect_kl(mean, target, mean, 1e-15)
     return lo, hi
+
+
+def _bisect_kl(mean: float, target: float, inside: float, outside: float) -> float:
+    """The q between inside (KL below target) and outside (KL above it) with
+    KL(mean, q) = target, by bisection to 2e-12; KL is monotone on either
+    side of the mean."""
+    while abs(outside - inside) > 2e-12:
+        mid = 0.5 * (inside + outside)
+        if _kl_bernoulli(mean, mid) <= target:
+            inside = mid
+        else:
+            outside = mid
+    return 0.5 * (inside + outside)
 
 
 @dataclass

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
+import numpy.random  # numpy 2 imports it lazily: pay at import, not in the first check
 
 from .conditioners import (
     ComparatorBall,
@@ -38,6 +39,10 @@ from .errors import NolError
 SLACK_TOL = 1e-6        # bound-check tolerance, after adding the oracle's certified gap
 FISTA_GAP_TOL = 1e-9    # FISTA stops at a Frank-Wolfe gap <= this * max(1, |f|)
 FISTA_MAX_ITER = 10_000
+LP_MAX_PIVOTS = 50_000  # the simplex raises NolError past this many pivots
+LP_BLAND_AFTER = 50     # pivots in a row without progress before Bland's rule
+LP_REFACTOR_EVERY = 100  # pivots between re-inversions of the simplex basis
+LP_PIVOT_TOL = 1e-11    # smaller column entries are not pivots; smaller steps no progress
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +249,73 @@ class OracleCertificate(NamedTuple):
 
     method: str       # "lp", "fista" or "grid"
     gap: float        # upper bound on (returned loss - minimum loss); inf for grid
-    iterations: int   # LP solver iterations or FISTA steps; 0 for grid
+    iterations: int   # simplex pivots (bound flips included) or FISTA steps; 0 for grid
+
+
+def _bounded_simplex(A: np.ndarray, cost: np.ndarray, upper: np.ndarray,
+                     x: np.ndarray, at_upper: np.ndarray, basis: np.ndarray):
+    """min cost.x s.t. A x = 0, 0 <= x <= upper, from the feasible basis
+    ``basis`` with every other x_j at 0 or, where ``at_upper``, at upper_j
+    (x holds those values and the basic ones).
+
+    A dense bounded-variable primal simplex (the upper-bounded simplex of
+    Chvatal, Linear Programming, 1983) on an explicit basis inverse:
+    Dantzig pricing, a ratio test that also takes the entering variable's own
+    bound flip, and Bland's smallest-index rule once LP_BLAND_AFTER pivots in
+    a row make no progress, which rules out cycling. Updates x, at_upper and
+    basis in place; returns (row duals, pivots).
+    """
+    tol = 1e-11 * max(1.0, float(np.abs(cost).max()))
+    Binv = np.linalg.inv(A[:, basis])
+    stalled = pivots = 0
+    while True:
+        rc = cost - (cost[basis] @ Binv) @ A
+        gain = np.where(at_upper, rc, -rc)
+        gain[basis] = 0.0
+        bland = stalled >= LP_BLAND_AFTER
+        q = int(np.argmax(gain > tol) if bland else np.argmax(gain))
+        if gain[q] <= tol:
+            break
+        if pivots == LP_MAX_PIVOTS:
+            raise NolError(f"LP oracle: no optimum after {pivots} pivots")
+        pivots += 1
+        step = -1.0 if at_upper[q] else 1.0
+        alpha = Binv @ A[:, q]
+        rate = -step * alpha             # d x[basis] / d theta
+        xb = np.clip(x[basis], 0.0, upper[basis])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            room = np.where(rate < -LP_PIVOT_TOL, xb / -rate,
+                            np.where(rate > LP_PIVOT_TOL, (upper[basis] - xb) / rate,
+                                     np.inf))
+        r = int(np.argmin(room))
+        theta = room[r]
+        if bland:
+            ties = np.flatnonzero(room <= theta + LP_PIVOT_TOL)
+            r = int(ties[np.argmin(basis[ties])])
+        if upper[q] <= theta:            # bound flip: the basis stays
+            theta = upper[q]
+            x[basis] += rate * theta
+            x[q] = 0.0 if at_upper[q] else theta
+            at_upper[q] = not at_upper[q]
+        elif theta == np.inf:
+            raise NolError("LP oracle: unbounded")
+        else:                            # basis[r] leaves at the bound it reached
+            x[basis] += rate * theta
+            x[q] += step * theta
+            leave = basis[r]
+            at_upper[leave] = rate[r] > 0.0
+            x[leave] = upper[leave] if at_upper[leave] else 0.0
+            at_upper[q] = False
+            basis[r] = q
+            row = Binv[r] / alpha[r]
+            Binv -= np.outer(alpha, row)
+            Binv[r] = row
+            if pivots % LP_REFACTOR_EVERY == 0:  # shed the updates' roundoff
+                Binv = np.linalg.inv(A[:, basis])
+                x[basis] = 0.0
+                x[basis] = Binv @ -(A @ x)
+        stalled = stalled + 1 if theta <= LP_PIVOT_TOL else 0
+    return np.linalg.solve(A[:, basis].T, cost[basis]), pivots
 
 
 def _hinge_lp(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float):
@@ -252,26 +323,43 @@ def _hinge_lp(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float):
 
         max sum_t a_t - C s  s.t.  |sum_t a_t y_t x_tj| <= s,  0 <= a <= 1,  s >= 0
 
-    (2d rows, T+1 columns). u is read off the row multipliers. The gap is the
-    primal loss at u minus the dual objective recomputed at the clipped a, so
-    it holds whatever the solver's tolerances. Returns (u, loss, certificate).
+    (2d rows with their slacks, T+1 columns) by ``_bounded_simplex``. It
+    starts from a = 1, s = ||Z 1||_inf, with s and every slack but the tight
+    row's basic; that vertex is already optimal when C max|z_tj| <= 1. u is
+    read off the row duals. The gap is the primal loss at u minus the dual
+    objective recomputed at the clipped a, so it holds whatever the solver's
+    roundoff. Returns (u, loss, certificate).
     """
-    from scipy.optimize import linprog
-
     T, d = Xu.shape
+    m = 2 * d
     Z = (y[:, None] * Xu).T
-    ones = np.ones((d, 1))
-    res = linprog(np.append(-np.ones(T), C),
-                  A_ub=np.block([[Z, -ones], [-Z, -ones]]), b_ub=np.zeros(2 * d),
-                  bounds=[(0.0, 1.0)] * T + [(0.0, None)], method="highs")
-    if res.status != 0:
-        raise NolError(f"hinge LP oracle failed: {res.message}")
-    mu = res.ineqlin.marginals
+    A = np.zeros((m, T + 1 + m))         # columns: a, s, slacks
+    A[:d, :T] = Z
+    A[d:, :T] = -Z
+    A[:, T] = -1.0
+    A[:, T + 1:] = np.eye(m)
+    cost = np.zeros(T + 1 + m)
+    cost[:T] = -1.0
+    cost[T] = C
+    upper = np.full(T + 1 + m, np.inf)
+    upper[:T] = 1.0
+
+    z = Z.sum(axis=1)
+    k = int(np.argmax(np.abs(z)))
+    tight = k if z[k] >= 0.0 else d + k
+    s = abs(z[k])
+    x = np.concatenate([np.ones(T), [s], s - z, s + z])
+    x[T + 1 + tight] = 0.0
+    at_upper = np.zeros(T + 1 + m, dtype=bool)
+    at_upper[:T] = True
+    basis = np.array([T] + [T + 1 + i for i in range(m) if i != tight])
+
+    mu, pivots = _bounded_simplex(A, cost, upper, x, at_upper, basis)
     u = _project_ball(mu[d:] - mu[:d], C, 1)
-    a = np.clip(res.x[:T], 0.0, 1.0)
+    a = np.clip(x[:T], 0.0, 1.0)
     dual = float(a.sum() - C * np.abs(Z @ a).max())
     f = float(loss.values(Xu @ u, y).sum())
-    return u, f, OracleCertificate("lp", max(0.0, f - dual), int(res.nit))
+    return u, f, OracleCertificate("lp", max(0.0, f - dual), pivots)
 
 
 def _fista(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float, q: int):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import types
 from importlib import resources
 
@@ -196,6 +199,33 @@ class TestRegret:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv,flag", [
+        (TestTrain.BASE[:-1] + ["nan"], "--eta"),
+        (TestTrain.BASE[:-1] + ["-1"], "--eta"),
+        (["train", "--synth", "figure1:s=0", "--learner", "nag", "--loss", "hinge",
+          "--eta", "0.5"], "--synth"),
+        (["regret", "--check", "thm1", "--loss", "hinge", "-C", "nan"], "-C"),
+        (["regret", "--check", "thm1", "--loss", "hinge", "-C", "inf"], "-C"),
+        (["regret", "--check", "thm1", "--loss", "hinge", "-C", "-1"], "-C"),
+        (["regret", "--check", "thm1", "--loss", "hinge", "--T", "0"], "--T"),
+        (["regret", "--check", "thm1", "--loss", "hinge", "--d", "0"], "--d"),
+    ], ids=["eta-nan", "eta-negative", "synth-s0", "C-nan", "C-inf", "C-negative",
+            "T0", "d0"])
+    def test_bad_argument_value_is_one_line_usage_error(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert f"argument {flag}:" in err
+
+    def test_import_loads_no_scipy(self):
+        probe = "import sys, nol.cli; print('scipy' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     def test_usage_error(self, capsys):
         assert run_cli(capsys, ["train"])[0] == 1
         assert run_cli(capsys, ["frobnicate"])[0] == 1

@@ -8,6 +8,7 @@ from nol.conditioners import (
     DiagonalConditioner,
     EnclosingBox,
     SQRT2,
+    _project_weighted_l2,
     hindsight_conditioner,
     lemma2_bound,
     project,
@@ -141,6 +142,11 @@ class TestComparatorBall:
         assert ball.norm({0: 0.5, 9: 0.1}) == math.inf
         assert ball.contains({0: 0.5, 9: 0.0})
 
+    @pytest.mark.parametrize("C", [0.0, -1.0, math.nan, math.inf])
+    def test_radius_must_be_finite_and_positive(self, C):
+        with pytest.raises(ValueError):
+            ComparatorBall(EnclosingBox({0: 1.0}), C=C, q=1)
+
 
 class TestProjection:
     def identity_ball(self, d, C=1.0, q=1):
@@ -192,6 +198,29 @@ class TestProjection:
             p2 = project(p, A, ball)
             for i in range(d):
                 assert abs(p2[i] - p[i]) <= 1e-9
+
+    def test_l2_newton_matches_bisection_across_scales(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            n = int(rng.integers(2, 6))
+            u = {i: float(rng.normal()) for i in range(n)}
+            d = {i: float(10 ** rng.uniform(-8, 8)) for i in range(n)}
+            d[0], d[1] = 1e-8, 1e8
+            C = float(rng.uniform(0.05, 0.95)) * math.sqrt(sum(v * v for v in u.values()))
+
+            def excess(lam):
+                return sum((d[i] * u[i] / (d[i] + lam)) ** 2 for i in u) - C * C
+
+            lo, hi = 0.0, 1.0
+            while excess(hi) > 0.0:
+                hi *= 2.0
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+            want = {i: d[i] * u[i] / (d[i] + lo) for i in u}
+            got = _project_weighted_l2(u, d, C)
+            scale = max(abs(v) for v in want.values())
+            assert max(abs(got[i] - want[i]) for i in u) <= 1e-12 * scale
 
 
 class TestP2BoundChain:

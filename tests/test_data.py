@@ -190,6 +190,16 @@ class TestPrenormalize:
         m2 = sum(v * v for e in out for _, v in e.features) / len(rows)
         assert m2 == pytest.approx(1.0, rel=1e-12)
 
+    def test_sqnorm_keeps_huge_features(self):
+        # squaring 1e200 overflows; scaling by the feature's max first does not
+        rows = [SparseExample(((0, 1e200), (1, 2.0)), 1.0),
+                SparseExample(((0, 3e199),), -1.0)]
+        stats, out = prenormalize(rows, "sqnorm")
+        assert stats.scale[0] == pytest.approx(1e200 * math.sqrt((1 + 0.3 ** 2) / 2), rel=1e-14)
+        assert [e.features[0][0] for e in out] == [0, 0]
+        m2 = sum(e.features[0][1] ** 2 for e in out) / len(rows)
+        assert m2 == pytest.approx(1.0, rel=1e-12)
+
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.dictionaries(
         st.integers(0, 5),
@@ -283,7 +293,8 @@ class TestSynthSpec:
         assert gen(5) == synth_scaled(2, 10, seed=5, log10_scale_lo=-1,
                                       log10_scale_hi=1)
 
-    @pytest.mark.parametrize("bad", ["nope:T=5", "figure1:s", "figure1:T=x"])
+    @pytest.mark.parametrize("bad", ["nope:T=5", "figure1:s", "figure1:T=x", "figure1:s=0",
+                                     "figure1:s=inf", "scaled:d=-1", "scaled:lo=nan"])
     def test_bad_specs(self, bad):
         with pytest.raises(DataFormatError):
             parse_synth_spec(bad)

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from nol import regret
 from nol.conditioners import ComparatorBall, EnclosingBox, SQRT2
 from nol.core import SparseExample, get_loss
 from nol.errors import NolError
 from nol.regret import (
     FISTA_GAP_TOL,
+    _dense_in_ball_coords,
     apply_scaling,
     best_in_hindsight,
     conditioned_run,
@@ -25,6 +27,9 @@ from nol.regret import (
 )
 
 SQ = get_loss("squared")
+# hinge-oracle radii besides the default C = 1: the simplex's warm start is
+# already optimal at 0.5 and needs pivots at 2 and 10
+HINGE_CS = (0.5, 2.0, 10.0)
 
 
 def ex(feats, y=1.0):
@@ -66,24 +71,29 @@ class TestBestInHindsight:
         assert w[0] == pytest.approx(1.0, abs=1e-4)
         assert total <= 1e-7
 
-    @pytest.mark.parametrize("seed,loss_kind", [(50, "hinge"), (51, "squared"),
-                                                (52, "logistic")])
-    def test_oracles_agree(self, seed, loss_kind):
+    @pytest.mark.parametrize("seed,loss_kind,C", [
+        pytest.param(50, "hinge", 1.0, id="50-hinge"),
+        pytest.param(51, "squared", 1.0, id="51-squared"),
+        pytest.param(52, "logistic", 1.0, id="52-logistic"),
+        *[pytest.param(50, "hinge", C, id=f"50-hinge-C{C}") for C in HINGE_CS]])
+    def test_oracles_agree(self, seed, loss_kind, C):
         loss = get_loss(loss_kind)
         stream = random_instance(seed, d=2, T=60, classification=loss_kind != "squared")
-        ball = ComparatorBall(EnclosingBox.from_stream(stream), C=1.0, q=1)
+        ball = ComparatorBall(EnclosingBox.from_stream(stream), C=C, q=1)
         _, fg, _ = best_in_hindsight(stream, loss, ball, method="grid")
         _, fc, _ = best_in_hindsight(stream, loss, ball)
         assert abs(fg - fc) <= 1e-8 * max(1.0, abs(fg))
 
-    @pytest.mark.parametrize("loss_kind,q", [("hinge", 1), ("squared", 1), ("squared", 2),
-                                             ("logistic", 1), ("logistic", 2)])
-    def test_certificate(self, loss_kind, q):
+    @pytest.mark.parametrize("loss_kind,q,C", [
+        *[pytest.param(k, q, 1.0, id=f"{k}-{q}") for k, q in [
+            ("hinge", 1), ("squared", 1), ("squared", 2), ("logistic", 1), ("logistic", 2)]],
+        *[pytest.param("hinge", 1, C, id=f"hinge-1-C{C}") for C in HINGE_CS]])
+    def test_certificate(self, loss_kind, q, C):
         loss = get_loss(loss_kind)
         for seed in range(8):
             stream = random_instance(700 + seed, d=2, T=80,
                                      classification=loss_kind != "squared")
-            ball = ComparatorBall(EnclosingBox.from_stream(stream), C=1.0, q=q)
+            ball = ComparatorBall(EnclosingBox.from_stream(stream), C=C, q=q)
             w, fc, cert = best_in_hindsight(stream, loss, ball)
             assert cert.method == ("lp" if loss_kind == "hinge" else "fista")
             if cert.method == "fista":
@@ -95,6 +105,70 @@ class TestBestInHindsight:
             _, fg, _ = best_in_hindsight(stream, loss, ball, method="grid")
             # fc - gap <= min loss <= fg, up to summation-order roundoff
             assert fc - cert.gap <= fg + 1e-12 * max(1.0, abs(fg))
+
+    def test_hinge_warm_start_is_optimal_at_unit_C(self):
+        # |z_tj| <= 1 in the ball's coordinates, so C max|z_tj| <= 1 at C = 1
+        stream = random_instance(3, d=3, T=200)
+        ball = ComparatorBall(EnclosingBox.from_stream(stream), C=1.0, q=1)
+        _, _, cert = best_in_hindsight(stream, get_loss("hinge"), ball)
+        assert cert.iterations == 0
+
+    @pytest.mark.parametrize("C", HINGE_CS)
+    def test_hinge_lp_matches_highs(self, C):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        loss = get_loss("hinge")
+        for seed in range(30):
+            stream = random_instance(seed, d=3, T=200)
+            ball = ComparatorBall(EnclosingBox.from_stream(stream), C=C, q=1)
+            _, fc, cert = best_in_hindsight(stream, loss, ball)
+            assert cert.gap <= 1e-9 * max(1.0, abs(fc))
+            # the primal of the same dual LP, solved by HiGHS
+            _, Xu, y = _dense_in_ball_coords(stream, ball)
+            Z = (y[:, None] * Xu).T
+            ones = np.ones((3, 1))
+            res = linprog(np.append(-np.ones(200), C),
+                          A_ub=np.block([[Z, -ones], [-Z, -ones]]), b_ub=np.zeros(6),
+                          bounds=[(0.0, 1.0)] * 200 + [(0.0, None)], method="highs")
+            assert res.status == 0
+            assert fc == pytest.approx(-res.fun, rel=1e-12)
+
+    def test_hinge_lp_bland_rule_reaches_the_same_optimum(self, monkeypatch):
+        loss = get_loss("hinge")
+        stream = random_instance(11, d=3, T=120)
+        ball = ComparatorBall(EnclosingBox.from_stream(stream), C=10.0, q=1)
+        _, f_dantzig, _ = best_in_hindsight(stream, loss, ball)
+        monkeypatch.setattr(regret, "LP_BLAND_AFTER", 0)
+        monkeypatch.setattr(regret, "LP_REFACTOR_EVERY", 1)
+        _, f_bland, cert = best_in_hindsight(stream, loss, ball)
+        assert f_bland == pytest.approx(f_dantzig, rel=1e-12)
+        assert cert.gap <= 1e-9 * max(1.0, abs(f_bland))
+
+    def test_simplex_leaves_beales_cycle(self, monkeypatch):
+        # Beale's LP (its third row as the bound x6 <= 1): Dantzig pricing
+        # alone cycles at the degenerate start, Bland's rule leaves the cycle
+        def solve():
+            A = np.array([[1.0, 0.0, 0.25, -8.0, -1.0, 9.0],
+                          [0.0, 1.0, 0.5, -12.0, -0.5, 3.0]])
+            cost = np.array([0.0, 0.0, -0.75, 20.0, -0.5, 6.0])
+            upper = np.array([np.inf, np.inf, np.inf, np.inf, 1.0, np.inf])
+            x = np.zeros(6)
+            regret._bounded_simplex(A, cost, upper, x, np.zeros(6, dtype=bool),
+                                    np.array([0, 1]))
+            return x
+
+        x = solve()
+        assert x @ [0.0, 0.0, -0.75, 20.0, -0.5, 6.0] == pytest.approx(-1.25, rel=1e-12)
+        monkeypatch.setattr(regret, "LP_BLAND_AFTER", 10 ** 9)
+        monkeypatch.setattr(regret, "LP_MAX_PIVOTS", 1000)
+        with pytest.raises(NolError, match="after 1000 pivots"):
+            solve()
+
+    def test_hinge_lp_pivot_cap(self, monkeypatch):
+        stream = random_instance(11, d=3, T=120)
+        ball = ComparatorBall(EnclosingBox.from_stream(stream), C=10.0, q=1)
+        monkeypatch.setattr(regret, "LP_MAX_PIVOTS", 3)
+        with pytest.raises(NolError, match="after 3 pivots"):
+            best_in_hindsight(stream, get_loss("hinge"), ball)
 
     def test_hinge_l2_ball_rejected(self):
         stream = random_instance(7, d=2, T=20)
