@@ -9,6 +9,8 @@ stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -18,7 +20,7 @@ from typing import List, Optional
 
 from . import data as data_io
 from .core import get_loss
-from .errors import DataFormatError, NumericFault
+from .errors import DataFormatError, InvalidLabel, NumericFault
 from .evaluate import SweepSpec, default_eta_grid, plot_csv_rows, sweep
 from .learners import KINDS, LearnerConfig, run_stream
 from .regret import (
@@ -45,27 +47,89 @@ def _digest_bytes(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _load_examples(args):
-    """(examples, dataset digest) from --data or --synth."""
+def _text_lines(fh, sha):
+    """The lines of a binary file, as str.splitlines() splits the decoded
+    whole, fed into the sha256 ``sha`` as they are read. Each \\n-terminated
+    byte line is decoded and split on its own: it ends on a line break, and
+    a UTF-8 sequence never holds the \\n byte."""
+    for raw in fh:
+        sha.update(raw)
+        yield from raw.decode("utf-8").splitlines()
+
+
+class _DataFile:
+    """--data as a stream that is read afresh on each iteration.
+
+    A pass reads, hashes and parses one line at a time, so a pass holds one
+    line and one example, whatever the file's size. ``digest`` is the
+    sha256 of the file's bytes once a pass has ended; a later pass that
+    reads other bytes, or a pass without examples, is a DataFormatError.
+    Use it as a context manager: leaving it closes the file of every pass
+    still open.
+    """
+
+    def __init__(self, path: str, parse):
+        self.path = path
+        self.parse = parse
+        self.digest: Optional[str] = None
+        self._passes: list = []
+
+    def __iter__(self):
+        it = self._read()
+        self._passes.append(it)
+        return it
+
+    def _read(self):
+        sha = hashlib.sha256()
+        n = 0
+        with open(self.path, "rb") as fh:
+            for n, ex in enumerate(self.parse(_text_lines(fh, sha)), start=1):
+                yield ex
+        if n == 0:
+            raise DataFormatError("dataset is empty")
+        digest = sha.hexdigest()
+        if self.digest is None:
+            self.digest = digest
+        elif digest != self.digest:
+            raise DataFormatError(f"{self.path} changed between passes over it")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        for it in self._passes:
+            it.close()
+
+
+def _dataset(args):
+    """The examples --data or --synth names, as a context manager: the
+    generated list, or a _DataFile."""
     if args.synth:
-        gen = data_io.parse_synth_spec(args.synth)
-        examples = gen(args.seed)
-        digest = _digest_bytes(f"synth:{args.synth}:seed={args.seed}".encode())
+        examples = data_io.parse_synth_spec(args.synth)(args.seed)
+        if not examples:
+            raise DataFormatError("dataset is empty")
+        return contextlib.nullcontext(examples)
+    if args.format == "svmlight":
+        parse = data_io.read_svmlight
     else:
-        with open(args.data, "rb") as fh:
-            blob = fh.read()
-        digest = _digest_bytes(blob)
-        text = blob.decode("utf-8").splitlines()
-        if args.format == "svmlight":
-            examples = list(data_io.read_svmlight(text))
-        else:
-            transform = {0.0: -1.0} if args.task == "classification" else None
-            examples = list(data_io.read_delimited(text, label_transform=transform))
-    if not examples:
-        raise DataFormatError("dataset is empty")
-    if args.normalize != "none":
-        _, examples = data_io.prenormalize(examples, args.normalize)
-    return examples, digest
+        transform = {0.0: -1.0} if args.task == "classification" else None
+        parse = functools.partial(data_io.read_delimited, label_transform=transform)
+    return _DataFile(args.data, parse)
+
+
+def _digest(args, examples) -> str:
+    """The dataset digest of the report: the sha256 of --data's bytes, or of
+    the --synth spec and seed."""
+    if args.synth:
+        return _digest_bytes(f"synth:{args.synth}:seed={args.seed}".encode())
+    return examples.digest
+
+
+def _normalized(args, examples):
+    """examples, pre-normalized by a statistics pass when --normalize asks."""
+    if args.normalize == "none":
+        return examples
+    return data_io.prenormalize(examples, args.normalize)[1]
 
 
 def _emit(report: dict, path: Optional[str]):
@@ -103,6 +167,7 @@ _positive = _checked(float, lambda v: v > 0, "strictly positive")
 _finite_positive = _checked(float, lambda v: 0 < v < math.inf, "finite and strictly positive")
 _finite_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_open_unit = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
 def _synth_spec(text: str) -> str:
@@ -127,14 +192,14 @@ def _add_data_flags(p):
 
 
 def cmd_train(args) -> dict:
-    examples, digest = _load_examples(args)
     config = LearnerConfig(kind=args.learner, eta=args.eta, clip_c=args.clip_c,
                            eta_decay=args.eta_decay)
     loss = get_loss(args.loss)
-    t0 = time.perf_counter()
-    report = run_stream(config, loss, examples, keep_state=True)
-    elapsed = time.perf_counter() - t0
-    thin = max(1, args.thin)
+    with _dataset(args) as examples:
+        stream = _normalized(args, examples)
+        t0 = time.perf_counter()
+        report = run_stream(config, loss, stream, keep_state=True)
+        elapsed = time.perf_counter() - t0
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "run",
@@ -145,10 +210,10 @@ def cmd_train(args) -> dict:
             "normalize": args.normalize,
             "clip_c": args.clip_c,
             "seed": args.seed,
-            "dataset_digest": digest,
+            "dataset_digest": _digest(args, examples),
         },
-        "trace": report.losses[::thin],
-        "trace_thinning": thin,
+        "trace": report.losses[::args.thin],
+        "trace_thinning": args.thin,
         "average_loss": report.average_loss,
         "final_state": {
             "nonzero_weights": report.nonzero_weights,
@@ -181,14 +246,15 @@ def _parse_eta_grid(spec: str) -> List[float]:
 
 
 def cmd_sweep(args) -> dict:
-    examples, digest = _load_examples(args)
     kinds = args.learners
     grid = _parse_eta_grid(args.eta_grid) if args.eta_grid else default_eta_grid()
     spec = SweepSpec(kinds=kinds, loss=args.loss, eta_grid=grid, task=args.task,
                      clip_c=args.clip_c)
-    t0 = time.perf_counter()
-    report = sweep(spec, examples)
-    elapsed = time.perf_counter() - t0
+    with _dataset(args) as examples:
+        stream = _normalized(args, examples)
+        t0 = time.perf_counter()
+        report = sweep(spec, stream)
+        elapsed = time.perf_counter() - t0
     if args.plot_data:
         with open(args.plot_data, "w") as fh:
             fh.write("\n".join(plot_csv_rows(report)) + "\n")
@@ -201,7 +267,7 @@ def cmd_sweep(args) -> dict:
             "normalize": args.normalize,
             "clip_c": args.clip_c,
             "seed": args.seed,
-            "dataset_digest": digest,
+            "dataset_digest": _digest(args, examples),
         },
         "cells": [
             {"learner": c.kind, "eta": c.eta, "loss": c.eval_loss,
@@ -295,7 +361,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--eta", type=_finite_nonnegative, required=True)
     p_train.add_argument("--clip-c", type=_positive, dest="clip_c")
     p_train.add_argument("--eta-decay", action="store_true", dest="eta_decay")
-    p_train.add_argument("--thin", type=int, default=1,
+    p_train.add_argument("--thin", type=_positive_int, default=1,
                          help="keep every k-th trace entry")
     p_train.set_defaults(func=cmd_train)
 
@@ -315,15 +381,15 @@ def build_parser() -> _Parser:
     p_regret = sub.add_parser("regret", help="run a bound-check suite")
     p_regret.add_argument("--check", required=True,
                           choices=["lemma1", "thm1", "thm2", "cor1"])
-    p_regret.add_argument("--instances", type=int, default=10)
+    p_regret.add_argument("--instances", type=_positive_int, default=10)
     p_regret.add_argument("--seed", type=int, default=0)
     p_regret.add_argument("-C", type=_finite_positive, default=1.0, dest="C")
     p_regret.add_argument("--loss", default="squared",
                           choices=["squared", "hinge", "logistic"])
     p_regret.add_argument("--d", type=_positive_int, default=3)
     p_regret.add_argument("--T", type=_positive_int, default=200)
-    p_regret.add_argument("--delta", type=float, default=0.1)
-    p_regret.add_argument("--nu", type=float, default=0.5)
+    p_regret.add_argument("--delta", type=_finite_positive, default=0.1)
+    p_regret.add_argument("--nu", type=_open_unit, default=0.5)
     p_regret.add_argument("--report")
     p_regret.set_defaults(func=cmd_regret)
 
@@ -338,10 +404,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return e.code if isinstance(e.code, int) else 1
     try:
         report = args.func(args)
-    except DataFormatError as e:
-        sys.stderr.write(f"data error: {e}\n")
-        return 2
-    except (FileNotFoundError, UnicodeDecodeError) as e:
+    except (DataFormatError, InvalidLabel, FileNotFoundError, UnicodeDecodeError) as e:
         sys.stderr.write(f"data error: {e}\n")
         return 2
     except NumericFault as e:

@@ -194,14 +194,17 @@ class NormalizerStats:
         return _validated_example(tuple(pairs), ex.label)
 
 
-def compute_normalizer(examples: Sequence[SparseExample], mode: str) -> NormalizerStats:
+def compute_normalizer(examples: Iterable[SparseExample], mode: str) -> NormalizerStats:
     """maxnorm: divide each feature by its max |x_i|. sqnorm: divide by the
-    root of the uncentered second moment over all rows (zeros included)."""
+    root of the uncentered second moment over all rows (zeros included).
+
+    One pass over examples for maxnorm and two for sqnorm, so examples must
+    be iterable again (a list, or a file read afresh on each iteration)."""
     if mode not in ("maxnorm", "sqnorm"):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    n = len(examples)
+    n = 0
     stats: Dict[int, float] = {}
-    for ex in examples:
+    for n, ex in enumerate(examples, start=1):
         for i, v in ex.features:
             av = abs(v)
             if av > stats.get(i, 0.0):
@@ -210,19 +213,40 @@ def compute_normalizer(examples: Sequence[SparseExample], mode: str) -> Normaliz
         # squares of values scaled by the feature's max neither overflow nor
         # underflow to zero (the max itself contributes 1)
         sums: Dict[int, float] = {}
-        for ex in examples:
-            for i, v in ex.features:
-                r = v / stats[i]
-                sums[i] = sums.get(i, 0.0) + r * r
+        try:
+            for ex in examples:
+                for i, v in ex.features:
+                    r = v / stats[i]
+                    sums[i] = sums.get(i, 0.0) + r * r
+        except KeyError as e:   # a file rewritten between the passes
+            raise DataFormatError(f"feature {e} is new in the second pass over the examples")
         stats = {i: stats[i] * math.sqrt(s / n) for i, s in sums.items()}
     return NormalizerStats(mode, stats, n)
 
 
-def prenormalize(examples: Sequence[SparseExample], mode: str):
-    """(stats, normalized list). Coordinates with zero statistic pass
-    through unchanged."""
+class Normalized:
+    """examples divided by fixed statistics, applied as they are read: each
+    iteration applies stats to a fresh iteration of examples, so nothing is
+    held beyond the example at hand. Indexing passes through to a
+    sequence."""
+
+    def __init__(self, stats: NormalizerStats, examples: Iterable[SparseExample]):
+        self.stats = stats
+        self.examples = examples
+
+    def __iter__(self) -> Iterator[SparseExample]:
+        return map(self.stats.apply, self.examples)
+
+    def __getitem__(self, k: int) -> SparseExample:
+        return self.stats.apply(self.examples[k])
+
+
+def prenormalize(examples: Iterable[SparseExample], mode: str):
+    """(stats, the examples Normalized by them). Only the statistics pass
+    runs here; the division happens as the result is iterated. Coordinates
+    with zero statistic pass through unchanged."""
     stats = compute_normalizer(examples, mode)
-    return stats, [stats.apply(ex) for ex in examples]
+    return stats, Normalized(stats, examples)
 
 
 def regression_loss_scale(labels: Iterable[float]) -> float:

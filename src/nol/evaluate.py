@@ -2,8 +2,8 @@
 
 Progressive validation measures each example's loss before its update, so the
 running average estimates generalization without a holdout set. Sweeps search
-a geometric learning-rate grid per learner in one pass over the stream per
-learner; significance between two loss sequences is decided by disjointness
+a geometric learning-rate grid for every learner in one pass over the stream;
+significance between two loss sequences is decided by disjointness
 of relative-entropy Chernoff confidence intervals on the means.
 
 A non-finite prediction, loss or weight is a ``NumericFault`` naming the
@@ -14,14 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import Loss, SparseExample, get_loss
 from .data import regression_loss_scale
 from .errors import NolError, NumericFault
-from .learners import GridLearner, Learner, LearnerConfig
+from .learners import ColumnMap, GridLearner, Learner, LearnerConfig
 
 
 def default_eta_grid(lo_exp: int = -20, hi_exp: int = 6, base: float = 2.0) -> List[float]:
@@ -160,95 +160,118 @@ def _record(errors: List[Optional[str]], n: int, faults: Dict[int, str]):
             errors[r] = f"example {n}: {reason}"
 
 
-def _grid_progressive(learner: GridLearner, examples: Sequence[SparseExample],
-                      task: str, loss_scale: Optional[float]):
-    """progressive_validation for every row of the grid learner: (average
-    training losses, average eval losses, per-row error or None)."""
-    rows = len(learner.etas)
-    train, ev = np.zeros(rows), np.zeros(rows)
-    errors: List[Optional[str]] = [None] * rows
-    n = 0
-    for n, ex in enumerate(examples, start=1):
-        yhat, lval, faults = learner.observe(ex)
-        _record(errors, n, faults)
-        train += lval
-        if task == "classification":
-            ev += np.sign(yhat) != ex.label
+class _Run:
+    """One kind's rows of a sweep, fed one example at a time: summed training
+    and eval losses, per-row errors, and ``failure``, set when an error ends
+    the whole pass of the kind."""
+
+    def __init__(self, kind: str, spec: SweepSpec, loss: Loss,
+                 loss_scale: Optional[float], columns: ColumnMap):
+        rows = len(spec.eta_grid)
+        self.kind, self.spec, self.loss = kind, spec, loss
+        self.loss_scale, self.columns = loss_scale, columns
+        self.train, self.ev = np.zeros(rows), np.zeros(rows)
+        self.errors: List[Optional[str]] = [None] * rows
+        self.failure: Optional[str] = None
+
+    def grid_learner(self) -> GridLearner:
+        spec = self.spec
+        return GridLearner(self.kind, spec.eta_grid, self.loss, spec.clip_c, self.columns)
+
+
+class _GridRun(_Run):
+    """progressive_validation for every row of the grid learner."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.learner = self.grid_learner()
+
+    def observe(self, n: int, ex: SparseExample):
+        yhat, lval, faults = self.learner.observe(ex)
+        _record(self.errors, n, faults)
+        self.train += lval
+        if self.spec.task == "classification":
+            self.ev += np.sign(yhat) != ex.label
         else:
             d = yhat - ex.label
-            e = d * d / loss_scale
-            ev += e
+            e = d * d / self.loss_scale
+            self.ev += e
             if not np.isfinite(e).all():
-                _record(errors, n, {int(r): f"non-finite eval loss {float(e[r])!r} "
-                                            f"at prediction {float(yhat[r])!r}"
-                                    for r in np.flatnonzero(~np.isfinite(e))})
-    if n == 0:
-        raise ValueError("no examples")
-    return train / n, ev / n, errors
+                _record(self.errors, n, {int(r): f"non-finite eval loss {float(e[r])!r} "
+                                                 f"at prediction {float(yhat[r])!r}"
+                                         for r in np.flatnonzero(~np.isfinite(e))})
 
 
-def _grid_multiclass(kind: str, spec: SweepSpec, loss: Loss,
-                     examples: Sequence[SparseExample]):
+class _MulticlassRun(_Run):
     """multiclass_progressive for every eta of the grid: one grid learner per
     class, so k classes x n_eta rows."""
-    rows = len(spec.eta_grid)
-    learners: Dict[float, GridLearner] = {}
-    classes: List[float] = []
-    train, ev = np.zeros(rows), np.zeros(rows)
-    errors: List[Optional[str]] = [None] * rows
-    n = 0
-    for n, ex in enumerate(examples, start=1):
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.learners: Dict[float, GridLearner] = {}
+        self.classes: List[float] = []
+
+    def observe(self, n: int, ex: SparseExample):
+        learners, classes = self.learners, self.classes
         if ex.label not in learners:
-            learners[ex.label] = GridLearner(kind, spec.eta_grid, loss, spec.clip_c)
+            learners[ex.label] = self.grid_learner()
             classes.append(ex.label)
         scores = np.array([learners[c].predict(ex) for c in classes])
         if not np.isfinite(scores).all():
-            _record(errors, n, {int(r): f"non-finite prediction {float(scores[k, r])!r}"
-                                for k, r in zip(*np.nonzero(~np.isfinite(scores)))})
+            _record(self.errors, n, {int(r): f"non-finite prediction {float(scores[k, r])!r}"
+                                     for k, r in zip(*np.nonzero(~np.isfinite(scores)))})
         # argmax takes the first of tied classes, as max() over classes does
-        ev += scores.argmax(axis=0) != classes.index(ex.label)
+        self.ev += scores.argmax(axis=0) != classes.index(ex.label)
         round_train = 0.0
         for c in classes:
             binary = SparseExample(ex.features, 1.0 if c == ex.label else -1.0)
             _, lval, faults = learners[c].observe(binary)
-            _record(errors, n, faults)
+            _record(self.errors, n, faults)
             round_train = round_train + lval
-        train += round_train
-    if n == 0:
-        raise ValueError("no examples")
-    return train / n, ev / n, errors
+        self.train += round_train
 
 
-def sweep(spec: SweepSpec, examples: Sequence[SparseExample]) -> ComparisonReport:
-    """Progressive validation of every (kind, eta) pair, one pass over the
-    stream per kind through a GridLearner (one per class when multiclass).
+def sweep(spec: SweepSpec, examples: Iterable[SparseExample]) -> ComparisonReport:
+    """Progressive validation of every (kind, eta) pair in one pass over the
+    stream: each example advances a GridLearner per kind (one per class and
+    kind when multiclass), all sharing one column map. Regression reads the
+    labels in a pass of their own first, for the loss scale.
 
     A row whose prediction, loss or weights turn non-finite becomes an error
     cell with the NumericFault message; an error that concerns the whole pass
-    (an invalid label, say) marks every cell of that kind.
+    (an invalid label, say) marks every cell of that kind, and the other
+    kinds go on. Errors raised by the stream itself (a malformed line) end
+    the sweep.
     """
     loss = get_loss(spec.loss)
     loss_scale = None
     if spec.task == "regression":
         loss_scale = regression_loss_scale(ex.label for ex in examples)
 
+    columns = ColumnMap()
+    run_kind = _MulticlassRun if spec.multiclass else _GridRun
+    runs = [run_kind(kind, spec, loss, loss_scale, columns) for kind in spec.kinds]
+    n = 0
+    with np.errstate(all="ignore"):
+        for n, ex in enumerate(examples, start=1):
+            for run in runs:
+                if run.failure is None:
+                    try:
+                        run.observe(n, ex)
+                    except (NolError, ArithmeticError) as e:   # failed cells are reported, not fatal
+                        run.failure = str(e)
+    if n == 0:
+        raise ValueError("no examples")
+
     cells: List[SweepCell] = []
-    for kind in spec.kinds:
-        try:
-            with np.errstate(all="ignore"):
-                if spec.multiclass:
-                    train, ev, errors = _grid_multiclass(kind, spec, loss, examples)
-                else:
-                    learner = GridLearner(kind, spec.eta_grid, loss, spec.clip_c)
-                    train, ev, errors = _grid_progressive(learner, examples, spec.task,
-                                                          loss_scale)
-        except (NolError, ArithmeticError) as e:   # failed cells are reported, not fatal
-            errors = [str(e)] * len(spec.eta_grid)
+    for run in runs:
+        errors = run.errors if run.failure is None else [run.failure] * len(spec.eta_grid)
+        train, ev = run.train / n, run.ev / n
         for r, eta in enumerate(spec.eta_grid):
             if errors[r] is None:
-                cells.append(SweepCell(kind, eta, float(ev[r]), float(train[r])))
+                cells.append(SweepCell(run.kind, eta, float(ev[r]), float(train[r])))
             else:
-                cells.append(SweepCell(kind, eta, None, None, error=errors[r]))
+                cells.append(SweepCell(run.kind, eta, None, None, error=errors[r]))
 
     best: Dict[str, Tuple[float, float]] = {}
     for cell in cells:

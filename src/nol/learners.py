@@ -18,19 +18,20 @@ demand. ``GridLearner`` runs a whole grid of learning rates in one pass: the
 stream statistics (t, the scale trackers, N) stay scalar dicts and floats
 shared by every rate, and the weights and gradient accumulators are
 (n_eta, capacity) numpy arrays whose columns are features in order of first
-appearance, the capacity doubling on demand.
+appearance, the capacity doubling on demand. Grid learners over the same
+stream can share one ``ColumnMap``, so each example is gathered once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .core import Loss, SparseExample, _check_binary_label, clip_prediction
-from .errors import NumericFault
+from .errors import InvalidLabel, NumericFault
 
 KINDS = ("ng", "nag", "snag", "adagrad", "sgd")
 
@@ -297,6 +298,38 @@ _STAGES = {
 }
 
 
+class ColumnMap(dict):
+    """Feature index -> dense column, in order of first appearance.
+
+    Grid learners that share one map over a stream gather each example once:
+    ``gather`` hands back its last result when given the same support tuple
+    again, which is exact because a feature's column never changes.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._last = (None, None)
+
+    def gather(self, supp):
+        """(column indices, values) of the support as read-only arrays,
+        assigning columns to new features."""
+        last_supp, last = self._last
+        if supp is last_supp:
+            return last
+        get = self.get
+        cols = []
+        for i, _ in supp:
+            c = get(i)
+            if c is None:
+                c = self[i] = len(self)
+            cols.append(c)
+        out = (np.array(cols, dtype=np.intp), np.array([v for _, v in supp]))
+        for a in out:
+            a.flags.writeable = False
+        self._last = (supp, out)
+        return out
+
+
 class GridLearner:
     """One learner kind and loss at every learning rate of a grid.
 
@@ -308,7 +341,7 @@ class GridLearner:
     """
 
     def __init__(self, kind: str, etas: Sequence[float], loss: Loss,
-                 clip_c: Optional[float] = None):
+                 clip_c: Optional[float] = None, columns: Optional[ColumnMap] = None):
         for eta in etas:
             LearnerConfig(kind, eta, clip_c)   # the scalar path's validation
         self.loss = loss
@@ -318,25 +351,22 @@ class GridLearner:
         self.sigma: dict = {}
         self.N = 0.0
         self.t = 0
-        self.columns: Dict[int, int] = {}   # feature index -> column of W and G
+        # feature index -> column of W and G, possibly shared with other
+        # grid learners over the same stream
+        self.columns = ColumnMap() if columns is None else columns
         self.W = np.zeros((len(etas), 16))
         self.G = np.zeros_like(self.W) if kind in ("nag", "snag", "adagrad") else None
         self._stats, self._step = _STAGES[kind]
 
     def _gather(self, supp):
-        """Column indices of the support, assigning columns to new features."""
-        columns = self.columns
-        cols = []
-        for i, _ in supp:
-            c = columns.get(i)
-            if c is None:
-                c = columns[i] = len(columns)
-                if c == self.W.shape[1]:
-                    self.W = np.concatenate([self.W, np.zeros_like(self.W)], axis=1)
-                    if self.G is not None:
-                        self.G = np.concatenate([self.G, np.zeros_like(self.G)], axis=1)
-            cols.append(c)
-        return np.array(cols, dtype=np.intp), np.array([v for _, v in supp])
+        """(column indices, values) of the support, growing W and G to hold
+        every column of the map."""
+        cols, x = self.columns.gather(supp)
+        while len(self.columns) > self.W.shape[1]:
+            self.W = np.concatenate([self.W, np.zeros_like(self.W)], axis=1)
+            if self.G is not None:
+                self.G = np.concatenate([self.G, np.zeros_like(self.G)], axis=1)
+        return cols, x
 
     def predict(self, ex: SparseExample) -> np.ndarray:
         """Raw predictions of every row, without observing the example."""
@@ -417,8 +447,8 @@ def run_stream(config: LearnerConfig, loss: Loss, stream: Iterable[SparseExample
         n += 1
         try:
             yhat, lval = learner.observe(ex)
-        except NumericFault as e:
-            raise NumericFault(f"example {n}: {e}") from e
+        except (NumericFault, InvalidLabel) as e:
+            raise type(e)(f"example {n}: {e}") from e
         losses.append(lval)
         if preds is not None:
             preds.append(yhat)

@@ -1,7 +1,10 @@
+import builtins
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from importlib import resources
 
@@ -10,6 +13,8 @@ import pytest
 
 from nol import cli
 from nol.cli import _parse_eta_grid, main
+from nol.data import read_svmlight
+from nol.errors import DataFormatError
 
 SCHEMA = json.loads(
     resources.files("nol").joinpath("schema/report.schema.json").read_text())
@@ -209,8 +214,19 @@ class TestExitCodes:
         (["regret", "--check", "thm1", "--loss", "hinge", "-C", "-1"], "-C"),
         (["regret", "--check", "thm1", "--loss", "hinge", "--T", "0"], "--T"),
         (["regret", "--check", "thm1", "--loss", "hinge", "--d", "0"], "--d"),
+        (["regret", "--check", "thm1", "--loss", "hinge", "--instances", "0"], "--instances"),
+        (["regret", "--check", "cor1", "--instances", "0"], "--instances"),
+        (TestTrain.BASE + ["--thin", "-3"], "--thin"),
+        (TestTrain.BASE + ["--thin", "0"], "--thin"),
+        (["regret", "--check", "cor1", "--delta", "0"], "--delta"),
+        (["regret", "--check", "cor1", "--delta", "inf"], "--delta"),
+        (["regret", "--check", "cor1", "--delta", "nan"], "--delta"),
+        (["regret", "--check", "cor1", "--nu", "1"], "--nu"),
+        (["regret", "--check", "cor1", "--nu", "0"], "--nu"),
+        (["regret", "--check", "cor1", "--nu", "nan"], "--nu"),
     ], ids=["eta-nan", "eta-negative", "synth-s0", "C-nan", "C-inf", "C-negative",
-            "T0", "d0"])
+            "T0", "d0", "instances0", "cor1-instances0", "thin-negative", "thin0",
+            "delta0", "delta-inf", "delta-nan", "nu1", "nu0", "nu-nan"])
     def test_bad_argument_value_is_one_line_usage_error(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, argv)
         assert code == 1
@@ -266,6 +282,34 @@ class TestExitCodes:
         assert code == 3
         assert err == "numeric fault: example 1: non-finite weight inf at coordinate 0\n"
 
+    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    def test_invalid_label_is_data_error_naming_the_example(self, capsys, tmp_path, loss):
+        path = tmp_path / "f"
+        path.write_text("-1 0:1\n2 0:1\n")
+        code, out, err = run_cli(capsys, [
+            "train", "--data", str(path), "--learner", "ng", "--loss", loss, "--eta", "1"])
+        assert (code, out) == (2, "")
+        assert err == "data error: example 2: classification label must be -1 or +1, got 2.0\n"
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_empty_file_with_sqnorm_is_data_error(self, capsys, tmp_path, command):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        argv = ([command, "--data", str(path), "--normalize", "sqnorm", "--loss", "hinge"]
+                + (["--learner", "sgd", "--eta", "0.5"] if command == "train"
+                   else ["--learners", "sgd"]))
+        assert run_cli(capsys, argv) == (2, "", "data error: dataset is empty\n")
+
+    def test_sweep_malformed_line_after_every_cell_failed_is_data_error(self, capsys, tmp_path):
+        # the label on line 1 fails every cell; the sweep still reads on to line 4
+        path = tmp_path / "d.txt"
+        path.write_text("2 0:1\n1 0:1\n-1 1:2\n1 0:oops\n-1 0:1\n")
+        code, out, err = run_cli(capsys, [
+            "sweep", "--data", str(path), "--learners", "ng,nag", "--loss", "hinge",
+            "--eta-grid", "0.5..1"])
+        assert (code, out) == (2, "")
+        assert err == "data error: line 4: malformed token '0:oops'\n"
+
     def test_numeric_fault(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("1 0:10\n" * 200)
@@ -274,6 +318,114 @@ class TestExitCodes:
             "squared", "--eta", "1e150"])
         assert code == 3
         assert "numeric fault" in err
+
+
+class TestStreaming:
+    """train and sweep read --data one line at a time."""
+
+    @staticmethod
+    def train_argv(path, *extra):
+        return ["train", "--data", str(path), "--learner", "nag", "--loss", "logistic",
+                "--eta", "0.5", *extra]
+
+    @pytest.mark.parametrize("normalize", ["none", "maxnorm"])
+    def test_traced_peak_does_not_grow_with_the_file(self, capsys, tmp_path, normalize):
+        # the same 40 features on every line, so per-feature state is fixed
+        lines = "".join(
+            " ".join([str(1 - 2 * (k % 2))]
+                     + [f"{i}:{1 + (7 * k + i) % 101 / 101!r}" for i in range(40)]) + "\n"
+            for k in range(250))
+        peaks, sizes = [], []
+        for copies in (1, 4):
+            path = tmp_path / f"x{copies}.svm"
+            path.write_text(lines * copies)
+            sizes.append(path.stat().st_size)
+            argv = self.train_argv(path, "--normalize", normalize, "--thin", "1000000",
+                                   "--report", str(tmp_path / "r.json"))
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0, capsys.readouterr().err
+        assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4, (peaks, sizes)
+
+    BREAKS = "1 0:1\r\n-1 1:2\r1 0:3\x0c-1 0:0.5 2:4\u2028# note\n\n1 1:-5\x0b-1 0:2\n"
+
+    def test_line_breaks_are_those_of_splitlines(self, capsys, tmp_path):
+        mixed, plain = tmp_path / "mixed.svm", tmp_path / "plain.svm"
+        mixed.write_bytes(self.BREAKS.encode())
+        plain.write_text("\n".join(self.BREAKS.splitlines()) + "\n")
+        got, want = (run_report(capsys, self.train_argv(p)) for p in (mixed, plain))
+        assert got["final_state"]["examples"] == len(list(read_svmlight(self.BREAKS.splitlines())))
+        for rep in (got, want):
+            del rep["timing"], rep["config"]["dataset_digest"]
+        assert got == want
+
+    @pytest.mark.parametrize("bad_after", [0, 1, 2, 3, 4, 6])
+    def test_error_line_numbers_are_those_of_splitlines(self, capsys, tmp_path, bad_after):
+        lines = self.BREAKS.splitlines(keepends=True)
+        text = "".join(lines[:bad_after]) + "1 0:oops\n" + "".join(lines[bad_after:])
+        with pytest.raises(DataFormatError) as want:
+            list(read_svmlight(text.splitlines()))
+        path = tmp_path / "bad.svm"
+        path.write_bytes(text.encode())
+        assert run_cli(capsys, self.train_argv(path)) == (2, "", f"data error: {want.value}\n")
+
+    @pytest.mark.parametrize("command,normalize", [("train", "none"), ("train", "sqnorm"),
+                                                   ("sweep", "none"), ("sweep", "maxnorm")])
+    def test_digest_is_sha256_of_the_file(self, capsys, tmp_path, command, normalize):
+        path = tmp_path / "d.svm"
+        path.write_bytes(self.BREAKS.encode() + b"1 3:7\n" * 50)
+        argv = (self.train_argv(path) if command == "train" else
+                ["sweep", "--data", str(path), "--learners", "ng,sgd", "--loss", "logistic",
+                 "--eta-grid", "0.5..1"])
+        rep = run_report(capsys, argv + ["--normalize", normalize])
+        assert rep["config"]["dataset_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_file_rewritten_between_passes_is_data_error(self, tmp_path):
+        path = tmp_path / "d.svm"
+        path.write_text("1 0:1\n")
+        data = cli._DataFile(str(path), read_svmlight)
+        with data:
+            assert len(list(data)) == 1
+            path.write_text("1 0:2\n")
+            with pytest.raises(DataFormatError, match="changed between passes"):
+                list(data)
+        assert data.digest == hashlib.sha256(b"1 0:1\n").hexdigest()
+
+    @pytest.mark.parametrize("argv,text,code", [
+        (["train", "--learner", "sgd", "--loss", "hinge", "--eta", "0.5"],
+         "1 0:1\n-1 0:2\n1 0:x\n-1 0:1\n", 2),
+        (["train", "--learner", "sgd", "--loss", "hinge", "--eta", "0.5",
+          "--normalize", "sqnorm"], "1 0:1\n-1 0:2\n1 0:x\n-1 0:1\n", 2),
+        (["train", "--learner", "sgd", "--loss", "squared", "--eta", "1e10"],
+         "1 0:1\n1 0:1e300\n-1 0:1e300\n1 0:1\n", 3),
+        (["train", "--learner", "sgd", "--loss", "squared", "--eta", "1e308",
+          "--normalize", "maxnorm"], "1 0:1\n1 0:1e300\n-1 0:1e300\n1 0:1\n", 3),
+        (["sweep", "--learners", "ng,nag", "--loss", "hinge"],
+         "1 0:1\n-1 0:2\n1 0:x\n-1 0:1\n", 2),
+        (["sweep", "--learners", "ng", "--loss", "hinge", "--normalize", "maxnorm"],
+         "1 0:1\n-1 0:2\n1 0:x\n-1 0:1\n", 2),
+    ], ids=["train-parse", "train-sqnorm-parse", "train-numeric", "train-maxnorm-numeric",
+            "sweep-parse", "sweep-maxnorm-parse"])
+    def test_aborted_run_leaves_no_file_open(self, capsys, tmp_path, monkeypatch,
+                                             argv, text, code):
+        path = tmp_path / "d.svm"
+        path.write_text(text)
+        handles = []
+
+        def recording_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            handles.append(fh)
+            return fh
+
+        real_open = builtins.open
+        monkeypatch.setattr(builtins, "open", recording_open)
+        got, out, _ = run_cli(capsys, argv[:1] + ["--data", str(path)] + argv[1:])
+        assert (got, out) == (code, "")
+        assert handles and all(fh.closed for fh in handles)
 
 
 class TestReportFormat:

@@ -214,6 +214,16 @@ class TestPrenormalize:
                 assert e == SparseExample(e.features, e.label)
                 assert all(type(v) is float and math.isfinite(v) for _, v in e.features)
 
+    def test_stream_that_changes_between_sqnorm_passes(self):
+        class Shifting:
+            passes = [[ex({0: 1.0})], [ex({0: 1.0, 3: 2.0})]]
+
+            def __iter__(self):
+                return iter(self.passes.pop(0))
+
+        with pytest.raises(DataFormatError, match="feature 3 is new in the second pass"):
+            compute_normalizer(Shifting(), "sqnorm")
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             compute_normalizer([], "l2")

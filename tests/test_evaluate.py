@@ -141,6 +141,13 @@ class TestSweep:
         assert bad.error is not None and bad.eval_loss is None
         assert rep.best["sgd"][0] == 1e-3
 
+    def test_one_pass_over_a_one_shot_stream(self):
+        stream = synth_figure1(1.0, 120, seed=4)
+        spec = self.small_spec(kinds=["ng", "nag", "sgd"])
+        want = sweep(spec, stream)
+        got = sweep(spec, iter(stream))
+        assert got.cells == want.cells and got.best == want.best
+
     def test_plot_csv(self):
         stream = synth_figure1(1.0, 30, seed=1)
         rep = sweep(self.small_spec(), stream)

@@ -5,7 +5,7 @@ import pytest
 
 from nol.core import SparseExample, get_loss
 from nol.errors import NumericFault
-from nol.learners import KINDS, GridLearner, Learner, LearnerConfig, run_stream
+from nol.learners import KINDS, ColumnMap, GridLearner, Learner, LearnerConfig, run_stream
 from nol.regret import apply_scaling, random_instance
 
 SQ = get_loss("squared")
@@ -235,3 +235,23 @@ class TestGridLearner:
         for i in range(40):
             grid.observe(ex({i: 1.0, 1000 + i: -2.0}))
         assert len(grid.columns) == 80 and grid.W.shape == (2, 128) == grid.G.shape
+
+    def test_shared_column_map_changes_no_result(self):
+        # kinds sharing one map see the same columns; each gathers nothing new
+        stream = random_instance(7, d=6, T=80)
+        shared = ColumnMap()
+        loss = get_loss("logistic")
+        pairs = [(GridLearner(kind, [0.1, 1.0], loss, columns=shared),
+                  GridLearner(kind, [0.1, 1.0], loss)) for kind in KINDS]
+        for x in stream:
+            cols, values = shared.gather(x.features)
+            assert shared.gather(x.features) is shared.gather(x.features)
+            assert not values.flags.writeable and not cols.flags.writeable
+            for a, b in pairs:
+                ya, la, _ = a.observe(x)
+                yb, lb, _ = b.observe(x)
+                assert ya.tolist() == yb.tolist() and la.tolist() == lb.tolist()
+        for a, b in pairs:
+            assert a.columns is shared
+            for i, c in b.columns.items():
+                assert a.W[:, shared[i]].tolist() == b.W[:, c].tolist()
