@@ -4,8 +4,6 @@ from .core import (
     Loss,
     SparseExample,
     get_loss,
-    loss_value_and_derivative,
-    per_coordinate_gradient,
     predict,
 )
 from .learners import Learner, LearnerConfig, RunReport, run_stream
@@ -19,8 +17,6 @@ __all__ = [
     "RunReport",
     "SparseExample",
     "get_loss",
-    "loss_value_and_derivative",
-    "per_coordinate_gradient",
     "predict",
     "run_stream",
 ]

@@ -47,14 +47,23 @@ def _digest_bytes(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _text_lines(fh, sha):
+def _text_lines(fh, sha, path):
     """The lines of a binary file, as str.splitlines() splits the decoded
     whole, fed into the sha256 ``sha`` as they are read. Each \\n-terminated
     byte line is decoded and split on its own: it ends on a line break, and
-    a UTF-8 sequence never holds the \\n byte."""
+    a UTF-8 sequence never holds the \\n byte. Bytes that are not UTF-8 are
+    a DataFormatError naming the path and the line."""
+    n = 0
     for raw in fh:
         sha.update(raw)
-        yield from raw.decode("utf-8").splitlines()
+        try:
+            lines = raw.decode("utf-8").splitlines()
+        except UnicodeDecodeError as e:
+            # the lines before this byte line, plus those up to the bad byte's
+            line = n + len((raw[:e.start].decode("utf-8") + "x").splitlines())
+            raise DataFormatError(f"{path}: line {line}: not UTF-8 ({e.reason})") from None
+        n += len(lines)
+        yield from lines
 
 
 class _DataFile:
@@ -83,7 +92,7 @@ class _DataFile:
         sha = hashlib.sha256()
         n = 0
         with open(self.path, "rb") as fh:
-            for n, ex in enumerate(self.parse(_text_lines(fh, sha)), start=1):
+            for n, ex in enumerate(self.parse(_text_lines(fh, sha, self.path)), start=1):
                 yield ex
         if n == 0:
             raise DataFormatError("dataset is empty")
@@ -163,7 +172,6 @@ def _checked(convert, test, what):
     return parse
 
 
-_positive = _checked(float, lambda v: v > 0, "strictly positive")
 _finite_positive = _checked(float, lambda v: 0 < v < math.inf, "finite and strictly positive")
 _finite_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
@@ -359,7 +367,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--loss", required=True,
                          choices=["squared", "hinge", "logistic"])
     p_train.add_argument("--eta", type=_finite_nonnegative, required=True)
-    p_train.add_argument("--clip-c", type=_positive, dest="clip_c")
+    p_train.add_argument("--clip-c", type=_finite_positive, dest="clip_c")
     p_train.add_argument("--eta-decay", action="store_true", dest="eta_decay")
     p_train.add_argument("--thin", type=_positive_int, default=1,
                          help="keep every k-th trace entry")
@@ -373,7 +381,7 @@ def build_parser() -> _Parser:
                          choices=["squared", "hinge", "logistic"])
     p_sweep.add_argument("--eta-grid", dest="eta_grid",
                          help="LO..HI, expanded by powers of two")
-    p_sweep.add_argument("--clip-c", type=_positive, dest="clip_c")
+    p_sweep.add_argument("--clip-c", type=_finite_positive, dest="clip_c")
     p_sweep.add_argument("--plot-data", dest="plot_data",
                          help="write learner,eta,loss CSV here")
     p_sweep.set_defaults(func=cmd_sweep)
@@ -388,7 +396,7 @@ def build_parser() -> _Parser:
                           choices=["squared", "hinge", "logistic"])
     p_regret.add_argument("--d", type=_positive_int, default=3)
     p_regret.add_argument("--T", type=_positive_int, default=200)
-    p_regret.add_argument("--delta", type=_finite_positive, default=0.1)
+    p_regret.add_argument("--delta", type=_open_unit, default=0.1)
     p_regret.add_argument("--nu", type=_open_unit, default=0.5)
     p_regret.add_argument("--report")
     p_regret.set_defaults(func=cmd_regret)
@@ -404,7 +412,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return e.code if isinstance(e.code, int) else 1
     try:
         report = args.func(args)
-    except (DataFormatError, InvalidLabel, FileNotFoundError, UnicodeDecodeError) as e:
+    except (DataFormatError, InvalidLabel, FileNotFoundError) as e:
         sys.stderr.write(f"data error: {e}\n")
         return 2
     except NumericFault as e:

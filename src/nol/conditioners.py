@@ -44,9 +44,6 @@ class EnclosingBox:
     def s_ii(self, i: int) -> float:
         return 1.0 / (self.m[i] * self.m[i])
 
-    def copy(self) -> "EnclosingBox":
-        return EnclosingBox(dict(self.m))
-
     @classmethod
     def from_stream(cls, stream) -> "EnclosingBox":
         box = cls()

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .errors import InvalidLabel, NumericFault
-
-WeightsLike = Union[Mapping[int, float], Sequence[float]]
 
 
 @dataclass(frozen=True)
@@ -73,6 +71,14 @@ def _validated_example(features: tuple, label: float) -> SparseExample:
 def _check_binary_label(y: float):
     if y not in (-1.0, 1.0):
         raise InvalidLabel(f"classification label must be -1 or +1, got {y!r}")
+
+
+def _finite(what: str, value: float, yhat: Optional[float] = None) -> float:
+    """value, or a NumericFault if it is not finite."""
+    if not math.isfinite(value):
+        at = "" if yhat is None else f" at prediction {yhat!r}"
+        raise NumericFault(f"non-finite {what} {value!r}{at}")
+    return value
 
 
 class Loss:
@@ -192,42 +198,11 @@ def get_loss(kind: str) -> Loss:
         raise ValueError(f"unknown loss {kind!r}; expected one of {sorted(_LOSSES)}")
 
 
-def loss_value_and_derivative(loss: Loss, yhat: float, y: float):
-    """(loss, d loss / d yhat) at the given prediction and label."""
-    return loss.value_and_derivative(yhat, y)
-
-
-def predict(w: WeightsLike, x: SparseExample) -> float:
-    """Dot product of the weights with the sparse support of x.
-
-    Weights may be a mapping index -> weight or a dense sequence; indices
-    beyond the capacity of a dense sequence count as zero.
-    """
-    total = 0.0
-    if isinstance(w, Mapping):
-        for i, v in x.features:
-            wi = w.get(i, 0.0)
-            if not math.isfinite(wi):
-                raise NumericFault(f"non-finite weight at coordinate {i}")
-            total += wi * v
-    else:
-        n = len(w)
-        for i, v in x.features:
-            if i < n:
-                wi = w[i]
-                if not math.isfinite(wi):
-                    raise NumericFault(f"non-finite weight at coordinate {i}")
-                total += wi * v
-    if not math.isfinite(total):
-        raise NumericFault("non-finite prediction")
-    return total
-
-
-def per_coordinate_gradient(gprime: float, x: SparseExample) -> dict:
-    """Sparse gradient {i: gprime * x_i} over the support of x."""
-    if not math.isfinite(gprime):
-        raise NumericFault("non-finite loss derivative")
-    return {i: gprime * v for i, v in x.features}
+def predict(w: Mapping[int, float], x: SparseExample) -> float:
+    """Dot product of the weights with the sparse support of x; features
+    without a weight count as zero. fsum makes the sum exact, so the result
+    does not depend on the order of the features."""
+    return math.fsum(w[i] * v for i, v in x.features if i in w)
 
 
 def clip_prediction(raw: float, c: float) -> float:

@@ -258,7 +258,10 @@ def regression_loss_scale(labels: Iterable[float]) -> float:
     lo, hi = min(labels), max(labels)
     if lo == hi:
         raise DataFormatError("constant labels: regression loss scale undefined")
-    return (hi - lo) ** 2
+    scale = (hi - lo) * (hi - lo)
+    if scale == math.inf:
+        raise DataFormatError(f"labels from {lo!r} to {hi!r}: regression loss scale overflows")
+    return scale
 
 
 # ---------------------------------------------------------------------------

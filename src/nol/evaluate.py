@@ -6,7 +6,7 @@ a geometric learning-rate grid for every learner in one pass over the stream;
 significance between two loss sequences is decided by disjointness
 of relative-entropy Chernoff confidence intervals on the means.
 
-A non-finite prediction, loss or weight is a ``NumericFault`` naming the
+A non-finite prediction, loss, weight or sum is a ``NumericFault`` naming the
 example: it ends a progressive run, and it fails only its own cell of a sweep.
 """
 
@@ -18,10 +18,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Loss, SparseExample, get_loss
+from .core import Loss, SparseExample, _finite, get_loss
 from .data import regression_loss_scale
-from .errors import NolError, NumericFault
-from .learners import ColumnMap, GridLearner, Learner, LearnerConfig
+from .errors import NolError
+from .learners import ColumnMap, GridLearner, Learner, LearnerConfig, progressive
 
 
 def default_eta_grid(lo_exp: int = -20, hi_exp: int = 6, base: float = 2.0) -> List[float]:
@@ -41,24 +41,6 @@ class ProgressiveResult:
     n_examples: int
 
 
-def _numeric(n: int, fn, ex: SparseExample):
-    """fn(ex), its numeric faults and overflows a NumericFault naming example n."""
-    try:
-        return fn(ex)
-    except NumericFault as e:
-        raise NumericFault(f"example {n}: {e}") from e
-    except (OverflowError, ValueError) as e:   # math.fsum over overflowing terms
-        raise NumericFault(f"example {n}: non-finite sum ({e})") from e
-
-
-def _finite(n: int, what: str, value: float, yhat: Optional[float] = None) -> float:
-    """value, or a NumericFault naming example n if it is not finite."""
-    if not math.isfinite(value):
-        at = "" if yhat is None else f" at prediction {yhat!r}"
-        raise NumericFault(f"example {n}: non-finite {what} {value!r}{at}")
-    return value
-
-
 def progressive_validation(config: LearnerConfig, loss: Loss,
                            examples: Sequence[SparseExample],
                            task: str = "classification",
@@ -72,20 +54,25 @@ def progressive_validation(config: LearnerConfig, loss: Loss,
     if task == "regression" and loss_scale is None:
         loss_scale = regression_loss_scale(ex.label for ex in examples)
     learner = Learner(config, loss)
-    train, ev = [], []
-    for n, ex in enumerate(examples, start=1):
-        yhat, lval = _numeric(n, learner.observe, ex)
-        _finite(n, "prediction", yhat)
-        train.append(_finite(n, "loss", lval, yhat))
+
+    def step(ex):
+        yhat, lval = learner.observe(ex)
         if task == "classification":
             pred_label = 1.0 if yhat > 0 else (-1.0 if yhat < 0 else 0.0)
-            ev.append(0.0 if pred_label == ex.label else 1.0)
-        else:
-            d = yhat - ex.label
-            ev.append(_finite(n, "eval loss", d * d / loss_scale, yhat))
+            return lval, 0.0 if pred_label == ex.label else 1.0
+        d = yhat - ex.label
+        return lval, _finite("eval loss", d * d / loss_scale, yhat)
+
+    return _result(progressive(examples, step))
+
+
+def _result(rounds) -> ProgressiveResult:
+    """The ProgressiveResult of (training loss, eval loss) rounds."""
+    train, ev = [], []
+    for lval, e in rounds:
+        train.append(lval)
+        ev.append(e)
     n = len(train)
-    if n == 0:
-        raise ValueError("no examples")
     return ProgressiveResult(train, ev, sum(train) / n, sum(ev) / n, n)
 
 
@@ -99,24 +86,20 @@ def multiclass_progressive(config: LearnerConfig, loss: Loss,
                            examples: Sequence[SparseExample]) -> ProgressiveResult:
     learners: Dict[float, Learner] = {}
     classes: List[float] = []
-    train, ev = [], []
-    for n, ex in enumerate(examples, start=1):
+
+    def step(ex):
         if ex.label not in learners:
             learners[ex.label] = Learner(config, loss)
             classes.append(ex.label)
-        scores = {c: _finite(n, "prediction", _numeric(n, learners[c].predict, ex))
-                  for c in classes}
+        scores = {c: _finite("prediction", learners[c].predict(ex)) for c in classes}
         pred = max(classes, key=lambda c: scores[c])
-        ev.append(0.0 if pred == ex.label else 1.0)
         round_train = 0.0
         for c in classes:
             binary = SparseExample(ex.features, 1.0 if c == ex.label else -1.0)
-            yhat, lval = _numeric(n, learners[c].observe, binary)
-            _finite(n, "prediction", yhat)
-            round_train += _finite(n, "loss", lval, yhat)
-        train.append(round_train)
-    n = len(train)
-    return ProgressiveResult(train, ev, sum(train) / n, sum(ev) / n, n)
+            round_train += learners[c].observe(binary)[1]
+        return round_train, 0.0 if pred == ex.label else 1.0
+
+    return _result(progressive(examples, step))
 
 
 # ---------------------------------------------------------------------------

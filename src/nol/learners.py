@@ -20,17 +20,26 @@ shared by every rate, and the weights and gradient accumulators are
 (n_eta, capacity) numpy arrays whose columns are features in order of first
 appearance, the capacity doubling on demand. Grid learners over the same
 stream can share one ``ColumnMap``, so each example is gathered once.
+
+Each kind is one row of ``_STAGES``: a statistics function, which both
+learners call, and two step functions with the same arithmetic, one over
+the scalar learner's dicts and one over the grid's arrays.
+
+``progressive`` folds a step over a stream and names the example in any
+numeric fault; ``run_stream`` and the scalar evaluations in
+``nol.evaluate`` are built on it. A non-finite prediction, loss, weight,
+gradient sum or normalizer is a ``NumericFault``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import Loss, SparseExample, _check_binary_label, clip_prediction
+from .core import Loss, SparseExample, _check_binary_label, _finite, clip_prediction, predict
 from .errors import InvalidLabel, NumericFault
 
 KINDS = ("ng", "nag", "snag", "adagrad", "sgd")
@@ -73,117 +82,33 @@ class Learner:
         self.G: dict = {}      # sum of squared per-coordinate gradients
         self.N = 0.0
         self.t = 0
+        self._stats, self._update, _ = _STAGES[config.kind]
 
     def predict(self, ex: SparseExample) -> float:
-        # fsum keeps predictions exactly invariant under feature-index
-        # permutations of the stream
-        w = self.w
-        return math.fsum(w[i] * v for i, v in ex.features if i in w)
+        return predict(self.w, ex)
 
     def observe(self, ex: SparseExample):
-        """Process one example: squash scales, predict, accumulate N, update.
+        """Process one example: squash scales, accumulate N, predict, update.
 
         Returns (prediction, progressive loss). The loss is measured before
         the update, so averaging it over a stream is progressive validation.
         """
-        cfg = self.config
-        kind = cfg.kind
         self.t += 1
-        t = self.t
         supp = ex.features
-        w, s, G = self.w, self.s, self.G
-
-        if kind == "ng":
-            for i, v in supp:
-                av = abs(v)
-                si = s.get(i, 0.0)
-                if av > si:
-                    if si > 0.0 and i in w:
-                        w[i] *= (si * si) / (av * av)
-                    s[i] = av
-        elif kind == "nag":
-            for i, v in supp:
-                av = abs(v)
-                si = s.get(i, 0.0)
-                if av > si:
-                    if si > 0.0 and i in w:
-                        w[i] *= si / av
-                    s[i] = av
-        elif kind == "snag":
-            sigma = self.sigma
-            for i, v in supp:
-                s[i] = s.get(i, 0.0) + v * v
-                sig_new = math.sqrt(s[i] / t)
-                sig_old = sigma.get(i, 0.0)
-                if sig_new > sig_old and sig_old > 0.0 and i in w:
-                    w[i] *= sig_old / sig_new
-                sigma[i] = sig_new
-
-        yhat = self.predict(ex)
-        if cfg.clip_c is not None:
-            yhat = clip_prediction(yhat, cfg.clip_c)
+        factors, scale = self._stats(self, supp)
+        w = self.w
+        if factors is not None:
+            for i, f in factors.items():
+                if i in w:
+                    w[i] *= f
+        yhat = predict(w, ex)
+        clip_c = self.config.clip_c
+        if clip_c is not None:
+            yhat = clip_prediction(yhat, clip_c)
         lval, gp = self.loss.value_and_derivative(yhat, ex.label)
-
-        if kind in ("ng", "nag"):
-            self.N += math.fsum((v * v) / (s[i] * s[i]) for i, v in supp)
-        elif kind == "snag":
-            sigma = self.sigma
-            self.N += math.fsum((v * v) / (sigma[i] * sigma[i]) for i, v in supp)
-
         if supp and gp != 0.0:
-            self._update(supp, gp)
-        return yhat, lval
-
-    def _update(self, supp, gp):
-        cfg = self.config
-        kind = cfg.kind
-        w, s, G = self.w, self.s, self.G
-        t, N = self.t, self.N
-
-        if kind == "ng":
-            if N == 0.0:
-                return
-            eta_t = cfg.eta / math.sqrt(t) if cfg.eta_decay else cfg.eta
-            factor = eta_t * (t / N)
-            for i, v in supp:
-                si = s[i]
-                wi = w.get(i, 0.0) - factor * (gp * v) / (si * si)
-                if not math.isfinite(wi):
-                    raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
-                w[i] = wi
-        elif kind in ("nag", "snag"):
-            if N == 0.0:
-                return
-            scale = s if kind == "nag" else self.sigma
-            root_tn = math.sqrt(t / N)
-            for i, v in supp:
-                g = gp * v
-                Gi = G.get(i, 0.0) + g * g
-                G[i] = Gi
-                if Gi == 0.0:
-                    continue
-                wi = w.get(i, 0.0) - cfg.eta * root_tn * g / (scale[i] * math.sqrt(Gi))
-                if not math.isfinite(wi):
-                    raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
-                w[i] = wi
-        elif kind == "adagrad":
-            for i, v in supp:
-                g = gp * v
-                Gi = G.get(i, 0.0) + g * g
-                G[i] = Gi
-                if Gi == 0.0:
-                    continue
-                wi = w.get(i, 0.0) - cfg.eta * g / math.sqrt(Gi)
-                if not math.isfinite(wi):
-                    raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
-                w[i] = wi
-        else:  # sgd
-            eta_t = cfg.eta / math.sqrt(t) if cfg.eta_decay else cfg.eta
-            for i, v in supp:
-                wi = w.get(i, 0.0) - eta_t * gp * v
-                if not math.isfinite(wi):
-                    raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
-                w[i] = wi
+            self._update(self, supp, gp, scale)
+        return _finite("prediction", yhat), _finite("loss", lval, yhat)
 
     def state_dump(self) -> dict:
         """Flat serialization for warm restarts: (index, w, s, G) plus scalars."""
@@ -200,60 +125,131 @@ class Learner:
 
 
 # ---------------------------------------------------------------------------
-# Every learning rate of a grid at once
+# The update rules, one row of _STAGES per kind
 #
-# A stats stage updates the shared statistics with the same expressions as
-# Learner.observe and returns (squash factors, or None when nothing
-# squashes; the per-coordinate denominator of the step). A step stage
-# returns the updated weight block, or None for no update. The elementwise
-# arithmetic follows Learner's operation order; only the prediction's dot
-# product is summed differently.
+# A stats stage updates the stream statistics of a Learner or GridLearner
+# (s, sigma, N and t are the same plain dicts and floats in both) and
+# returns (feature -> squash factor, or None when nothing squashes; the
+# per-coordinate scale of the step). A scalar step updates a Learner's
+# weight dict in place; a grid step returns the updated weight block, or
+# None for no update, with the gradient sums it accumulated. Both steps
+# follow the same operation order, so a grid row matches the scalar learner
+# up to the summation order of the prediction.
 
-def _track_max(g: "GridLearner", supp, squash):
-    """ng/nag: running max |x_i|, squash(old max, new max) on growth, and N."""
+def _track_max(g, supp, squash):
+    """ng/nag: running max |x_i|, squash(old max, new max) on growth."""
     s = g.s
     factors = None
-    for k, (i, v) in enumerate(supp):
+    scale = []
+    for i, v in supp:
         av = abs(v)
         si = s.get(i, 0.0)
         if av > si:
             if si > 0.0:
                 if factors is None:
-                    factors = [1.0] * len(supp)
-                factors[k] = squash(si, av)
-            s[i] = av
-    g.N += math.fsum((v * v) / (s[i] * s[i]) for i, v in supp)
-    return factors
+                    factors = {}
+                factors[i] = squash(si, av)
+            s[i] = si = av
+        scale.append(si)
+    return factors, _normalize(g, supp, scale)
 
 
-def _stats_ng(g: "GridLearner", supp):
-    factors = _track_max(g, supp, lambda si, av: (si * si) / (av * av))
-    return factors, [g.s[i] * g.s[i] for i, _ in supp]
+def _normalize(g, supp, scale):
+    """Add sum_i (x_i / scale_i)^2 to N; returns scale."""
+    N = g.N + math.fsum((v * v) / (q * q) for (_, v), q in zip(supp, scale))
+    if not math.isfinite(N):   # x_i^2 and scale_i^2 both overflow
+        raise NumericFault(f"non-finite normalizer {N!r}")
+    g.N = N
+    return scale
 
 
-def _stats_nag(g: "GridLearner", supp):
-    return _track_max(g, supp, lambda si, av: si / av), [g.s[i] for i, _ in supp]
+def _stats_ng(g, supp):
+    return _track_max(g, supp, lambda si, av: (si * si) / (av * av))
 
 
-def _stats_snag(g: "GridLearner", supp):
+def _stats_nag(g, supp):
+    return _track_max(g, supp, lambda si, av: si / av)
+
+
+def _stats_snag(g, supp):
     s, sigma, t = g.s, g.sigma, g.t
     factors = None
-    for k, (i, v) in enumerate(supp):
-        s[i] = s.get(i, 0.0) + v * v
-        sig_new = math.sqrt(s[i] / t)
+    scale = []
+    for i, v in supp:
+        si = s[i] = s.get(i, 0.0) + v * v
+        if si == math.inf:
+            raise NumericFault(f"non-finite sum of squares inf at coordinate {i}")
+        sig_new = math.sqrt(si / t)
         sig_old = sigma.get(i, 0.0)
         if sig_new > sig_old and sig_old > 0.0:
             if factors is None:
-                factors = [1.0] * len(supp)
-            factors[k] = sig_old / sig_new
+                factors = {}
+            factors[i] = sig_old / sig_new
         sigma[i] = sig_new
-    scale = [sigma[i] for i, _ in supp]
-    g.N += math.fsum((v * v) / (q * q) for (_, v), q in zip(supp, scale))
-    return factors, scale
+        scale.append(sig_new)
+    return factors, _normalize(g, supp, scale)
 
 
-def _no_stats(g: "GridLearner", supp):
+def _no_stats(g, supp):
     return None, None
+
+
+def _update_ng(l: Learner, supp, gp, scale):
+    if l.N == 0.0:
+        return
+    cfg, t, w = l.config, l.t, l.w
+    eta_t = cfg.eta / math.sqrt(t) if cfg.eta_decay else cfg.eta
+    factor = eta_t * (t / l.N)
+    for (i, v), q in zip(supp, scale):
+        wi = w.get(i, 0.0) - factor * (gp * v) / (q * q)
+        if not math.isfinite(wi):
+            raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
+        w[i] = wi
+
+
+def _update_nag(l: Learner, supp, gp, scale):
+    if l.N == 0.0:
+        return
+    w, G = l.w, l.G
+    rate = l.config.eta * math.sqrt(l.t / l.N)
+    for (i, v), q in zip(supp, scale):
+        g = gp * v
+        Gi = G.get(i, 0.0) + g * g
+        if not math.isfinite(Gi):
+            raise NumericFault(f"non-finite gradient sum {Gi!r} at coordinate {i}")
+        G[i] = Gi
+        if Gi == 0.0:
+            continue
+        wi = w.get(i, 0.0) - rate * g / (q * math.sqrt(Gi))
+        if not math.isfinite(wi):
+            raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
+        w[i] = wi
+
+
+def _update_adagrad(l: Learner, supp, gp, scale):
+    w, G, eta = l.w, l.G, l.config.eta
+    for i, v in supp:
+        g = gp * v
+        Gi = G.get(i, 0.0) + g * g
+        if not math.isfinite(Gi):
+            raise NumericFault(f"non-finite gradient sum {Gi!r} at coordinate {i}")
+        G[i] = Gi
+        if Gi == 0.0:
+            continue
+        wi = w.get(i, 0.0) - eta * g / math.sqrt(Gi)
+        if not math.isfinite(wi):
+            raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
+        w[i] = wi
+
+
+def _update_sgd(l: Learner, supp, gp, scale):
+    cfg, w = l.config, l.w
+    eta_t = cfg.eta / math.sqrt(l.t) if cfg.eta_decay else cfg.eta
+    for i, v in supp:
+        wi = w.get(i, 0.0) - eta_t * gp * v
+        if not math.isfinite(wi):
+            raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
+        w[i] = wi
 
 
 def _accumulate(g: "GridLearner", cols, grad):
@@ -264,37 +260,40 @@ def _accumulate(g: "GridLearner", cols, grad):
 
 def _step_ng(g: "GridLearner", Wx, x, gp, cols, scale):
     if g.N == 0.0:
-        return None
+        return None, None
     factor = g.etas * (g.t / g.N)
-    return Wx - (factor[:, None] * (gp[:, None] * x)) / scale
+    scale = np.array(scale)
+    return Wx - (factor[:, None] * (gp[:, None] * x)) / (scale * scale), None
 
 
 def _step_nag(g: "GridLearner", Wx, x, gp, cols, scale):
     if g.N == 0.0:
-        return None
+        return None, None
     grad = gp[:, None] * x
     Gb = _accumulate(g, cols, grad)
     num = (g.etas * math.sqrt(g.t / g.N))[:, None] * grad
-    return Wx - np.divide(num, scale * np.sqrt(Gb), out=np.zeros_like(num), where=Gb != 0.0)
+    return (Wx - np.divide(num, scale * np.sqrt(Gb), out=np.zeros_like(num), where=Gb != 0.0),
+            Gb)
 
 
 def _step_adagrad(g: "GridLearner", Wx, x, gp, cols, scale):
     grad = gp[:, None] * x
     Gb = _accumulate(g, cols, grad)
     num = g.etas[:, None] * grad
-    return Wx - np.divide(num, np.sqrt(Gb), out=np.zeros_like(num), where=Gb != 0.0)
+    return Wx - np.divide(num, np.sqrt(Gb), out=np.zeros_like(num), where=Gb != 0.0), Gb
 
 
 def _step_sgd(g: "GridLearner", Wx, x, gp, cols, scale):
-    return Wx - (g.etas * gp)[:, None] * x
+    return Wx - (g.etas * gp)[:, None] * x, None
 
 
+# kind -> (stats, scalar step, grid step)
 _STAGES = {
-    "ng": (_stats_ng, _step_ng),
-    "nag": (_stats_nag, _step_nag),
-    "snag": (_stats_snag, _step_nag),
-    "adagrad": (_no_stats, _step_adagrad),
-    "sgd": (_no_stats, _step_sgd),
+    "ng": (_stats_ng, _update_ng, _step_ng),
+    "nag": (_stats_nag, _update_nag, _step_nag),
+    "snag": (_stats_snag, _update_nag, _step_nag),
+    "adagrad": (_no_stats, _update_adagrad, _step_adagrad),
+    "sgd": (_no_stats, _update_sgd, _step_sgd),
 }
 
 
@@ -334,10 +333,10 @@ class GridLearner:
     """One learner kind and loss at every learning rate of a grid.
 
     Row r follows Learner(LearnerConfig(kind, etas[r], clip_c), loss) up to
-    the summation order of the prediction. A row whose raw prediction, loss
-    or weights turn non-finite is reported by ``observe`` and reset to zero
-    so that it stays finite; its later results mean nothing. Run it under
-    ``np.errstate``, since such rows overflow by design.
+    the summation order of the prediction. A row whose raw prediction, loss,
+    weights or gradient sums turn non-finite is reported by ``observe`` and
+    reset to zero so that it stays finite; its later results mean nothing.
+    Run it under ``np.errstate``, since such rows overflow by design.
     """
 
     def __init__(self, kind: str, etas: Sequence[float], loss: Loss,
@@ -356,7 +355,7 @@ class GridLearner:
         self.columns = ColumnMap() if columns is None else columns
         self.W = np.zeros((len(etas), 16))
         self.G = np.zeros_like(self.W) if kind in ("nag", "snag", "adagrad") else None
-        self._stats, self._step = _STAGES[kind]
+        self._stats, _, self._step = _STAGES[kind]
 
     def _gather(self, supp):
         """(column indices, values) of the support, growing W and G to hold
@@ -386,25 +385,24 @@ class GridLearner:
         cols, x = self._gather(supp)
         Wx = self.W[:, cols]
         if factors is not None:
-            Wx *= factors
+            Wx *= [factors.get(i, 1.0) for i, _ in supp]
         raw = Wx @ x
         yhat = raw if self.clip_c is None else np.clip(raw, -self.clip_c, self.clip_c)
         if self.loss.classification:
             _check_binary_label(ex.label)
         lval, gp = self.loss.values_and_derivatives(yhat, ex.label)
 
-        new = self._step(self, Wx, x, gp, cols, scale) if supp and gp.any() else None
+        new, Gb = self._step(self, Wx, x, gp, cols, scale) if supp and gp.any() else (None, None)
         if new is None:
             new = Wx
         if new is not Wx or factors is not None:
             self.W[:, cols] = new
 
         faults = {}
-        if not np.isfinite(new).all():
-            for r, k in zip(*np.nonzero(~np.isfinite(new))):
-                faults.setdefault(int(r), f"non-finite weight {float(new[r, k])!r} "
-                                          f"at coordinate {supp[k][0]}")
-        if not (np.isfinite(raw).all() and np.isfinite(lval).all()):
+        if Gb is not None:
+            _block_faults(faults, "gradient sum", Gb, supp)
+        _block_faults(faults, "weight", new, supp)
+        if not math.isfinite(raw.sum() + lval.sum()):
             for r in np.flatnonzero(~np.isfinite(raw)):
                 faults.setdefault(int(r), f"non-finite prediction {float(raw[r])!r}")
             for r in np.flatnonzero(~np.isfinite(lval)):
@@ -418,21 +416,51 @@ class GridLearner:
         return yhat, lval, faults
 
 
+def _block_faults(faults: dict, what: str, block: np.ndarray, supp):
+    """Add to faults, for each row of a (rows, support) block without a
+    fault yet, its first non-finite entry."""
+    if not math.isfinite(block.sum()):   # a cheap test first: inf and nan propagate
+        for r, k in zip(*np.nonzero(~np.isfinite(block))):
+            faults.setdefault(int(r), f"non-finite {what} {float(block[r, k])!r} "
+                                      f"at coordinate {supp[k][0]}")
+
+
+# ---------------------------------------------------------------------------
+# The progressive fold
+
+def progressive(stream: Iterable[SparseExample], step):
+    """Yield step(ex) for each example of the stream in turn.
+
+    A NumericFault or InvalidLabel that step raises is re-raised naming the
+    example, and so is an overflowing math.fsum or a division by zero in
+    it, as a NumericFault; errors of the stream itself pass through. A
+    stream without examples is a ValueError.
+    """
+    n = 0
+    for n, ex in enumerate(stream, start=1):
+        try:
+            out = step(ex)
+        except (NumericFault, InvalidLabel) as e:
+            raise type(e)(f"example {n}: {e}") from e
+        except (OverflowError, ValueError) as e:   # math.fsum over overflowing terms
+            raise NumericFault(f"example {n}: non-finite sum ({e})") from e
+        except ZeroDivisionError as e:   # a scale whose square underflows to 0
+            raise NumericFault(f"example {n}: {e}") from e
+        yield out
+    if n == 0:
+        raise ValueError("stream yielded no examples")
+
+
 @dataclass
 class RunReport:
-    """Progressive-validation trace plus configuration for one run."""
+    """Progressive-validation trace and final state of one run."""
 
-    kind: str
-    loss: str
-    eta: float
-    losses: list = field(default_factory=list)
-    predictions: list = field(default_factory=list)
-    average_loss: float = 0.0
-    n_examples: int = 0
-    nonzero_weights: int = 0
-    normalizer: float = 0.0
-    clip_c: Optional[float] = None
-    eta_decay: bool = False
+    losses: list
+    predictions: list
+    average_loss: float
+    n_examples: int
+    nonzero_weights: int
+    normalizer: float
     state: Optional[dict] = None
 
 
@@ -440,31 +468,18 @@ def run_stream(config: LearnerConfig, loss: Loss, stream: Iterable[SparseExample
                keep_predictions: bool = False, keep_state: bool = False) -> RunReport:
     """Fold observe over a stream and collect the progressive trace."""
     learner = Learner(config, loss)
-    losses = []
-    preds = [] if keep_predictions else None
-    n = 0
-    for ex in stream:
-        n += 1
-        try:
-            yhat, lval = learner.observe(ex)
-        except (NumericFault, InvalidLabel) as e:
-            raise type(e)(f"example {n}: {e}") from e
+    losses, preds = [], []
+    for yhat, lval in progressive(stream, learner.observe):
         losses.append(lval)
-        if preds is not None:
+        if keep_predictions:
             preds.append(yhat)
-    if n == 0:
-        raise ValueError("stream yielded no examples")
+    n = len(losses)
     return RunReport(
-        kind=config.kind,
-        loss=loss.kind,
-        eta=config.eta,
         losses=losses,
-        predictions=preds or [],
+        predictions=preds,
         average_loss=sum(losses) / n,
         n_examples=n,
         nonzero_weights=sum(1 for v in learner.w.values() if v != 0.0),
         normalizer=learner.N,
-        clip_c=config.clip_c,
-        eta_decay=config.eta_decay,
         state=learner.state_dump() if keep_state else None,
     )

@@ -33,8 +33,9 @@ from .conditioners import (
     lemma2_bound,
     project,
 )
-from .core import Loss, SparseExample, clip_prediction
+from .core import Loss, SparseExample, _finite, clip_prediction, predict
 from .errors import NolError
+from .learners import progressive
 
 SLACK_TOL = 1e-6        # bound-check tolerance, after adding the oracle's certified gap
 FISTA_GAP_TOL = 1e-9    # FISTA stops at a Frank-Wolfe gap <= this * max(1, |f|)
@@ -114,8 +115,7 @@ class RegretLedger:
     def comparator_loss(self, loss: Loss, w: Dict[int, float]) -> float:
         total = 0.0
         for r in self.rounds:
-            pred = sum(w.get(i, 0.0) * v for i, v in r.x.features)
-            total += loss.value(pred, r.x.label)
+            total += loss.value(predict(w, r.x), r.x.label)
         return total
 
     def delta_ratios(self) -> Dict[int, float]:
@@ -143,17 +143,20 @@ def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
         ledger.box = cond.box
 
     w: Dict[int, float] = {}
-    for ex in examples:
+
+    def play(ex):
+        nonlocal w
         for i, v in ex.features:
             if i not in ledger.first_abs:
                 ledger.first_abs[i] = abs(v)
-        yhat = sum(w.get(i, 0.0) * v for i, v in ex.features)
+        yhat = predict(w, ex)
         if clip:
             yhat = clip_prediction(yhat, C)
         lval, gp = loss.value_and_derivative(yhat, ex.label)
+        _finite("loss", lval, _finite("prediction", yhat))
         g = {i: gp * v for i, v in ex.features}
         A = cond.step(g, ex)
-        ledger.rounds.append(LedgerRound(ex, yhat, lval, gp, dict(A), dict(w)))
+        played = LedgerRound(ex, yhat, lval, gp, dict(A), dict(w))
         for i, gi in g.items():
             Ai = A.get(i, 0.0)
             if Ai > 0.0 and gi != 0.0:
@@ -161,6 +164,9 @@ def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
         if projection:
             ball = ComparatorBall(cond.box, C, q)
             w = project(w, A, ball)
+        return played
+
+    ledger.rounds.extend(progressive(examples, play))
     ledger.sum_g2 = dict(cond.sum_g2)
     return ledger
 
@@ -600,8 +606,7 @@ def per_round_regret_terms(ledger: RegretLedger, loss: Loss,
     """loss(yhat_t, y_t) - loss(w*.x_t, y_t) for every round."""
     out = []
     for r in ledger.rounds:
-        pred = sum(w_star.get(i, 0.0) * v for i, v in r.x.features)
-        out.append(r.loss - loss.value(pred, r.x.label))
+        out.append(r.loss - loss.value(predict(w_star, r.x), r.x.label))
     return out
 
 
@@ -620,8 +625,8 @@ def nearest_rank_quantile(values: Sequence[float], level: float) -> float:
 
 def corollary1_tau(d: int, delta: float, nu: float) -> int:
     """tau = ceil(ln(d / delta) / nu), natural log."""
-    if not (delta > 0 and 0 < nu < 1):
-        raise ValueError("require delta > 0 and nu in (0, 1)")
+    if not (0 < delta < 1 and 0 < nu < 1):
+        raise ValueError("require delta and nu in (0, 1)")
     return math.ceil(math.log(d / delta) / nu)
 
 

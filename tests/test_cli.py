@@ -1,5 +1,7 @@
 import builtins
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -10,6 +12,8 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nol import cli
 from nol.cli import _parse_eta_grid, main
@@ -24,6 +28,14 @@ def run_cli(capsys, argv):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which are not JSON."""
+    def reject(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run_report(capsys, argv):
@@ -121,11 +133,7 @@ class TestSweep:
             "sweep", "--synth", "figure1:s=1,T=150", "--seed", "3", "--learners", "ng,sgd",
             "--loss", "squared", "--task", "regression", "--eta-grid", "8..64"])
         assert code == 0, err
-
-        def reject(name):
-            raise ValueError(f"{name} is not strict JSON")
-
-        rep = json.loads(out, parse_constant=reject)
+        rep = strict_json(out)
         jsonschema.validate(rep, SCHEMA)
         failed = [c for c in rep["cells"] if c["error"] is not None]
         assert {(c["learner"], c["eta"]) for c in failed} == {
@@ -135,6 +143,19 @@ class TestSweep:
             assert c["error"].startswith("example ")
             assert ": non-finite loss inf at prediction " in c["error"]
         assert rep["best"]["ng"]["loss"] is not None
+
+    def test_overflowing_gradient_sum_fails_its_cells(self, capsys, tmp_path):
+        # the first loss, 1e150 squared, is finite; the gradient -2e160 squared is not
+        path = tmp_path / "d.txt"
+        path.write_text("1e150 0:1e10\n-1 0:1\n")
+        code, out, err = run_cli(capsys, [
+            "sweep", "--data", str(path), "--learners", "nag,snag,adagrad", "--loss", "squared",
+            "--task", "regression", "--eta-grid", "0.5..1"])
+        assert code == 0, err
+        rep = strict_json(out)
+        jsonschema.validate(rep, SCHEMA)
+        assert [c["error"] for c in rep["cells"]] == \
+               ["example 1: non-finite gradient sum inf at coordinate 0"] * 6
 
     def test_unknown_learner_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, [
@@ -216,17 +237,21 @@ class TestExitCodes:
         (["regret", "--check", "thm1", "--loss", "hinge", "--d", "0"], "--d"),
         (["regret", "--check", "thm1", "--loss", "hinge", "--instances", "0"], "--instances"),
         (["regret", "--check", "cor1", "--instances", "0"], "--instances"),
+        (TestTrain.BASE + ["--clip-c", "inf"], "--clip-c"),
+        (TestSweep.BASE + ["--clip-c", "inf"], "--clip-c"),
         (TestTrain.BASE + ["--thin", "-3"], "--thin"),
         (TestTrain.BASE + ["--thin", "0"], "--thin"),
         (["regret", "--check", "cor1", "--delta", "0"], "--delta"),
         (["regret", "--check", "cor1", "--delta", "inf"], "--delta"),
         (["regret", "--check", "cor1", "--delta", "nan"], "--delta"),
+        (["regret", "--check", "cor1", "--delta", "1"], "--delta"),
         (["regret", "--check", "cor1", "--nu", "1"], "--nu"),
         (["regret", "--check", "cor1", "--nu", "0"], "--nu"),
         (["regret", "--check", "cor1", "--nu", "nan"], "--nu"),
     ], ids=["eta-nan", "eta-negative", "synth-s0", "C-nan", "C-inf", "C-negative",
-            "T0", "d0", "instances0", "cor1-instances0", "thin-negative", "thin0",
-            "delta0", "delta-inf", "delta-nan", "nu1", "nu0", "nu-nan"])
+            "T0", "d0", "instances0", "cor1-instances0", "train-clip-inf", "sweep-clip-inf",
+            "thin-negative", "thin0",
+            "delta0", "delta-inf", "delta-nan", "delta1", "nu1", "nu0", "nu-nan"])
     def test_bad_argument_value_is_one_line_usage_error(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, argv)
         assert code == 1
@@ -281,6 +306,46 @@ class TestExitCodes:
             "squared", "--eta", "1e10"])
         assert code == 3
         assert err == "numeric fault: example 1: non-finite weight inf at coordinate 0\n"
+
+    @pytest.mark.parametrize("text,reason", [
+        ("1 0:1.5e154 1:1.5e154\n" * 2, "non-finite prediction inf"),
+        ("1 0:1e154 1:1e154\n" * 2, "non-finite sum (intermediate overflow in fsum)"),
+    ], ids=["product-overflows", "sum-overflows"])
+    def test_overflowing_prediction_is_numeric_fault(self, capsys, tmp_path, text, reason):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        assert run_cli(capsys, [
+            "train", "--data", str(path), "--learner", "sgd", "--loss", "hinge", "--eta", "1",
+        ]) == (3, "", f"numeric fault: example 2: {reason}\n")
+
+    @pytest.mark.parametrize("kind,loss,text", [
+        ("nag", "squared", "1e150 0:1e10\n"),
+        ("snag", "squared", "1e150 0:1e10\n"),
+        ("adagrad", "squared", "1e150 0:1e10\n"),
+        ("adagrad", "hinge", "1 0:1.5e154 1:1.5e154\n"),
+    ])
+    def test_overflowing_gradient_sum_is_numeric_fault(self, capsys, tmp_path, kind, loss, text):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        assert run_cli(capsys, [
+            "train", "--data", str(path), "--learner", kind, "--loss", loss, "--eta", "1",
+        ]) == (3, "", "numeric fault: example 1: non-finite gradient sum inf at coordinate 0\n")
+
+    def test_overflowing_regression_loss_scale_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1e200 0:1\n-1 0:1\n")
+        assert run_cli(capsys, [
+            "sweep", "--data", str(path), "--learners", "sgd", "--loss", "squared",
+            "--task", "regression",
+        ]) == (2, "", "data error: labels from -1.0 to 1e+200: regression loss scale overflows\n")
+
+    @pytest.mark.parametrize("check", ["lemma1", "thm1", "thm2"])
+    def test_overflowing_conditioned_run_is_numeric_fault(self, capsys, check):
+        code, out, err = run_cli(capsys, ["regret", "--check", check, "--loss", "squared",
+                                          "-C", "1e300", "--instances", "1", "--T", "12"])
+        assert (code, out) == (3, "")
+        assert err.startswith("numeric fault: example 2: non-finite loss inf at prediction ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("loss", ["hinge", "logistic"])
     def test_invalid_label_is_data_error_naming_the_example(self, capsys, tmp_path, loss):
@@ -373,6 +438,15 @@ class TestStreaming:
         path.write_bytes(text.encode())
         assert run_cli(capsys, self.train_argv(path)) == (2, "", f"data error: {want.value}\n")
 
+    @pytest.mark.parametrize("text,line", [(b"1 0:1\n-1 0:2\n1 0:\xff\n", 3),
+                                           (b"1 0:1\r-1 0:\xff 1:2\n1 0:3\n", 2)],
+                             ids=["newline", "carriage-return"])
+    def test_non_utf8_bytes_name_the_file_and_the_line(self, capsys, tmp_path, text, line):
+        path = tmp_path / "d.svm"
+        path.write_bytes(text)
+        assert run_cli(capsys, self.train_argv(path)) == (
+            2, "", f"data error: {path}: line {line}: not UTF-8 (invalid start byte)\n")
+
     @pytest.mark.parametrize("command,normalize", [("train", "none"), ("train", "sqnorm"),
                                                    ("sweep", "none"), ("sweep", "maxnorm")])
     def test_digest_is_sha256_of_the_file(self, capsys, tmp_path, command, normalize):
@@ -447,3 +521,84 @@ class TestReportFormat:
         assert path.read_bytes() == out.encode()
         assert out.endswith("\n") and out.count("\n") == 1
         assert out[:-1] == json.dumps(json.loads(out), sort_keys=True)
+
+
+class TestFuzz:
+    """main on generated argv ends in an exit code, with at most one stderr
+    line and strict JSON on success, whatever the flags and data."""
+
+    FILES = {
+        "product-overflow.svm": "1 0:1.5e154 1:1.5e154\n" * 2,
+        "sum-overflow.svm": "1 0:1e154 1:1e154\n" * 2,
+        "mixed.svm": "0 0:1e-300\n1 0:1.5e154 1:1.5e154\n-1 1:2 5:-3\n2 0:1\n",
+        "wide-labels.svm": "1e150 0:1e10\n-1 0:1\n1e200 1:3\n",
+        "small.svm": "1 0:1 2:0.5\n-1 1:2\n1 0:-3 1:1e3\n-1 2:7\n",
+        "bad.svm": "1 0:1\n-1 0:oops\n",
+        "empty.svm": "",
+        "small.csv": "a,b,y\n1.0,200,1\n-0.5,100,0\n3,1e300,1\n",
+    }
+    # mostly usable values, so that most draws get past argument parsing
+    FLOATS = ["1e-300", "0.5", "1", "16", "1e300"] * 4 + ["0", "-1", "nan", "inf", "x"]
+
+    @pytest.fixture(scope="class")
+    def data_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        for name, text in self.FILES.items():
+            (root / name).write_text(text)
+        return root
+
+    @staticmethod
+    def flag(name, values, optional=True):
+        """The flag with one of the values, or no flag when optional."""
+        given_flag = st.sampled_from(values).map(lambda v: [name, v])
+        return st.one_of(st.just([]), given_flag) if optional else given_flag
+
+    @staticmethod
+    def command(*parts):
+        """The argv of one draw of each part, each a list of arguments."""
+        return st.tuples(*parts).map(lambda drawn: [arg for part in drawn for arg in part])
+
+    def argv(self, data_dir):
+        flag, command, floats = self.flag, self.command, self.FLOATS
+        losses = ["squared", "hinge", "logistic"]
+        data = command(
+            st.one_of(
+                st.sampled_from(sorted(self.FILES)).map(lambda f: ["--data", str(data_dir / f)]),
+                st.sampled_from(["figure1:s=1,T=12", "figure1:s=1000,T=8", "scaled:d=2,T=6",
+                                 "figure1:s=0", "bogus"]).map(lambda v: ["--synth", v])),
+            flag("--format", ["svmlight", "csv"]),
+            flag("--task", ["classification", "regression"]),
+            flag("--normalize", ["none", "maxnorm", "sqnorm"]),
+            flag("--loss", losses, optional=False),
+            flag("--clip-c", floats))
+        train = command(st.just(["train"]), data,
+                        flag("--learner", ["ng", "nag", "snag", "adagrad", "sgd"], optional=False),
+                        flag("--eta", floats, optional=False),
+                        st.sampled_from([[], ["--eta-decay"]]), flag("--thin", ["1", "3", "0"]))
+        sweep = command(st.just(["sweep"]), data,
+                        flag("--learners", ["ng", "nag,snag", "adagrad,sgd", "ng,bogus"],
+                             optional=False),
+                        flag("--eta-grid", ["0.5..2", "1..1", "1e-300..1e-299",
+                                            "1e307..1e308", "2..1", "nan..1", "x"]))
+        regret = command(st.just(["regret"]),
+                         flag("--check", ["lemma1", "thm1", "thm2", "cor1"], optional=False),
+                         flag("--loss", losses), flag("--instances", ["1", "2", "0"]),
+                         flag("--T", ["1", "3", "12", "0"]), flag("--d", ["1", "3", "0"]),
+                         flag("-C", floats), flag("--delta", ["0.1", "0.5", "1", "16"]),
+                         flag("--nu", ["0.1", "0.5", "1"]), flag("--seed", ["0", "7"]))
+        return st.one_of(train, sweep, regret)
+
+    def test_every_run_exits_cleanly(self, data_dir):
+        @settings(max_examples=300, deadline=None, derandomize=True,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(self.argv(data_dir))
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), (argv, code)
+            assert err.getvalue().count("\n") <= 1, (argv, err.getvalue())
+            if code == 0:
+                strict_json(out.getvalue())
+
+        run()

@@ -2,14 +2,9 @@ import math
 
 import pytest
 
-from nol.core import (
-    SparseExample,
-    get_loss,
-    loss_value_and_derivative,
-    per_coordinate_gradient,
-    predict,
-)
+from nol.core import SparseExample, get_loss, predict
 from nol.errors import InvalidLabel, NumericFault
+from nol.learners import Learner, LearnerConfig, run_stream
 
 
 class TestSparseExample:
@@ -36,24 +31,29 @@ class TestSparseExample:
 
 class TestPredict:
     def test_zero_weights(self):
-        assert predict([0.0, 0.0], SparseExample(((0, 2.0), (1, 3.0)), 1.0)) == 0.0
+        assert predict({0: 0.0, 1: 0.0}, SparseExample(((0, 2.0), (1, 3.0)), 1.0)) == 0.0
 
     def test_dot_product_by_hand(self):
-        assert predict([0.5, -1.0], SparseExample(((0, 2.0), (1, 3.0)), 1.0)) == -2.0
+        assert predict({0: 0.5, 1: -1.0}, SparseExample(((0, 2.0), (1, 3.0)), 1.0)) == -2.0
 
     def test_partial_weight_vector(self):
-        # capacity grows on demand: unseen indices count as zero
-        assert predict([0.25], SparseExample(((0, 2.0),), 1.0)) == 0.5
+        # unseen indices count as zero
+        assert predict({0: 0.25}, SparseExample(((0, 2.0),), 1.0)) == 0.5
         assert predict({0: 0.25}, SparseExample(((0, 2.0), (7, 1.0)), 1.0)) == 0.5
 
-    def test_nonfinite_weight_rejected(self):
-        with pytest.raises(NumericFault):
-            predict([float("nan")], SparseExample(((0, 2.0),), 1.0))
+    def test_nonfinite_weight_gives_nonfinite_prediction(self):
+        ex = SparseExample(((0, 2.0),), 1.0)
+        assert math.isnan(predict({0: float("nan")}, ex))
+        # which the learner rejects
+        learner = Learner(LearnerConfig("sgd", 0.5), get_loss("hinge"))
+        learner.w[0] = float("nan")
+        with pytest.raises(NumericFault, match=r"^non-finite prediction nan$"):
+            learner.observe(ex)
 
     def test_linearity_in_values(self):
         import random
         rnd = random.Random(0)
-        w = [rnd.uniform(-2, 2) for _ in range(5)]
+        w = {i: rnd.uniform(-2, 2) for i in range(5)}
         for _ in range(100):
             feats = tuple((i, rnd.uniform(-3, 3)) for i in range(5))
             alpha = rnd.uniform(-4, 4)
@@ -65,16 +65,16 @@ class TestPredict:
 
 class TestLosses:
     def test_squared_values(self):
-        assert loss_value_and_derivative(get_loss("squared"), 0.5, 1.0) == (0.25, -1.0)
+        assert get_loss("squared").value_and_derivative(0.5, 1.0) == (0.25, -1.0)
 
     def test_hinge_values(self):
-        assert loss_value_and_derivative(get_loss("hinge"), 0.5, 1.0) == (0.5, -1.0)
+        assert get_loss("hinge").value_and_derivative(0.5, 1.0) == (0.5, -1.0)
 
     def test_hinge_kink_subgradient_zero(self):
         assert get_loss("hinge").derivative(1.0, 1.0) == 0.0
 
     def test_logistic_at_zero(self):
-        l, g = loss_value_and_derivative(get_loss("logistic"), 0.0, 1.0)
+        l, g = get_loss("logistic").value_and_derivative(0.0, 1.0)
         assert l == pytest.approx(math.log(2.0), rel=1e-12)
         assert g == pytest.approx(-0.5, rel=1e-12)
 
@@ -125,16 +125,14 @@ class TestLosses:
             assert loss.value(rnd.uniform(-10, 10), y) >= 0.0
 
 
-class TestPerCoordinateGradient:
-    def test_scalar_multiply(self):
-        assert per_coordinate_gradient(-2.0, SparseExample(((0, 2.0),), 1.0)) == {0: -4.0}
-        assert per_coordinate_gradient(-1.0, SparseExample(((1, 3.0), (2, -0.5)), 1.0)) == {
-            1: -3.0, 2: 0.5}
+class _NaNDerivative(type(get_loss("squared"))):
+    def value_and_derivative(self, yhat, y):
+        return 0.0, float("nan")
 
-    def test_zero_derivative(self):
-        g = per_coordinate_gradient(0.0, SparseExample(((0, 5.0), (3, 1.0)), 1.0))
-        assert all(v == 0.0 for v in g.values())
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(NumericFault):
-            per_coordinate_gradient(float("nan"), SparseExample(((0, 1.0),), 1.0))
+class TestNonFiniteDerivative:
+    @pytest.mark.parametrize("kind", ["ng", "nag", "snag", "adagrad", "sgd"])
+    def test_nan_loss_derivative_is_a_fault_naming_the_example(self, kind):
+        stream = [SparseExample(((0, 1.0),), 1.0)] * 2
+        with pytest.raises(NumericFault, match=r"^example 1: non-finite .* nan at coordinate 0$"):
+            run_stream(LearnerConfig(kind, 0.5), _NaNDerivative(), stream)

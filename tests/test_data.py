@@ -241,6 +241,10 @@ class TestRegressionLossScale:
         with pytest.raises(DataFormatError):
             regression_loss_scale([])
 
+    def test_overflowing_span_rejected(self):
+        with pytest.raises(DataFormatError, match="regression loss scale overflows"):
+            regression_loss_scale([1e200, -1.0])
+
 
 class TestSynthFigure1:
     def test_shape_and_labels(self):

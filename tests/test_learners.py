@@ -255,3 +255,37 @@ class TestGridLearner:
             assert a.columns is shared
             for i, c in b.columns.items():
                 assert a.W[:, shared[i]].tolist() == b.W[:, c].tolist()
+
+
+class TestGradientSumOverflow:
+    # the first squared-loss gradient is -2e160, so its square overflows whatever eta is
+    @pytest.mark.parametrize("kind", ["nag", "snag", "adagrad"])
+    def test_scalar_learner_faults(self, kind):
+        learner = Learner(LearnerConfig(kind, 1.0), SQ)
+        with pytest.raises(NumericFault,
+                           match=r"^non-finite gradient sum inf at coordinate 0$"):
+            learner.observe(ex({0: 1e10}, 1e150))
+
+    @pytest.mark.parametrize("kind", ["nag", "snag", "adagrad"])
+    def test_grid_rows_fault_and_reset(self, kind):
+        grid = GridLearner(kind, [0.5, 1.0], SQ)
+        with np.errstate(all="ignore"):
+            _, _, faults = grid.observe(ex({0: 1e10}, 1e150))
+        assert faults == {r: "non-finite gradient sum inf at coordinate 0" for r in (0, 1)}
+        assert not grid.G.any() and not grid.W.any()
+
+
+class TestStatisticsOverflow:
+    def test_snag_sum_of_squares(self):
+        learner = Learner(LearnerConfig("snag", 1e-300), get_loss("logistic"))
+        learner.observe(ex({0: 1e154}))
+        with pytest.raises(NumericFault,
+                           match=r"^non-finite sum of squares inf at coordinate 0$"):
+            learner.observe(ex({0: 1e154}))
+
+    @pytest.mark.parametrize("kind", ["ng", "nag"])
+    def test_normalizer(self, kind):
+        # x^2 / max|x|^2 is inf / inf
+        learner = Learner(LearnerConfig(kind, 1.0), get_loss("hinge"))
+        with pytest.raises(NumericFault, match=r"^non-finite normalizer nan$"):
+            learner.observe(ex({0: 1.5e154}))
