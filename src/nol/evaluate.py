@@ -12,6 +12,7 @@ example: it ends a progressive run, and it fails only its own cell of a sweep.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -144,26 +145,25 @@ def _record(errors: List[Optional[str]], n: int, faults: Dict[int, str]):
 
 
 class _Run:
-    """One kind's rows of a sweep, fed one example at a time: summed training
-    and eval losses, per-row errors, and ``failure``, set when an error ends
-    the whole pass of the kind."""
+    """The rows of a sweep, kind-major, fed one example at a time: summed
+    training and eval losses, per-row errors, and ``failure``, set when an
+    error ends the whole pass."""
 
-    def __init__(self, kind: str, spec: SweepSpec, loss: Loss,
-                 loss_scale: Optional[float], columns: ColumnMap):
-        rows = len(spec.eta_grid)
-        self.kind, self.spec, self.loss = kind, spec, loss
-        self.loss_scale, self.columns = loss_scale, columns
+    def __init__(self, spec: SweepSpec, loss: Loss, loss_scale: Optional[float]):
+        rows = len(spec.kinds) * len(spec.eta_grid)
+        self.spec, self.loss, self.loss_scale = spec, loss, loss_scale
+        self.columns = ColumnMap()
         self.train, self.ev = np.zeros(rows), np.zeros(rows)
         self.errors: List[Optional[str]] = [None] * rows
         self.failure: Optional[str] = None
 
     def grid_learner(self) -> GridLearner:
         spec = self.spec
-        return GridLearner(self.kind, spec.eta_grid, self.loss, spec.clip_c, self.columns)
+        return GridLearner(spec.kinds, spec.eta_grid, self.loss, spec.clip_c, self.columns)
 
 
 class _GridRun(_Run):
-    """progressive_validation for every row of the grid learner."""
+    """progressive_validation for every row of one grid learner."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -186,8 +186,8 @@ class _GridRun(_Run):
 
 
 class _MulticlassRun(_Run):
-    """multiclass_progressive for every eta of the grid: one grid learner per
-    class, so k classes x n_eta rows."""
+    """multiclass_progressive for every row: one grid learner per class,
+    all sharing one column map."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -216,45 +216,41 @@ class _MulticlassRun(_Run):
 
 def sweep(spec: SweepSpec, examples: Iterable[SparseExample]) -> ComparisonReport:
     """Progressive validation of every (kind, eta) pair in one pass over the
-    stream: each example advances a GridLearner per kind (one per class and
-    kind when multiclass), all sharing one column map. Regression reads the
-    labels in a pass of their own first, for the loss scale.
+    stream: each example advances one GridLearner whose rows are every cell
+    (one per class when multiclass, all sharing one column map). Regression
+    reads the labels in a pass of their own first, for the loss scale.
 
     A row whose prediction, loss or weights turn non-finite becomes an error
-    cell with the NumericFault message; an error that concerns the whole pass
-    (an invalid label, say) marks every cell of that kind, and the other
-    kinds go on. Errors raised by the stream itself (a malformed line) end
-    the sweep.
+    cell with the NumericFault message, and so do all rows of a kind whose
+    statistics fail; the other rows go on. An error that concerns the whole
+    pass (an invalid label, say) marks every cell. Errors raised by the
+    stream itself (a malformed line) end the sweep.
     """
     loss = get_loss(spec.loss)
     loss_scale = None
     if spec.task == "regression":
         loss_scale = regression_loss_scale(ex.label for ex in examples)
 
-    columns = ColumnMap()
-    run_kind = _MulticlassRun if spec.multiclass else _GridRun
-    runs = [run_kind(kind, spec, loss, loss_scale, columns) for kind in spec.kinds]
+    run = (_MulticlassRun if spec.multiclass else _GridRun)(spec, loss, loss_scale)
     n = 0
     with np.errstate(all="ignore"):
         for n, ex in enumerate(examples, start=1):
-            for run in runs:
-                if run.failure is None:
-                    try:
-                        run.observe(n, ex)
-                    except (NolError, ArithmeticError) as e:   # failed cells are reported, not fatal
-                        run.failure = str(e)
+            if run.failure is None:
+                try:
+                    run.observe(n, ex)
+                except (NolError, ArithmeticError) as e:   # failed cells are reported, not fatal
+                    run.failure = str(e)
     if n == 0:
         raise ValueError("no examples")
 
+    errors = run.errors if run.failure is None else [run.failure] * len(run.errors)
+    train, ev = run.train / n, run.ev / n
     cells: List[SweepCell] = []
-    for run in runs:
-        errors = run.errors if run.failure is None else [run.failure] * len(spec.eta_grid)
-        train, ev = run.train / n, run.ev / n
-        for r, eta in enumerate(spec.eta_grid):
-            if errors[r] is None:
-                cells.append(SweepCell(run.kind, eta, float(ev[r]), float(train[r])))
-            else:
-                cells.append(SweepCell(run.kind, eta, None, None, error=errors[r]))
+    for r, (kind, eta) in enumerate(itertools.product(spec.kinds, spec.eta_grid)):
+        if errors[r] is None:
+            cells.append(SweepCell(kind, eta, float(ev[r]), float(train[r])))
+        else:
+            cells.append(SweepCell(kind, eta, None, None, error=errors[r]))
 
     best: Dict[str, Tuple[float, float]] = {}
     for cell in cells:

@@ -14,28 +14,31 @@ Five learners share the interface:
 
 ``Learner`` runs one learning rate and keeps all per-coordinate state in
 dicts keyed by feature index, so the index space is unbounded and grows on
-demand. ``GridLearner`` runs a whole grid of learning rates in one pass: the
-stream statistics (t, the scale trackers, N) stay scalar dicts and floats
-shared by every rate, and the weights and gradient accumulators are
-(n_eta, capacity) numpy arrays whose columns are features in order of first
-appearance, the capacity doubling on demand. Grid learners over the same
-stream can share one ``ColumnMap``, so each example is gathered once.
+demand. ``GridLearner`` runs several kinds at every learning rate of a grid
+in one pass, as the rows of one (n_kinds * n_eta, capacity) weight matrix W,
+kind-major, with one matrix G of gradient sums for the rows of nag, snag
+and adagrad. Each kind keeps its stream statistics (t, the scale trackers,
+N) in the scalar dicts and floats a Learner has, shared by its rows. The
+columns are features in order of first appearance, the capacity doubling on
+demand. Each example is gathered, predicted, scored, stepped, scattered and
+scanned for faults once for all rows. Grid learners over the same stream
+(one per class in a multiclass sweep) can share one ``ColumnMap``.
 
 Each kind is one row of ``_STAGES``: a statistics function, which both
-learners call, and two step functions with the same arithmetic, one over
-the scalar learner's dicts and one over the grid's arrays.
+learners call, the scalar learner's step over its dicts, and the terms of
+the grid's one step for all rows.
 
 ``progressive`` folds a step over a stream and names the example in any
 numeric fault; ``run_stream`` and the scalar evaluations in
 ``nol.evaluate`` are built on it. A non-finite prediction, loss, weight,
-gradient sum or normalizer is a ``NumericFault``.
+gradient sum or snag sum of squares is a ``NumericFault``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,7 +85,8 @@ class Learner:
         self.G: dict = {}      # sum of squared per-coordinate gradients
         self.N = 0.0
         self.t = 0
-        self._stats, self._update, _ = _STAGES[config.kind]
+        stage = _STAGES[config.kind]
+        self._stats, self._update = stage.stats, stage.update
 
     def predict(self, ex: SparseExample) -> float:
         return predict(self.w, ex)
@@ -127,14 +131,21 @@ class Learner:
 # ---------------------------------------------------------------------------
 # The update rules, one row of _STAGES per kind
 #
-# A stats stage updates the stream statistics of a Learner or GridLearner
-# (s, sigma, N and t are the same plain dicts and floats in both) and
-# returns (feature -> squash factor, or None when nothing squashes; the
-# per-coordinate scale of the step). A scalar step updates a Learner's
-# weight dict in place; a grid step returns the updated weight block, or
-# None for no update, with the gradient sums it accumulated. Both steps
-# follow the same operation order, so a grid row matches the scalar learner
-# up to the summation order of the prediction.
+# A stats stage updates the stream statistics of a Learner or of one kind of
+# a GridLearner (s, sigma, N and t are the same plain dicts and floats in
+# both) and returns (feature -> squash factor, or None when nothing
+# squashes; the per-coordinate scale of the step). A scalar step updates a
+# Learner's weight dict in place. A grid row steps every coordinate of the
+# support at once by
+#
+#     w_i -= (eta * rate) * (gp * u_i) / den_i
+#
+# where rate is the kind's factor of eta, u_i is x_i / scale_i for ng and
+# x_i otherwise, and den_i is scale_i (ng), scale_i * sqrt(G_i) (nag,
+# snag), sqrt(G_i) (adagrad) or 1 (sgd), a zero G_i making no step. This is
+# the scalar step's operation order, so a grid row matches the scalar
+# learner up to the summation order of the prediction (and, for sgd, of
+# eta * gp * x_i).
 
 def _track_max(g, supp, squash):
     """ng/nag: running max |x_i|, squash(old max, new max) on growth."""
@@ -155,16 +166,20 @@ def _track_max(g, supp, squash):
 
 
 def _normalize(g, supp, scale):
-    """Add sum_i (x_i / scale_i)^2 to N; returns scale."""
-    N = g.N + math.fsum((v * v) / (q * q) for (_, v), q in zip(supp, scale))
-    if not math.isfinite(N):   # x_i^2 and scale_i^2 both overflow
-        raise NumericFault(f"non-finite normalizer {N!r}")
-    g.N = N
+    """Add sum_i (x_i / scale_i)^2 to N; returns scale. The ratio is taken
+    before squaring, so no feature scale overflows or underflows it."""
+    r = [v / q for (_, v), q in zip(supp, scale)]
+    g.N += math.fsum([ri * ri for ri in r])
     return scale
 
 
+def _squash_ng(si, av):
+    r = si / av
+    return r * r
+
+
 def _stats_ng(g, supp):
-    return _track_max(g, supp, lambda si, av: (si * si) / (av * av))
+    return _track_max(g, supp, _squash_ng)
 
 
 def _stats_nag(g, supp):
@@ -201,7 +216,7 @@ def _update_ng(l: Learner, supp, gp, scale):
     eta_t = cfg.eta / math.sqrt(t) if cfg.eta_decay else cfg.eta
     factor = eta_t * (t / l.N)
     for (i, v), q in zip(supp, scale):
-        wi = w.get(i, 0.0) - factor * (gp * v) / (q * q)
+        wi = w.get(i, 0.0) - factor * (gp * (v / q)) / q
         if not math.isfinite(wi):
             raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
         w[i] = wi
@@ -252,48 +267,34 @@ def _update_sgd(l: Learner, supp, gp, scale):
         w[i] = wi
 
 
-def _accumulate(g: "GridLearner", cols, grad):
-    Gb = g.G[:, cols] + grad * grad
-    g.G[:, cols] = Gb
-    return Gb
+
+def _rate_ng(g):
+    return g.t / g.N if g.N != 0.0 else None
 
 
-def _step_ng(g: "GridLearner", Wx, x, gp, cols, scale):
-    if g.N == 0.0:
-        return None, None
-    factor = g.etas * (g.t / g.N)
-    scale = np.array(scale)
-    return Wx - (factor[:, None] * (gp[:, None] * x)) / (scale * scale), None
+def _rate_nag(g):
+    return math.sqrt(g.t / g.N) if g.N != 0.0 else None
 
 
-def _step_nag(g: "GridLearner", Wx, x, gp, cols, scale):
-    if g.N == 0.0:
-        return None, None
-    grad = gp[:, None] * x
-    Gb = _accumulate(g, cols, grad)
-    num = (g.etas * math.sqrt(g.t / g.N))[:, None] * grad
-    return (Wx - np.divide(num, scale * np.sqrt(Gb), out=np.zeros_like(num), where=Gb != 0.0),
-            Gb)
+def _rate_one(g):
+    return 1.0
 
 
-def _step_adagrad(g: "GridLearner", Wx, x, gp, cols, scale):
-    grad = gp[:, None] * x
-    Gb = _accumulate(g, cols, grad)
-    num = g.etas[:, None] * grad
-    return Wx - np.divide(num, np.sqrt(Gb), out=np.zeros_like(num), where=Gb != 0.0), Gb
+class _Stage(NamedTuple):
+    stats: Callable     # both learners
+    update: Callable    # Learner's step over dicts
+    rate: Callable      # GridLearner: the factor of eta in a row's step, None for no step
+    sums: bool          # GridLearner: the rows keep gradient sums G
+    over_scale: bool    # GridLearner: the step takes x_i / scale_i for x_i
 
 
-def _step_sgd(g: "GridLearner", Wx, x, gp, cols, scale):
-    return Wx - (g.etas * gp)[:, None] * x, None
-
-
-# kind -> (stats, scalar step, grid step)
+# kind -> (stats, scalar step, grid rate, keeps G, steps in x / scale)
 _STAGES = {
-    "ng": (_stats_ng, _update_ng, _step_ng),
-    "nag": (_stats_nag, _update_nag, _step_nag),
-    "snag": (_stats_snag, _update_nag, _step_nag),
-    "adagrad": (_no_stats, _update_adagrad, _step_adagrad),
-    "sgd": (_no_stats, _update_sgd, _step_sgd),
+    "ng": _Stage(_stats_ng, _update_ng, _rate_ng, False, True),
+    "nag": _Stage(_stats_nag, _update_nag, _rate_nag, True, False),
+    "snag": _Stage(_stats_snag, _update_nag, _rate_nag, True, False),
+    "adagrad": _Stage(_no_stats, _update_adagrad, _rate_one, True, False),
+    "sgd": _Stage(_no_stats, _update_sgd, _rate_one, False, False),
 }
 
 
@@ -329,33 +330,57 @@ class ColumnMap(dict):
         return out
 
 
-class GridLearner:
-    """One learner kind and loss at every learning rate of a grid.
+class _GridKind:
+    """One kind's rows of a GridLearner: the slice ``rows`` of W and its
+    stream statistics, which are a Learner's (t, s, sigma, N). ``fault`` is
+    set when the statistics themselves fail; the rows then stay at zero."""
 
-    Row r follows Learner(LearnerConfig(kind, etas[r], clip_c), loss) up to
-    the summation order of the prediction. A row whose raw prediction, loss,
-    weights or gradient sums turn non-finite is reported by ``observe`` and
-    reset to zero so that it stays finite; its later results mean nothing.
-    Run it under ``np.errstate``, since such rows overflow by design.
-    """
-
-    def __init__(self, kind: str, etas: Sequence[float], loss: Loss,
-                 clip_c: Optional[float] = None, columns: Optional[ColumnMap] = None):
-        for eta in etas:
-            LearnerConfig(kind, eta, clip_c)   # the scalar path's validation
-        self.loss = loss
-        self.clip_c = clip_c
-        self.etas = np.array(etas, dtype=float)
+    def __init__(self, kind: str, rows: slice):
+        self.kind, self.rows = kind, rows
+        self.stage = _STAGES[kind]
         self.s: dict = {}
         self.sigma: dict = {}
         self.N = 0.0
         self.t = 0
+        self.fault: Optional[str] = None
+
+
+class GridLearner:
+    """Learner kinds and one loss at every learning rate of a grid, as the
+    rows of one weight matrix.
+
+    Rows are kind-major: row k * len(etas) + j follows
+    Learner(LearnerConfig(kinds[k], etas[j], clip_c), loss) up to the
+    summation order of the prediction. W holds every row and G the rows of
+    the kinds that keep gradient sums. A row whose prediction, loss, weights
+    or gradient sums turn non-finite is reported by ``observe`` and reset to
+    zero so that it stays finite; its later results mean nothing. A kind
+    whose statistics fail faults all its rows, and the other kinds go on.
+    Run it under ``np.errstate``, since such rows overflow by design.
+    """
+
+    def __init__(self, kinds: Sequence[str], etas: Sequence[float], loss: Loss,
+                 clip_c: Optional[float] = None, columns: Optional[ColumnMap] = None):
+        for kind in kinds:
+            for eta in etas:
+                LearnerConfig(kind, eta, clip_c)   # the scalar path's validation
+        n = len(etas)
+        self.kinds = [_GridKind(kind, slice(k * n, (k + 1) * n)) for k, kind in enumerate(kinds)]
+        self.loss = loss
+        self.clip_c = clip_c
+        self.etas = np.tile(np.array(etas, dtype=float), len(kinds))
         # feature index -> column of W and G, possibly shared with other
         # grid learners over the same stream
         self.columns = ColumnMap() if columns is None else columns
-        self.W = np.zeros((len(etas), 16))
-        self.G = np.zeros_like(self.W) if kind in ("nag", "snag", "adagrad") else None
-        self._stats, _, self._step = _STAGES[kind]
+        self.W = np.zeros((len(self.etas), 16))
+        # G holds the rows of the kinds that keep gradient sums: G row j is
+        # W row _g_ids[j], and W[_g_rows] selects them, by a slice (so a
+        # view) when they are contiguous
+        g = self._g_ids = np.array([r for k in self.kinds if k.stage.sums
+                                    for r in range(k.rows.start, k.rows.stop)], dtype=np.intp)
+        contiguous = len(g) > 0 and g[-1] - g[0] == len(g) - 1
+        self._g_rows = slice(g[0], g[-1] + 1) if contiguous else g
+        self.G = np.zeros((len(g), 16)) if len(g) else None
 
     def _gather(self, supp):
         """(column indices, values) of the support, growing W and G to hold
@@ -370,41 +395,91 @@ class GridLearner:
     def predict(self, ex: SparseExample) -> np.ndarray:
         """Raw predictions of every row, without observing the example."""
         cols, x = self._gather(ex.features)
-        return self.W[:, cols] @ x
+        return self._dot(self.W[:, cols], x)
+
+    def _dot(self, Wx, x):
+        """Wx @ x, one product per kind: BLAS sums a row in an order that
+        depends on the number of rows."""
+        return np.concatenate([Wx[k.rows] @ x for k in self.kinds])
 
     def observe(self, ex: SparseExample):
         """Learner.observe for every row at once.
 
         Returns (predictions, progressive losses, faults), the first two
-        (n_eta,) arrays and faults a dict row -> reason for the rows that
-        turned non-finite on this example.
+        arrays over the rows and faults a dict row -> reason for the rows
+        that turned non-finite on this example.
         """
-        self.t += 1
-        supp = ex.features
-        factors, scale = self._stats(self, supp)
-        cols, x = self._gather(supp)
-        Wx = self.W[:, cols]
-        if factors is not None:
-            Wx *= [factors.get(i, 1.0) for i, _ in supp]
-        raw = Wx @ x
-        yhat = raw if self.clip_c is None else np.clip(raw, -self.clip_c, self.clip_c)
         if self.loss.classification:
             _check_binary_label(ex.label)
+        supp = ex.features
+        cols, x = self._gather(supp)
+        Wx = self.W[:, cols]
+        den = np.empty(Wx.shape)
+        rates = np.empty(len(Wx))
+        faults = {}
+        squashed = False
+        idle = []   # the rows of kinds that take no step
+        over_scale = []   # (rows, x / scale) of the kinds that step in x / scale
+        for k in self.kinds:
+            rate, scale = None, None
+            if k.fault is None:
+                k.t += 1
+                try:
+                    factors, scale = k.stage.stats(k, supp)
+                except _NUMERIC_ERRORS as e:
+                    k.fault = _fault_reason(e)
+                    faults.update(dict.fromkeys(range(k.rows.start, k.rows.stop), k.fault))
+                else:
+                    if factors is not None:
+                        Wx[k.rows] *= [factors.get(i, 1.0) for i, _ in supp]
+                        squashed = True
+                    rate = k.stage.rate(k)
+            if rate is None:
+                idle.append(k.rows)
+                rate = 0.0
+            rates[k.rows] = rate
+            if scale is None:
+                den[k.rows] = 1.0
+            else:
+                q = den[k.rows] = np.array(scale)
+                if k.stage.over_scale:
+                    over_scale.append((k.rows, x / q))
+
+        raw = self._dot(Wx, x)
+        yhat = raw if self.clip_c is None else np.clip(raw, -self.clip_c, self.clip_c)
         lval, gp = self.loss.values_and_derivatives(yhat, ex.label)
 
-        new, Gb = self._step(self, Wx, x, gp, cols, scale) if supp and gp.any() else (None, None)
-        if new is None:
-            new = Wx
-        if new is not Wx or factors is not None:
+        new, Gb = Wx, None
+        if supp and gp.any():
+            grad = gp[:, None] * x
+            for rows, r in over_scale:
+                grad[rows] = gp[rows, None] * r
+            for rows in idle:
+                grad[rows] = 0.0
+            step = (self.etas * rates)[:, None] * grad
+            if self.G is not None:
+                g = grad[self._g_rows]
+                Gb = self.G[:, cols] + g * g
+                self.G[:, cols] = Gb
+                den[self._g_rows] *= np.sqrt(Gb)
+                if not Gb.all():   # a zero gradient sum makes no step
+                    r, c = np.nonzero(Gb == 0.0)
+                    r = self._g_ids[r]
+                    step[r, c], den[r, c] = 0.0, 1.0
+            step /= den
+            new = Wx - step
+        if new is not Wx or squashed:
             self.W[:, cols] = new
 
-        faults = {}
+        checked = new.sum() + yhat.sum() + lval.sum()
         if Gb is not None:
-            _block_faults(faults, "gradient sum", Gb, supp)
-        _block_faults(faults, "weight", new, supp)
-        if not math.isfinite(raw.sum() + lval.sum()):
-            for r in np.flatnonzero(~np.isfinite(raw)):
-                faults.setdefault(int(r), f"non-finite prediction {float(raw[r])!r}")
+            checked += Gb.sum()
+        if not math.isfinite(checked):   # a cheap test first: inf and nan propagate
+            if Gb is not None:
+                _block_faults(faults, "gradient sum", Gb, supp, self._g_ids)
+            _block_faults(faults, "weight", new, supp)
+            for r in np.flatnonzero(~np.isfinite(yhat)):
+                faults.setdefault(int(r), f"non-finite prediction {float(yhat[r])!r}")
             for r in np.flatnonzero(~np.isfinite(lval)):
                 faults.setdefault(int(r), f"non-finite loss {float(lval[r])!r} "
                                           f"at prediction {float(yhat[r])!r}")
@@ -412,17 +487,31 @@ class GridLearner:
             rows = list(faults)
             self.W[rows] = 0.0
             if self.G is not None:
-                self.G[rows] = 0.0
+                self.G[np.isin(self._g_ids, rows)] = 0.0
         return yhat, lval, faults
 
 
-def _block_faults(faults: dict, what: str, block: np.ndarray, supp):
+def _block_faults(faults: dict, what: str, block: np.ndarray, supp, rows=None):
     """Add to faults, for each row of a (rows, support) block without a
-    fault yet, its first non-finite entry."""
-    if not math.isfinite(block.sum()):   # a cheap test first: inf and nan propagate
-        for r, k in zip(*np.nonzero(~np.isfinite(block))):
-            faults.setdefault(int(r), f"non-finite {what} {float(block[r, k])!r} "
-                                      f"at coordinate {supp[k][0]}")
+    fault yet, its first non-finite entry; rows maps the block's rows to
+    grid rows."""
+    for r, k in zip(*np.nonzero(~np.isfinite(block))):
+        row = int(r if rows is None else rows[r])
+        faults.setdefault(row, f"non-finite {what} {float(block[r, k])!r} "
+                               f"at coordinate {supp[k][0]}")
+
+
+# the errors of an update that a NumericFault reports: math.fsum raises
+# OverflowError or ValueError on overflowing terms, a zero scale
+# ZeroDivisionError
+_NUMERIC_ERRORS = (NumericFault, ArithmeticError, ValueError)
+
+
+def _fault_reason(e: Exception) -> str:
+    """What a NumericFault says of a numeric error raised by an update."""
+    if isinstance(e, (OverflowError, ValueError)):   # math.fsum over overflowing terms
+        return f"non-finite sum ({e})"
+    return str(e)
 
 
 # ---------------------------------------------------------------------------
@@ -440,12 +529,10 @@ def progressive(stream: Iterable[SparseExample], step):
     for n, ex in enumerate(stream, start=1):
         try:
             out = step(ex)
-        except (NumericFault, InvalidLabel) as e:
-            raise type(e)(f"example {n}: {e}") from e
-        except (OverflowError, ValueError) as e:   # math.fsum over overflowing terms
-            raise NumericFault(f"example {n}: non-finite sum ({e})") from e
-        except ZeroDivisionError as e:   # a scale whose square underflows to 0
-            raise NumericFault(f"example {n}: {e}") from e
+        except InvalidLabel as e:
+            raise InvalidLabel(f"example {n}: {e}") from e
+        except _NUMERIC_ERRORS as e:
+            raise NumericFault(f"example {n}: {_fault_reason(e)}") from e
         yield out
     if n == 0:
         raise ValueError("stream yielded no examples")

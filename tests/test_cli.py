@@ -331,6 +331,47 @@ class TestExitCodes:
             "train", "--data", str(path), "--learner", kind, "--loss", loss, "--eta", "1",
         ]) == (3, "", "numeric fault: example 1: non-finite gradient sum inf at coordinate 0\n")
 
+    def test_statistics_fault_in_a_sweep_names_the_example(self, capsys, tmp_path):
+        # snag's sum of squares overflows on example 2; the sgd cell goes on
+        path = tmp_path / "d.txt"
+        path.write_text("1 0:1e154\n" * 2)
+        reason = "example 2: non-finite sum of squares inf at coordinate 0"
+        code, out, err = run_cli(capsys, [
+            "sweep", "--data", str(path), "--learners", "snag,sgd", "--loss", "hinge",
+            "--eta-grid", "1..1"])
+        assert code == 0, err
+        snag, sgd = strict_json(out)["cells"]
+        assert snag["error"] == reason
+        assert sgd["error"] is None and sgd["training_loss"] is not None
+        assert run_cli(capsys, [
+            "train", "--data", str(path), "--learner", "snag", "--loss", "hinge", "--eta", "1",
+        ]) == (3, "", f"numeric fault: {reason}\n")
+
+    def test_train_and_sweep_check_the_clipped_prediction(self, capsys, tmp_path):
+        # the raw second prediction overflows, the clipped one is 1
+        path = tmp_path / "d.txt"
+        path.write_text("1 0:1.5e154 1:1.5e154\n" * 2)
+        train = run_report(capsys, [
+            "train", "--data", str(path), "--learner", "sgd", "--loss", "hinge", "--eta", "1",
+            "--clip-c", "1"])
+        sweep = run_report(capsys, [
+            "sweep", "--data", str(path), "--learners", "sgd", "--loss", "hinge",
+            "--eta-grid", "1..1", "--clip-c", "1"])
+        [cell] = sweep["cells"]
+        assert cell["error"] is None
+        assert cell["training_loss"] == train["average_loss"] == 0.5
+
+    @pytest.mark.parametrize("value", ["1e-300", "1.5e154"])
+    def test_ng_runs_at_extreme_feature_scales(self, capsys, tmp_path, value):
+        path = tmp_path / "d.txt"
+        path.write_text(f"1 0:{value}\n-1 0:{value}\n")
+        train = run_report(capsys, [
+            "train", "--data", str(path), "--learner", "ng", "--loss", "hinge", "--eta", "1"])
+        sweep = run_report(capsys, [
+            "sweep", "--data", str(path), "--learners", "ng", "--loss", "hinge",
+            "--eta-grid", "1..1"])
+        assert sweep["cells"][0]["training_loss"] == train["average_loss"] == 1.5
+
     def test_overflowing_regression_loss_scale_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("1e200 0:1\n-1 0:1\n")

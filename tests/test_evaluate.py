@@ -247,6 +247,26 @@ class TestSweepMatchesScalar:
             for cell, res in _matches_scalar(rep, reference):
                 assert cell.eval_loss == res.average_eval_loss, cell
 
+    @pytest.mark.parametrize("case", ["logistic", "hinge-clip", "squared", "multiclass"])
+    def test_one_grid_equals_a_sweep_per_kind(self, case):
+        # every kind's rows of the one grid against a sweep of that kind alone
+        if case == "multiclass":
+            rng = np.random.default_rng(8)
+            stream = [ex({c: 1.0, 3: float(rng.normal() * 0.1), 4: float(rng.normal() * 100.0)},
+                         float(c)) for c in rng.integers(0, 3, size=200).tolist()]
+            kw = dict(loss="logistic", multiclass=True)
+        else:
+            stream = synth_figure1(1.0, 150, seed=3)
+            kw = {"logistic": dict(loss="logistic"),
+                  "hinge-clip": dict(loss="hinge", clip_c=1.0),
+                  "squared": dict(loss="squared", task="regression")}[case]
+        rep = sweep(SweepSpec(kinds=list(KINDS), **kw), stream)
+        alone = [sweep(SweepSpec(kinds=[kind], **kw), stream) for kind in KINDS]
+        assert rep.cells == [c for r in alone for c in r.cells]
+        assert rep.best == {k: v for r in alone for k, v in r.best.items()}
+        if case == "squared":
+            assert sum(c.error is not None for c in rep.cells) == 5
+
     def test_invalid_label_fails_every_cell_of_the_kind(self):
         stream = [ex({0: 1.0}, 1.0), ex({0: 2.0}, 2.0)]
         rep = sweep(SweepSpec(kinds=["nag"], loss="hinge", eta_grid=[0.5, 1.0]), stream)

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nol.core import SparseExample, get_loss
+from nol.data import synth_figure1
 from nol.errors import NumericFault
 from nol.learners import KINDS, ColumnMap, GridLearner, Learner, LearnerConfig, run_stream
 from nol.regret import apply_scaling, random_instance
 
 SQ = get_loss("squared")
+HINGE = get_loss("hinge")
 
 
 def ex(feats, y=1.0):
@@ -112,6 +116,31 @@ class TestInvariants:
         for a, b in zip(r1.predictions, r2.predictions):
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
+    # Any positive scaling, not only powers of two: the traces then agree up
+    # to rounding. The worst difference measured over ~8,700 such draws was
+    # 4.8e-12 relative (ng, squared loss, eta = 2, where constant steps
+    # amplify rounding). Hinge loss is left out: its subgradient jumps at
+    # margin 1, so a margin of 1 - 1e-16 against 1.0 takes another step
+    # (0.39 relative in 1 of ~1,300 hinge draws); test_scale_invariance
+    # covers it with exact scalings.
+    LOG_UNIFORM_RTOL = 1e-10
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["ng", "nag", "snag"]),
+           loss_kind=st.sampled_from(["squared", "logistic"]),
+           seed=st.integers(0, 2 ** 16), T=st.integers(2, 60), eta_exp=st.integers(-4, 2),
+           exponents=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=5))
+    def test_log_uniform_scale_invariance(self, kind, loss_kind, seed, T, eta_exp, exponents):
+        loss = get_loss(loss_kind)
+        stream = random_instance(seed, d=len(exponents), T=T,
+                                 classification=loss_kind != "squared")
+        D = {i: 10.0 ** e for i, e in enumerate(exponents)}
+        config = LearnerConfig(kind, 2.0 ** eta_exp)
+        r1 = run_stream(config, loss, stream, keep_predictions=True)
+        r2 = run_stream(config, loss, list(apply_scaling(stream, D)), keep_predictions=True)
+        for a, b in zip(r1.predictions, r2.predictions):
+            assert abs(a - b) <= self.LOG_UNIFORM_RTOL * max(1.0, abs(a))
+
     @pytest.mark.parametrize("kind", ["ng", "nag", "snag"])
     def test_scaled_weights_are_divided(self, kind):
         stream = random_instance(8, d=4, T=200)
@@ -214,7 +243,7 @@ class TestGridLearner:
         stream = random_instance(4, d=5, T=120)
         loss = get_loss("logistic")
         etas = [0.01, 0.1, 1.0]
-        grid = GridLearner(kind, etas, loss)
+        grid = GridLearner([kind], etas, loss)
         scalars = [Learner(LearnerConfig(kind, eta), loss) for eta in etas]
         for x in stream:
             yhat, lval, faults = grid.observe(x)
@@ -223,15 +252,16 @@ class TestGridLearner:
                 want_yhat, want_lval = learner.observe(x)
                 assert yhat[r] == pytest.approx(want_yhat, rel=1e-9, abs=1e-12)
                 assert lval[r] == pytest.approx(want_lval, rel=1e-9)
+        stats = grid.kinds[0]
         for learner in scalars:
-            assert (grid.t, grid.N, grid.s, grid.sigma) == \
+            assert (stats.t, stats.N, stats.s, stats.sigma) == \
                    (learner.t, learner.N, learner.s, learner.sigma)
         for r, learner in enumerate(scalars):
             for i, c in grid.columns.items():
                 assert grid.W[r, c] == pytest.approx(learner.w.get(i, 0.0), rel=1e-9, abs=1e-12)
 
     def test_columns_grow_past_capacity(self):
-        grid = GridLearner("nag", [0.5, 1.0], SQ)
+        grid = GridLearner(["nag"], [0.5, 1.0], SQ)
         for i in range(40):
             grid.observe(ex({i: 1.0, 1000 + i: -2.0}))
         assert len(grid.columns) == 80 and grid.W.shape == (2, 128) == grid.G.shape
@@ -241,8 +271,8 @@ class TestGridLearner:
         stream = random_instance(7, d=6, T=80)
         shared = ColumnMap()
         loss = get_loss("logistic")
-        pairs = [(GridLearner(kind, [0.1, 1.0], loss, columns=shared),
-                  GridLearner(kind, [0.1, 1.0], loss)) for kind in KINDS]
+        pairs = [(GridLearner([kind], [0.1, 1.0], loss, columns=shared),
+                  GridLearner([kind], [0.1, 1.0], loss)) for kind in KINDS]
         for x in stream:
             cols, values = shared.gather(x.features)
             assert shared.gather(x.features) is shared.gather(x.features)
@@ -257,6 +287,67 @@ class TestGridLearner:
                 assert a.W[:, shared[i]].tolist() == b.W[:, c].tolist()
 
 
+class TestStackedGrid:
+    """A grid of several kinds is the one-kind grids of its kinds, row block
+    by row block, bit for bit."""
+
+    ETAS = [2.0 ** e for e in range(-8, 7, 2)]
+    # the gradient-sum rows (nag, adagrad, snag) are not contiguous in W
+    ORDER = ("nag", "ng", "adagrad", "sgd", "snag")
+
+    @pytest.mark.parametrize("loss_kind,clip_c", [("logistic", None), ("hinge", 1.0),
+                                                  ("squared", None)])
+    def test_kind_rows_equal_one_kind_grids(self, loss_kind, clip_c):
+        # on squared loss, ng at eta 16 and 64 and sgd at 64 overflow
+        stream = synth_figure1(1.0, 150, seed=3)
+        loss, n = get_loss(loss_kind), len(self.ETAS)
+        stacked = GridLearner(self.ORDER, self.ETAS, loss, clip_c)
+        singles = [GridLearner([kind], self.ETAS, loss, clip_c) for kind in self.ORDER]
+        faulted = set()
+        with np.errstate(all="ignore"):
+            for x in stream:
+                yhat, lval, faults = stacked.observe(x)
+                want_faults = {}
+                for k, single in enumerate(singles):
+                    y1, l1, f1 = single.observe(x)
+                    np.testing.assert_array_equal(yhat[k * n:(k + 1) * n], y1)
+                    np.testing.assert_array_equal(lval[k * n:(k + 1) * n], l1)
+                    want_faults.update({k * n + r: why for r, why in f1.items()})
+                assert faults == want_faults
+                faulted.update(faults)
+        g = 0
+        for k, single in enumerate(singles):
+            np.testing.assert_array_equal(stacked.W[k * n:(k + 1) * n], single.W)
+            if single.G is not None:
+                np.testing.assert_array_equal(stacked.G[g:g + n], single.G)
+                g += n
+        assert g == len(stacked.G)
+        if loss_kind == "squared":
+            assert {(self.ORDER[r // n], self.ETAS[r % n]) for r in faulted} == \
+                   {("ng", 16.0), ("ng", 64.0), ("sgd", 64.0)}
+
+    def test_statistics_fault_fails_only_its_kind(self):
+        # snag's sum of squares overflows on the second example; sgd and ng
+        # go on exactly as they would without snag beside them
+        stream = [ex({0: 1e154}), ex({0: 1e154})] + \
+                 [ex({1: float(k % 3 + 1)}, 1.0 if k % 2 else -1.0) for k in range(20)]
+        kinds = ["sgd", "snag", "ng"]
+        stacked = GridLearner(kinds, [0.5, 1.0], HINGE)
+        others = GridLearner(["sgd", "ng"], [0.5, 1.0], HINGE)
+        faults = []
+        with np.errstate(all="ignore"):
+            for x in stream:
+                faults.append(stacked.observe(x)[2])
+                assert others.observe(x)[2] == {}
+        reason = "non-finite sum of squares inf at coordinate 0"
+        assert faults[1] == {2: reason, 3: reason}
+        assert all(f == {} for i, f in enumerate(faults) if i != 1)
+        assert [k.fault for k in stacked.kinds] == [None, reason, None]
+        assert not stacked.W[2:4].any() and not stacked.G.any()
+        np.testing.assert_array_equal(stacked.W[[0, 1, 4, 5]], others.W)
+        assert others.W[:, others.columns[1]].all()
+
+
 class TestGradientSumOverflow:
     # the first squared-loss gradient is -2e160, so its square overflows whatever eta is
     @pytest.mark.parametrize("kind", ["nag", "snag", "adagrad"])
@@ -268,7 +359,7 @@ class TestGradientSumOverflow:
 
     @pytest.mark.parametrize("kind", ["nag", "snag", "adagrad"])
     def test_grid_rows_fault_and_reset(self, kind):
-        grid = GridLearner(kind, [0.5, 1.0], SQ)
+        grid = GridLearner([kind], [0.5, 1.0], SQ)
         with np.errstate(all="ignore"):
             _, _, faults = grid.observe(ex({0: 1e10}, 1e150))
         assert faults == {r: "non-finite gradient sum inf at coordinate 0" for r in (0, 1)}
@@ -285,7 +376,24 @@ class TestStatisticsOverflow:
 
     @pytest.mark.parametrize("kind", ["ng", "nag"])
     def test_normalizer(self, kind):
-        # x^2 / max|x|^2 is inf / inf
-        learner = Learner(LearnerConfig(kind, 1.0), get_loss("hinge"))
-        with pytest.raises(NumericFault, match=r"^non-finite normalizer nan$"):
-            learner.observe(ex({0: 1.5e154}))
+        # N adds (x / max|x|)^2 = 1 at any scale, where x^2 / max|x|^2 was
+        # 0 / 0 at 1e-300 and inf / inf at 1.5e154; ng's squash factor and
+        # step divide before they square too
+        for v in (1e-300, 1.5e154):
+            learner = Learner(LearnerConfig(kind, 1.0), HINGE)
+            grid = GridLearner([kind], [1.0], HINGE)
+            if kind == "nag" and v == 1.5e154:   # (gp * x)^2 overflows whatever the scale
+                with pytest.raises(NumericFault,
+                                   match=r"^non-finite gradient sum inf at coordinate 0$"):
+                    learner.observe(ex({0: v}))
+                with np.errstate(all="ignore"):
+                    assert grid.observe(ex({0: v}))[2] == \
+                           {0: "non-finite gradient sum inf at coordinate 0"}
+                continue
+            for x in (ex({0: v}), ex({0: 2 * v}), ex({0: -v}, -1.0)):
+                yhat, lval = learner.observe(x)
+                gy, gl, faults = grid.observe(x)
+                assert (gy.tolist(), gl.tolist(), faults) == ([yhat], [lval], {})
+            assert learner.N == grid.kinds[0].N == 2.25
+            w = learner.w.get(0, 0.0)
+            assert math.isfinite(w) and grid.W[0, 0] == w
