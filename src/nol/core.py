@@ -1,9 +1,9 @@
 """Sparse examples, convex losses, and prediction primitives.
 
 Everything downstream (learners, conditioners, the regret lab) works with
-``SparseExample`` and one of the three losses defined here. Each loss has a
-scalar form for one prediction and a numpy form for an array of them, with
-the same expressions in both.
+``SparseExample`` and one of the three losses defined here. Each loss
+writes its value and derivative twice, in a scalar form for one prediction
+and a numpy form for an array of them, with the same expressions in both.
 """
 
 from __future__ import annotations
@@ -84,28 +84,31 @@ def _finite(what: str, value: float, yhat: Optional[float] = None) -> float:
 class Loss:
     """A convex loss of the prediction with its derivative d loss / d yhat.
 
-    ``values`` and ``values_and_derivatives`` are the elementwise numpy forms
-    over an array of predictions; y is an array of labels or one label for
-    all of them. They do not check labels.
+    A loss defines two forms of (loss, derivative): ``value_and_derivative``
+    for one prediction, which checks a classification label, and
+    ``values_and_derivatives``, elementwise over a numpy array of
+    predictions, where y is an array of labels or one label for all of them
+    and labels are not checked. The two forms evaluate the same expressions.
+    ``value``, ``derivative`` and ``values`` are read off them.
     """
 
     kind = "abstract"
     classification = False
 
-    def value(self, yhat: float, y: float) -> float:
-        raise NotImplementedError
-
-    def derivative(self, yhat: float, y: float) -> float:
-        raise NotImplementedError
-
     def value_and_derivative(self, yhat: float, y: float):
-        return self.value(yhat, y), self.derivative(yhat, y)
-
-    def values(self, preds: np.ndarray, y) -> np.ndarray:
         raise NotImplementedError
 
     def values_and_derivatives(self, preds: np.ndarray, y):
         raise NotImplementedError
+
+    def value(self, yhat: float, y: float) -> float:
+        return self.value_and_derivative(yhat, y)[0]
+
+    def derivative(self, yhat: float, y: float) -> float:
+        return self.value_and_derivative(yhat, y)[1]
+
+    def values(self, preds: np.ndarray, y) -> np.ndarray:
+        return self.values_and_derivatives(preds, y)[0]
 
     def __repr__(self):
         return f"Loss({self.kind})"
@@ -114,40 +117,23 @@ class Loss:
 class SquaredLoss(Loss):
     kind = "squared"
 
-    def value(self, yhat, y):
+    def value_and_derivative(self, yhat, y):
         d = yhat - y
-        return d * d
-
-    def derivative(self, yhat, y):
-        return 2.0 * (yhat - y)
-
-    def values(self, preds, y):
-        d = preds - y
-        return d * d
-
-    def values_and_derivatives(self, preds, y):
-        d = preds - y
         return d * d, 2.0 * d
+
+    values_and_derivatives = value_and_derivative   # the same expressions on arrays
 
 
 class HingeLoss(Loss):
     kind = "hinge"
     classification = True
 
-    def value(self, yhat, y):
+    # Subgradient; at the kink y*yhat == 1 we take 0, which avoids spurious
+    # updates on exactly-margin examples.
+    def value_and_derivative(self, yhat, y):
         _check_binary_label(y)
-        return max(0.0, 1.0 - y * yhat)
-
-    def derivative(self, yhat, y):
-        # Subgradient; at the kink y*yhat == 1 we take 0, which avoids
-        # spurious updates on exactly-margin examples.
-        _check_binary_label(y)
-        if y * yhat < 1.0:
-            return -y
-        return 0.0
-
-    def values(self, preds, y):
-        return np.maximum(0.0, 1.0 - y * preds)
+        m = y * yhat
+        return max(0.0, 1.0 - m), (-y if m < 1.0 else 0.0)
 
     def values_and_derivatives(self, preds, y):
         m = y * preds
@@ -158,28 +144,18 @@ class LogisticLoss(Loss):
     kind = "logistic"
     classification = True
 
-    def value(self, yhat, y):
+    # Stable: ln(1 + e^{-m}) = max(0, -m) + ln(1 + e^{-|m|}), and the
+    # derivative -y * sigmoid(-m) is -y * e / (1 + e) for m >= 0 and
+    # -y / (1 + e) otherwise, with e = e^{-|m|}.
+    def value_and_derivative(self, yhat, y):
         _check_binary_label(y)
         m = y * yhat
-        # Stable ln(1 + e^{-m}) = max(0, -m) + ln(1 + e^{-|m|})
-        return max(0.0, -m) + math.log1p(math.exp(-abs(m)))
-
-    def derivative(self, yhat, y):
-        _check_binary_label(y)
-        m = y * yhat
-        # -y * sigmoid(-m), computed stably
-        if m >= 0:
-            return -y * math.exp(-m) / (1.0 + math.exp(-m))
-        return -y / (1.0 + math.exp(m))
-
-    def values(self, preds, y):
-        m = y * preds
-        return np.maximum(0.0, -m) + np.log1p(np.exp(-np.abs(m)))
+        e = math.exp(-abs(m))
+        return max(0.0, -m) + math.log1p(e), -y * ((e if m >= 0.0 else 1.0) / (1.0 + e))
 
     def values_and_derivatives(self, preds, y):
         m = y * preds
         e = np.exp(-np.abs(m))
-        # the scalar branches: e / (1 + e) for m >= 0, 1 / (1 + e) otherwise
         return (np.maximum(0.0, -m) + np.log1p(e),
                 -y * (np.where(m >= 0.0, e, 1.0) / (1.0 + e)))
 

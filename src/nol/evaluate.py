@@ -223,8 +223,8 @@ def sweep(spec: SweepSpec, examples: Iterable[SparseExample]) -> ComparisonRepor
     A row whose prediction, loss or weights turn non-finite becomes an error
     cell with the NumericFault message, and so do all rows of a kind whose
     statistics fail; the other rows go on. An error that concerns the whole
-    pass (an invalid label, say) marks every cell. Errors raised by the
-    stream itself (a malformed line) end the sweep.
+    pass (an invalid label, say) marks every cell, naming the example.
+    Errors raised by the stream itself (a malformed line) end the sweep.
     """
     loss = get_loss(spec.loss)
     loss_scale = None
@@ -239,7 +239,7 @@ def sweep(spec: SweepSpec, examples: Iterable[SparseExample]) -> ComparisonRepor
                 try:
                     run.observe(n, ex)
                 except (NolError, ArithmeticError) as e:   # failed cells are reported, not fatal
-                    run.failure = str(e)
+                    run.failure = f"example {n}: {e}"
     if n == 0:
         raise ValueError("no examples")
 

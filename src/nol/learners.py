@@ -24,9 +24,10 @@ demand. Each example is gathered, predicted, scored, stepped, scattered and
 scanned for faults once for all rows. Grid learners over the same stream
 (one per class in a multiclass sweep) can share one ``ColumnMap``.
 
-Each kind is one row of ``_STAGES``: a statistics function, which both
-learners call, the scalar learner's step over its dicts, and the terms of
-the grid's one step for all rows.
+Each kind is one row of ``_STAGES``: a statistics function and the terms
+of the one step w_i -= (eta * rate) * (gp * u_i) / den_i, which both
+learners read, ``Learner`` over its dicts and ``GridLearner`` over all its
+rows at once.
 
 ``progressive`` folds a step over a stream and names the example in any
 numeric fault; ``run_stream`` and the scalar evaluations in
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -85,8 +87,7 @@ class Learner:
         self.G: dict = {}      # sum of squared per-coordinate gradients
         self.N = 0.0
         self.t = 0
-        stage = _STAGES[config.kind]
-        self._stats, self._update = stage.stats, stage.update
+        self._stage = _STAGES[config.kind]
 
     def predict(self, ex: SparseExample) -> float:
         return predict(self.w, ex)
@@ -99,7 +100,7 @@ class Learner:
         """
         self.t += 1
         supp = ex.features
-        factors, scale = self._stats(self, supp)
+        factors, scale = self._stage.stats(self, supp)
         w = self.w
         if factors is not None:
             for i, f in factors.items():
@@ -111,7 +112,7 @@ class Learner:
             yhat = clip_prediction(yhat, clip_c)
         lval, gp = self.loss.value_and_derivative(yhat, ex.label)
         if supp and gp != 0.0:
-            self._update(self, supp, gp, scale)
+            _step(self, supp, gp, scale)
         return _finite("prediction", yhat), _finite("loss", lval, yhat)
 
     def state_dump(self) -> dict:
@@ -134,18 +135,18 @@ class Learner:
 # A stats stage updates the stream statistics of a Learner or of one kind of
 # a GridLearner (s, sigma, N and t are the same plain dicts and floats in
 # both) and returns (feature -> squash factor, or None when nothing
-# squashes; the per-coordinate scale of the step). A scalar step updates a
-# Learner's weight dict in place. A grid row steps every coordinate of the
-# support at once by
+# squashes; the per-coordinate scale of the step). Both learners then step
+# every coordinate of the support by
 #
 #     w_i -= (eta * rate) * (gp * u_i) / den_i
 #
 # where rate is the kind's factor of eta, u_i is x_i / scale_i for ng and
 # x_i otherwise, and den_i is scale_i (ng), scale_i * sqrt(G_i) (nag,
-# snag), sqrt(G_i) (adagrad) or 1 (sgd), a zero G_i making no step. This is
-# the scalar step's operation order, so a grid row matches the scalar
-# learner up to the summation order of the prediction (and, for sgd, of
-# eta * gp * x_i).
+# snag), sqrt(G_i) (adagrad) or 1 (sgd), a zero G_i making no step:
+# ``_step`` over a Learner's dicts, GridLearner.observe over all its rows at
+# once, in the same order of operations. So a grid row matches the scalar
+# learner up to the summation order of the prediction and, on logistic
+# loss, numpy's exp and log1p, which can round otherwise than libm's.
 
 def _track_max(g, supp, squash):
     """ng/nag: running max |x_i|, squash(old max, new max) on growth."""
@@ -209,65 +210,6 @@ def _no_stats(g, supp):
     return None, None
 
 
-def _update_ng(l: Learner, supp, gp, scale):
-    if l.N == 0.0:
-        return
-    cfg, t, w = l.config, l.t, l.w
-    eta_t = cfg.eta / math.sqrt(t) if cfg.eta_decay else cfg.eta
-    factor = eta_t * (t / l.N)
-    for (i, v), q in zip(supp, scale):
-        wi = w.get(i, 0.0) - factor * (gp * (v / q)) / q
-        if not math.isfinite(wi):
-            raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
-        w[i] = wi
-
-
-def _update_nag(l: Learner, supp, gp, scale):
-    if l.N == 0.0:
-        return
-    w, G = l.w, l.G
-    rate = l.config.eta * math.sqrt(l.t / l.N)
-    for (i, v), q in zip(supp, scale):
-        g = gp * v
-        Gi = G.get(i, 0.0) + g * g
-        if not math.isfinite(Gi):
-            raise NumericFault(f"non-finite gradient sum {Gi!r} at coordinate {i}")
-        G[i] = Gi
-        if Gi == 0.0:
-            continue
-        wi = w.get(i, 0.0) - rate * g / (q * math.sqrt(Gi))
-        if not math.isfinite(wi):
-            raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
-        w[i] = wi
-
-
-def _update_adagrad(l: Learner, supp, gp, scale):
-    w, G, eta = l.w, l.G, l.config.eta
-    for i, v in supp:
-        g = gp * v
-        Gi = G.get(i, 0.0) + g * g
-        if not math.isfinite(Gi):
-            raise NumericFault(f"non-finite gradient sum {Gi!r} at coordinate {i}")
-        G[i] = Gi
-        if Gi == 0.0:
-            continue
-        wi = w.get(i, 0.0) - eta * g / math.sqrt(Gi)
-        if not math.isfinite(wi):
-            raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
-        w[i] = wi
-
-
-def _update_sgd(l: Learner, supp, gp, scale):
-    cfg, w = l.config, l.w
-    eta_t = cfg.eta / math.sqrt(l.t) if cfg.eta_decay else cfg.eta
-    for i, v in supp:
-        wi = w.get(i, 0.0) - eta_t * gp * v
-        if not math.isfinite(wi):
-            raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
-        w[i] = wi
-
-
-
 def _rate_ng(g):
     return g.t / g.N if g.N != 0.0 else None
 
@@ -281,21 +223,49 @@ def _rate_one(g):
 
 
 class _Stage(NamedTuple):
-    stats: Callable     # both learners
-    update: Callable    # Learner's step over dicts
-    rate: Callable      # GridLearner: the factor of eta in a row's step, None for no step
-    sums: bool          # GridLearner: the rows keep gradient sums G
-    over_scale: bool    # GridLearner: the step takes x_i / scale_i for x_i
+    stats: Callable     # the stream statistics
+    rate: Callable      # the factor of eta in the step, None for no step
+    sums: bool          # keeps gradient sums G
+    over_scale: bool    # the step takes x_i / scale_i for x_i
 
 
-# kind -> (stats, scalar step, grid rate, keeps G, steps in x / scale)
+# kind -> (stats, rate, keeps G, steps in x / scale)
 _STAGES = {
-    "ng": _Stage(_stats_ng, _update_ng, _rate_ng, False, True),
-    "nag": _Stage(_stats_nag, _update_nag, _rate_nag, True, False),
-    "snag": _Stage(_stats_snag, _update_nag, _rate_nag, True, False),
-    "adagrad": _Stage(_no_stats, _update_adagrad, _rate_one, True, False),
-    "sgd": _Stage(_no_stats, _update_sgd, _rate_one, False, False),
+    "ng": _Stage(_stats_ng, _rate_ng, False, True),
+    "nag": _Stage(_stats_nag, _rate_nag, True, False),
+    "snag": _Stage(_stats_snag, _rate_nag, True, False),
+    "adagrad": _Stage(_no_stats, _rate_one, True, False),
+    "sgd": _Stage(_no_stats, _rate_one, False, False),
 }
+
+
+def _step(l: Learner, supp, gp, scale):
+    """The step of a Learner over its dicts, the grid's one step in the
+    grid's order of operations. eta_decay divides eta by sqrt(t) for the
+    kinds without gradient sums, which decay through G."""
+    stage, cfg = l._stage, l.config
+    rate = stage.rate(l)
+    if rate is None:
+        return
+    eta = cfg.eta / math.sqrt(l.t) if cfg.eta_decay and not stage.sums else cfg.eta
+    lr = eta * rate
+    w, G, sums, over_scale = l.w, l.G, stage.sums, stage.over_scale
+    for (i, v), den in zip(supp, repeat(1.0) if scale is None else scale):
+        if over_scale:
+            v /= den
+        g = gp * v
+        if sums:
+            Gi = G.get(i, 0.0) + g * g
+            if not math.isfinite(Gi):
+                raise NumericFault(f"non-finite gradient sum {Gi!r} at coordinate {i}")
+            G[i] = Gi
+            if Gi == 0.0:
+                continue
+            den *= math.sqrt(Gi)
+        wi = w.get(i, 0.0) - lr * g / den
+        if not math.isfinite(wi):
+            raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
+        w[i] = wi
 
 
 class ColumnMap(dict):

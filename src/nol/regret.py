@@ -97,12 +97,8 @@ class LedgerRound:
 class RegretLedger:
     """Everything the bound evaluators need from one conditioned run."""
 
-    loss_kind: str
     C: float
-    eta: float
-    recipe: str
     projected: bool
-    clipped: bool
     rounds: List[LedgerRound] = field(default_factory=list)
     sum_g2: Dict[int, float] = field(default_factory=dict)
     box: EnclosingBox = field(default_factory=EnclosingBox)
@@ -125,7 +121,7 @@ class RegretLedger:
 
 def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
                     recipe: str = "streaming", q: int = 1, projection: bool = True,
-                    clip: bool = False, eta: float = SQRT2) -> RegretLedger:
+                    clip: bool = False) -> RegretLedger:
     """Run the conditioned update over the stream, filling a ledger.
 
     transductive: the enclosing box is computed in a first full pass and held
@@ -133,13 +129,13 @@ def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
     streaming: the box is a running estimate updated with each example before
     its conditioner is formed (Eq.-3 style; projection ball tracks the box).
     """
-    ledger = RegretLedger(loss.kind, C, eta, recipe, projection, clip)
+    ledger = RegretLedger(C, projection)
     if recipe == "transductive":
         full_box = EnclosingBox.from_stream(examples)
-        cond = DiagonalConditioner(recipe, C, eta, box=full_box)
+        cond = DiagonalConditioner(recipe, C, box=full_box)
         ledger.box = full_box
     else:
-        cond = DiagonalConditioner(recipe, C, eta)
+        cond = DiagonalConditioner(recipe, C)
         ledger.box = cond.box
 
     w: Dict[int, float] = {}
@@ -547,8 +543,7 @@ def _widened_report(check: str, regret: float, cert: OracleCertificate,
 def theorem1_check(examples: Sequence[SparseExample], loss: Loss, C: float) -> BoundReport:
     """Two-pass conditioner with per-step projection:
     R_T <= 2 sqrt(2) C sum_i sqrt(S_ii sum_j g_ji^2)."""
-    ledger = conditioned_run(examples, loss, C, recipe="transductive",
-                             q=1, projection=True)
+    ledger = conditioned_run(examples, loss, C, recipe="transductive")
     bound = 2.0 * SQRT2 * lemma2_bound(ledger.sum_g2, ledger.box, C)
     ball = ComparatorBall(ledger.box, C, q=1)
     _, wstar_loss, cert = best_in_hindsight(examples, loss, ball)
@@ -575,8 +570,7 @@ def theorem2_components(ledger: RegretLedger) -> Dict[int, float]:
 def theorem2_check(examples: Sequence[SparseExample], loss: Loss, C: float) -> BoundReport:
     """One-pass conditioner with projection onto the running box's ball:
     R_T <= C sum_i (sqrt(sum g^2)/max|x_i|) (1 + 6 Delta_i + Delta_i^2)/(2 sqrt 2)."""
-    ledger = conditioned_run(examples, loss, C, recipe="streaming",
-                             q=1, projection=True)
+    ledger = conditioned_run(examples, loss, C, recipe="streaming")
     per_coord = theorem2_components(ledger)
     bound = sum(per_coord.values())
     ball = ComparatorBall(ledger.box, C, q=1)
@@ -640,23 +634,29 @@ def _magnitudes(examples: Sequence[SparseExample], d: int) -> np.ndarray:
     return M
 
 
+def _corollary1_terms(examples: Sequence[SparseExample], d: int, delta: float, nu: float):
+    """tau, the (T, d) array of |x_ti|, max_t |x_ti| per coordinate, and the
+    quantile bound max / Quantile(|x_i|, 1-nu) of each coordinate seen."""
+    tau = corollary1_tau(d, delta, nu)
+    M = _magnitudes(examples, d)
+    total_max = M.max(axis=0)
+    bounds = {}
+    for i in range(d):
+        if total_max[i] > 0.0:
+            qv = nearest_rank_quantile(M[:, i], 1.0 - nu)
+            bounds[i] = total_max[i] / qv if qv > 0.0 else math.inf
+    return tau, M, total_max, bounds
+
+
 def corollary1_quantities(d: int, delta: float, nu: float,
                           examples: Sequence[SparseExample]) -> dict:
     """tau, per-coordinate Delta_i = max_{t<=T}|x_ti| / max_{t<=tau}|x_ti|,
     and the quantile bound max / Quantile(|x_i|, 1-nu) per coordinate."""
-    tau = corollary1_tau(d, delta, nu)
+    tau, M, total_max, bounds = _corollary1_terms(examples, d, delta, nu)
     T = len(examples)
-    M = _magnitudes(examples, d)
-    total_max = M.max(axis=0)
     prefix_max = M[: min(tau, T)].max(axis=0)
-    deltas = {}
-    bounds = {}
-    for i in range(d):
-        if total_max[i] == 0.0:
-            continue
-        deltas[i] = total_max[i] / prefix_max[i] if prefix_max[i] > 0.0 else math.inf
-        qv = nearest_rank_quantile(M[:, i], 1.0 - nu)
-        bounds[i] = total_max[i] / qv if qv > 0.0 else math.inf
+    deltas = {i: total_max[i] / prefix_max[i] if prefix_max[i] > 0.0 else math.inf
+              for i in bounds}
     return {
         "tau": tau,
         "delta": deltas,
@@ -670,16 +670,10 @@ def corollary1_montecarlo(examples: Sequence[SparseExample], d: int, delta: floa
     """Fraction of random permutations for which some Delta_i exceeds its
     quantile bound; the high-probability claim puts this at <= delta, checked
     here against delta + 3 sigma binomial slack."""
-    tau = corollary1_tau(d, delta, nu)
+    tau, M, total_max, bounds = _corollary1_terms(examples, d, delta, nu)
     T = len(examples)
-    M = _magnitudes(examples, d)
-    total_max = M.max(axis=0)
-    active = total_max > 0.0
-    bounds = np.full(d, np.inf)
-    for i in range(d):
-        if active[i]:
-            qv = nearest_rank_quantile(M[:, i], 1.0 - nu)
-            bounds[i] = total_max[i] / qv if qv > 0.0 else np.inf
+    active = list(bounds)
+    bound = np.array(list(bounds.values()))
 
     rng = np.random.default_rng(seed)
     violations = 0
@@ -689,7 +683,7 @@ def corollary1_montecarlo(examples: Sequence[SparseExample], d: int, delta: floa
         prefix = M[perm[: min(tau, T)]].max(axis=0)
         with np.errstate(divide="ignore"):
             deltas = np.where(prefix > 0.0, total_max / np.maximum(prefix, eps), np.inf)
-        if np.any(deltas[active] > bounds[active] + eps):
+        if np.any(deltas[active] > bound + eps):
             violations += 1
     frac = violations / n_permutations
     sigma = math.sqrt(delta * (1.0 - delta) / n_permutations)

@@ -157,6 +157,16 @@ class TestSweep:
         assert [c["error"] for c in rep["cells"]] == \
                ["example 1: non-finite gradient sum inf at coordinate 0"] * 6
 
+    def test_invalid_label_fails_every_cell_naming_the_example(self, capsys, tmp_path):
+        # nol train exits 2 on this file with the same words
+        path = tmp_path / "d.txt"
+        path.write_text("1 0:1\n2 0:1\n")
+        rep = run_report(capsys, ["sweep", "--data", str(path), "--learners", "nag",
+                                  "--loss", "hinge", "--eta-grid", "1..1"])
+        assert [c["error"] for c in rep["cells"]] == \
+               ["example 2: classification label must be -1 or +1, got 2.0"]
+        assert rep["best"] == {}
+
     def test_unknown_learner_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, [
             "sweep", "--synth", "figure1:T=10", "--learners", "nag,bogus",

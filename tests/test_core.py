@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from nol.core import SparseExample, get_loss, predict
@@ -123,6 +124,38 @@ class TestLosses:
         for _ in range(200):
             y = rnd.choice([-1.0, 1.0]) if kind != "squared" else rnd.uniform(-3, 3)
             assert loss.value(rnd.uniform(-10, 10), y) >= 0.0
+
+
+class TestLossForms:
+    """A loss's scalar and numpy forms evaluate the same expressions, so
+    they agree bit for bit, signed zeros included."""
+
+    # the hinge kink (m = 1), m = 0, and |m| = 800, where e^{-|m|} is 0
+    PREDS = [1.0, -1.0, 0.0, -0.0, 800.0, -800.0, 0.5, -3.25, 1e-300, 37.0, 2.0 ** 60]
+
+    @staticmethod
+    def _bits(pairs):
+        return [(float(v).hex(), float(d).hex()) for v, d in pairs]
+
+    @pytest.mark.parametrize("kind", ["squared", "hinge", "logistic"])
+    def test_scalar_form_is_array_form(self, kind):
+        loss = get_loss(kind)
+        preds = self.PREDS + np.random.default_rng(5).uniform(-40.0, 40.0, 400).tolist()
+        same = np.ones(len(preds), dtype=bool)
+        for y in ([-1.0, 1.0] if loss.classification else [-1.0, 0.3, 2.0]):
+            P = np.array(preds)
+            if kind == "logistic":
+                # numpy's vectorized exp and log1p round differently from
+                # libm's in the last place on some inputs; the two forms
+                # can agree bit for bit only where those agree
+                e = np.exp(-np.abs(y * P))
+                same = (e == [math.exp(-abs(y * p)) for p in preds]) & \
+                       (np.log1p(e) == [math.log1p(v) for v in e.tolist()])
+                assert same[2:6].all() and same.mean() > 0.5
+            got = zip(*loss.values_and_derivatives(P, y))
+            want = [loss.value_and_derivative(p, y) for p in preds]
+            assert [g for g, ok in zip(self._bits(got), same) if ok] == \
+                   [w for w, ok in zip(self._bits(want), same) if ok]
 
 
 class _NaNDerivative(type(get_loss("squared"))):

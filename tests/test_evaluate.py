@@ -271,7 +271,7 @@ class TestSweepMatchesScalar:
         stream = [ex({0: 1.0}, 1.0), ex({0: 2.0}, 2.0)]
         rep = sweep(SweepSpec(kinds=["nag"], loss="hinge", eta_grid=[0.5, 1.0]), stream)
         assert [c.error for c in rep.cells] == \
-               ["classification label must be -1 or +1, got 2.0"] * 2
+               ["example 2: classification label must be -1 or +1, got 2.0"] * 2
         assert rep.best == {}
 
 

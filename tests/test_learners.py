@@ -99,6 +99,34 @@ class TestClipping:
         assert lval == 0.25
 
 
+class TestEtaDecay:
+    def test_ng_second_step_takes_eta_over_sqrt2(self):
+        l = Learner(LearnerConfig("ng", 0.5, eta_decay=True), SQ)
+        l.observe(ex({0: 2.0}))
+        assert l.w[0] == 0.5   # t = 1: eta / sqrt(1) is eta
+        yhat, _ = l.observe(ex({0: 1.0}))
+        # t = 2, N = 1 + (1/2)^2, gp = 2 * (0.5 - 1): w -= (eta/sqrt2) (t/N) gp (x/s) / s
+        assert yhat == 0.5
+        assert l.w[0] == pytest.approx(0.5 + 0.2 / math.sqrt(2.0), rel=1e-15)
+
+    def test_sgd_second_step_takes_eta_over_sqrt2(self):
+        l = Learner(LearnerConfig("sgd", 0.3, eta_decay=True), SQ)
+        l.observe(ex({0: 1.0}))
+        assert l.w[0] == pytest.approx(0.6, rel=1e-15)
+        l.observe(ex({0: 1.0}))
+        # gp = 2 * (0.6 - 1) = -0.8: w -= (eta/sqrt2) gp x
+        assert l.w[0] == pytest.approx(0.6 + 0.24 / math.sqrt(2.0), rel=1e-15)
+
+    @pytest.mark.parametrize("kind", ["nag", "snag", "adagrad"])
+    @pytest.mark.parametrize("loss_kind", ["squared", "logistic"])
+    def test_gradient_sum_kinds_ignore_it(self, kind, loss_kind):
+        loss = get_loss(loss_kind)
+        stream = random_instance(6, d=4, T=60, classification=loss_kind != "squared")
+        a, b = (run_stream(LearnerConfig(kind, 0.3, eta_decay=decay), loss, stream,
+                           keep_predictions=True, keep_state=True) for decay in (False, True))
+        assert (a.losses, a.predictions, a.state) == (b.losses, b.predictions, b.state)
+
+
 class TestInvariants:
     def scale_for(self, rng, d):
         return {i: float(2.0 ** int(k)) for i, k in enumerate(rng.integers(-8, 9, size=d))}
@@ -239,7 +267,8 @@ class TestGridLearner:
     @pytest.mark.parametrize("kind", KINDS)
     def test_rows_follow_scalar_learners(self, kind):
         # the stream statistics are bitwise the scalar learner's; the weights
-        # differ only through the summation order of the predictions
+        # differ only through the summation order of the predictions and
+        # numpy's exp, which can round otherwise than libm's
         stream = random_instance(4, d=5, T=120)
         loss = get_loss("logistic")
         etas = [0.01, 0.1, 1.0]
@@ -259,6 +288,23 @@ class TestGridLearner:
         for r, learner in enumerate(scalars):
             for i, c in grid.columns.items():
                 assert grid.W[r, c] == pytest.approx(learner.w.get(i, 0.0), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("loss_kind", ["squared", "hinge", "logistic"])
+    @pytest.mark.parametrize("eta", [0.05, 0.3])
+    def test_first_step_is_the_grid_step(self, kind, loss_kind, eta):
+        # every prediction on a stream's first example is exactly 0, so the
+        # one step both learners take from it must agree bit for bit
+        loss = get_loss(loss_kind)
+        x = ex({0: 3.7, 5: -0.013, 9: 250.0}, 0.7 if loss_kind == "squared" else -1.0)
+        learner = Learner(LearnerConfig(kind, eta), loss)
+        grid = GridLearner([kind], [eta], loss)
+        assert learner.observe(x)[0] == 0.0
+        assert grid.observe(x)[2] == {}
+        for i, c in grid.columns.items():
+            assert grid.W[0, c].hex() == learner.w.get(i, 0.0).hex()
+            if grid.G is not None:
+                assert grid.G[0, c].hex() == learner.G.get(i, 0.0).hex()
 
     def test_columns_grow_past_capacity(self):
         grid = GridLearner(["nag"], [0.5, 1.0], SQ)
