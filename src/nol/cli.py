@@ -2,8 +2,9 @@
 
 Reports are schema-versioned JSON, one line with sorted keys, written to
 stdout or --report; plot data is plain CSV. Exit codes: 0 success, 1 usage
-error, 2 data error, 3 numeric fault. Nothing but the report is written to
-stdout.
+error (an output path that cannot be written included), 2 data error (an
+unreadable --data path included), 3 numeric fault. Nothing but the report
+is written to stdout.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .regret import (
 )
 
 SCHEMA_VERSION = 1
+LOSS_KINDS = ("squared", "hinge", "logistic")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,6 +43,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         sys.stderr.write(f"{self.prog}: error: {message} (see {self.prog} -h)\n")
         raise SystemExit(1)
+
+
+class _OutputError(Exception):
+    """An output path that cannot be written: a usage error, exit 1."""
 
 
 def _digest_bytes(blob: bytes) -> str:
@@ -91,7 +97,11 @@ class _DataFile:
     def _read(self):
         sha = hashlib.sha256()
         n = 0
-        with open(self.path, "rb") as fh:
+        try:
+            fh = open(self.path, "rb")
+        except OSError as e:
+            raise DataFormatError(f"cannot read {self.path!r}: {e.strerror}") from None
+        with fh:
             for n, ex in enumerate(self.parse(_text_lines(fh, sha, self.path)), start=1):
                 yield ex
         if n == 0:
@@ -141,13 +151,20 @@ def _normalized(args, examples):
     return data_io.prenormalize(examples, args.normalize)[1]
 
 
+def _write(flag: str, path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _OutputError(f"argument {flag}: cannot write {path!r}: {e.strerror}") from None
+
+
 def _emit(report: dict, path: Optional[str]):
     # one line: json.dumps takes the C encoder only without indent, and only
     # as a one-shot dumps (json.dump to a file streams through the Python one)
     text = json.dumps(report, sort_keys=True) + "\n"
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write("--report", path, text)
     else:
         sys.stdout.write(text)
 
@@ -264,8 +281,7 @@ def cmd_sweep(args) -> dict:
         report = sweep(spec, stream)
         elapsed = time.perf_counter() - t0
     if args.plot_data:
-        with open(args.plot_data, "w") as fh:
-            fh.write("\n".join(plot_csv_rows(report)) + "\n")
+        _write("--plot-data", args.plot_data, "\n".join(plot_csv_rows(report)) + "\n")
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "sweep",
@@ -294,7 +310,7 @@ def cmd_regret(args) -> dict:
     summary: dict = {}
     if args.check == "cor1":
         examples = random_instance(args.seed, d=args.d, T=args.T,
-                                   classification=loss.classification or loss.kind != "squared")
+                                   classification=loss.classification)
         tau = corollary1_tau(args.d, args.delta, args.nu)
         mc = corollary1_montecarlo(examples, args.d, args.delta, args.nu,
                                    n_permutations=args.instances, seed=args.seed)
@@ -311,7 +327,7 @@ def cmd_regret(args) -> dict:
         for k in range(args.instances):
             inst_seed = args.seed + 1000 * k
             examples = random_instance(inst_seed, d=args.d, T=args.T,
-                                       classification=loss.kind != "squared")
+                                       classification=loss.classification)
             if args.check == "lemma1":
                 ledger = conditioned_run(examples, loss, args.C,
                                          recipe="streaming", projection=False)
@@ -362,10 +378,8 @@ def build_parser() -> _Parser:
 
     p_train = sub.add_parser("train", help="run one learner over a stream")
     _add_data_flags(p_train)
-    p_train.add_argument("--learner", required=True,
-                         choices=["ng", "nag", "snag", "adagrad", "sgd"])
-    p_train.add_argument("--loss", required=True,
-                         choices=["squared", "hinge", "logistic"])
+    p_train.add_argument("--learner", required=True, choices=KINDS)
+    p_train.add_argument("--loss", required=True, choices=LOSS_KINDS)
     p_train.add_argument("--eta", type=_finite_nonnegative, required=True)
     p_train.add_argument("--clip-c", type=_finite_positive, dest="clip_c")
     p_train.add_argument("--eta-decay", action="store_true", dest="eta_decay")
@@ -377,8 +391,7 @@ def build_parser() -> _Parser:
     _add_data_flags(p_sweep)
     p_sweep.add_argument("--learners", required=True, type=_learner_kinds,
                          help="comma-separated learner kinds")
-    p_sweep.add_argument("--loss", required=True,
-                         choices=["squared", "hinge", "logistic"])
+    p_sweep.add_argument("--loss", required=True, choices=LOSS_KINDS)
     p_sweep.add_argument("--eta-grid", dest="eta_grid",
                          help="LO..HI, expanded by powers of two")
     p_sweep.add_argument("--clip-c", type=_finite_positive, dest="clip_c")
@@ -392,8 +405,7 @@ def build_parser() -> _Parser:
     p_regret.add_argument("--instances", type=_positive_int, default=10)
     p_regret.add_argument("--seed", type=int, default=0)
     p_regret.add_argument("-C", type=_finite_positive, default=1.0, dest="C")
-    p_regret.add_argument("--loss", default="squared",
-                          choices=["squared", "hinge", "logistic"])
+    p_regret.add_argument("--loss", default="squared", choices=LOSS_KINDS)
     p_regret.add_argument("--d", type=_positive_int, default=3)
     p_regret.add_argument("--T", type=_positive_int, default=200)
     p_regret.add_argument("--delta", type=_open_unit, default=0.1)
@@ -411,14 +423,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
     try:
-        report = args.func(args)
-    except (DataFormatError, InvalidLabel, FileNotFoundError) as e:
+        _emit(args.func(args), args.report)
+    except (DataFormatError, InvalidLabel) as e:
         sys.stderr.write(f"data error: {e}\n")
         return 2
     except NumericFault as e:
         sys.stderr.write(f"numeric fault: {e}\n")
         return 3
-    _emit(report, getattr(args, "report", None))
+    except _OutputError as e:
+        sys.stderr.write(f"{parser.prog} {args.command}: error: {e}\n")
+        return 1
     return 0
 
 

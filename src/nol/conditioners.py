@@ -73,24 +73,15 @@ class ComparatorBall:
         """||S^{-1/2} w||_q over the box support; infinite if w is nonzero
         off-support."""
         m = self.box.m
-        if self.q == 1:
-            total = 0.0
-            for i, wi in w.items():
-                if wi == 0.0:
-                    continue
-                if i not in m:
-                    return math.inf
-                total += abs(wi) * m[i]
-            return total
         total = 0.0
         for i, wi in w.items():
             if wi == 0.0:
                 continue
             if i not in m:
                 return math.inf
-            u = wi * m[i]
-            total += u * u
-        return math.sqrt(total)
+            u = abs(wi) * m[i]
+            total += u if self.q == 1 else u * u
+        return total if self.q == 1 else math.sqrt(total)
 
     def contains(self, w: Mapping[int, float], tol: float = 1e-9) -> bool:
         return self.norm(w) <= self.C + tol

@@ -227,8 +227,8 @@ def compute_normalizer(examples: Iterable[SparseExample], mode: str) -> Normaliz
 class Normalized:
     """examples divided by fixed statistics, applied as they are read: each
     iteration applies stats to a fresh iteration of examples, so nothing is
-    held beyond the example at hand. Indexing passes through to a
-    sequence."""
+    held beyond the example at hand. It is an iterable only: make a list of
+    it to index it."""
 
     def __init__(self, stats: NormalizerStats, examples: Iterable[SparseExample]):
         self.stats = stats
@@ -236,9 +236,6 @@ class Normalized:
 
     def __iter__(self) -> Iterator[SparseExample]:
         return map(self.stats.apply, self.examples)
-
-    def __getitem__(self, k: int) -> SparseExample:
-        return self.stats.apply(self.examples[k])
 
 
 def prenormalize(examples: Iterable[SparseExample], mode: str):

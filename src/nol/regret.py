@@ -7,13 +7,13 @@ The pieces:
 * conditioned runs (``conditioned_run``) executing w_{t+1} = w_t - A_t^{-1} g_t
   with the transductive or streaming conditioner, optional per-step projection
   onto the comparator ball, and a full per-round ledger;
-* a regret oracle (``best_in_hindsight``) with two independent routes: a
-  certified one (an exact LP for hinge loss, restarted FISTA for the smooth
-  losses), which bounds its own suboptimality, and a refined grid search
-  over the feasible set as the cross-check;
+* a certified regret oracle (``best_in_hindsight``): an exact LP for hinge
+  loss and restarted FISTA for the smooth losses, each bounding its own
+  suboptimality (the tests cross-check it against a refined grid search);
 * numeric evaluators for the telescoping inequality (``lemma1_check``), the
   two-pass bound (``theorem1_check``), the one-pass bound (``theorem2_check``)
-  and the exchangeable-sequence quantities (``corollary1_quantities``).
+  and the warmup quantile bound over random permutations
+  (``corollary1_montecarlo``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .conditioners import (
     lemma2_bound,
     project,
 )
-from .core import Loss, SparseExample, _finite, clip_prediction, predict
+from .core import Loss, SparseExample, _finite, predict
 from .errors import NolError
 from .learners import progressive
 
@@ -120,8 +120,8 @@ class RegretLedger:
 
 
 def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
-                    recipe: str = "streaming", q: int = 1, projection: bool = True,
-                    clip: bool = False) -> RegretLedger:
+                    recipe: str = "streaming", q: int = 1,
+                    projection: bool = True) -> RegretLedger:
     """Run the conditioned update over the stream, filling a ledger.
 
     transductive: the enclosing box is computed in a first full pass and held
@@ -146,8 +146,6 @@ def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
             if i not in ledger.first_abs:
                 ledger.first_abs[i] = abs(v)
         yhat = predict(w, ex)
-        if clip:
-            yhat = clip_prediction(yhat, C)
         lval, gp = loss.value_and_derivative(yhat, ex.label)
         _finite("loss", lval, _finite("prediction", yhat))
         g = {i: gp * v for i, v in ex.features}
@@ -212,46 +210,12 @@ def _project_ball(u: np.ndarray, C: float, q: int) -> np.ndarray:
     return u if norm <= C else u * (C / norm)
 
 
-def grid_minimize(objective_batch, d: int, C: float, q: int,
-                  n_per_axis: int = 33, levels: int = 18):
-    """Coarse-to-fine grid search over the q-norm ball of radius C.
-
-    objective_batch maps an (n_points, d) array to an (n_points,) array of
-    objective values. Each level recenters a full grid on the incumbent and
-    halves the half-width; the halving keeps the optimum covered even under
-    strongly anisotropic objectives, and the final per-axis resolution is
-    far below C/1000. Returns (argmin, min value).
-    """
-    center = np.zeros(d)
-    half = C
-    best_u, best_f = None, math.inf
-    for _ in range(levels):
-        axes = [np.linspace(center[j] - half, center[j] + half, n_per_axis)
-                for j in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        if q == 1:
-            pts = _batch_project_l1(pts, C)
-        else:
-            norms = np.linalg.norm(pts, axis=1)
-            over = norms > C
-            pts[over] *= (C / norms[over])[:, None]
-        vals = objective_batch(pts)
-        k = int(np.argmin(vals))
-        if vals[k] < best_f:
-            best_f = float(vals[k])
-            best_u = pts[k].copy()
-        center = best_u
-        half *= 0.5
-    return best_u, best_f
-
-
 class OracleCertificate(NamedTuple):
     """How a hindsight comparator was found, and how far from optimal it is."""
 
-    method: str       # "lp", "fista" or "grid"
-    gap: float        # upper bound on (returned loss - minimum loss); inf for grid
-    iterations: int   # simplex pivots (bound flips included) or FISTA steps; 0 for grid
+    method: str       # "lp" (hinge) or "fista" (squared, logistic)
+    gap: float        # upper bound on (returned loss - minimum loss)
+    iterations: int   # simplex pivots (bound flips included) or FISTA steps
 
 
 def _bounded_simplex(A: np.ndarray, cost: np.ndarray, upper: np.ndarray,
@@ -395,48 +359,24 @@ def _fista(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float, q: int):
 
 
 def best_in_hindsight(examples: Sequence[SparseExample], loss: Loss,
-                      ball: ComparatorBall, method: str = "certified"):
-    """Minimizer of the total loss over the comparator ball.
-
-    method "certified": an exact LP for hinge loss (L1 ball only) and FISTA
-    for squared and logistic loss; the certificate's gap bounds how far the
-    returned loss is above the minimum.
-    method "grid": refined grid search over the feasible set (d <= 3), the
-    independent cross-check; it certifies nothing (gap inf).
+                      ball: ComparatorBall):
+    """Minimizer of the total loss over the comparator ball: an exact LP for
+    hinge loss (L1 ball only) and FISTA for squared and logistic loss. The
+    certificate's gap bounds how far the returned loss is above the minimum.
     Returns (w* as dict, total loss at w*, OracleCertificate).
     """
     coords, Xu, y = _dense_in_ball_coords(examples, ball)
-    d = len(coords)
-    if d == 0:
+    if not coords:
         raise NolError("empty comparator ball: no coordinate ever observed nonzero")
-
-    if method == "grid":
-        if d > 3:
-            raise NolError("grid oracle supports d <= 3")
-
-        def objective(P):
-            return loss.values(P @ Xu.T, y).sum(axis=1)
-
-        u_best, f_best = grid_minimize(objective, d, ball.C, ball.q)
-        cert = OracleCertificate("grid", math.inf, 0)
-    elif method == "certified":
-        if loss.kind == "hinge":
-            if ball.q != 1:
-                raise NolError("the hinge-loss oracle is an LP over the L1 ball only")
-            u_best, f_best, cert = _hinge_lp(loss, Xu, y, ball.C)
-        else:
-            u_best, f_best, cert = _fista(loss, Xu, y, ball.C, ball.q)
+    if loss.kind == "hinge":
+        if ball.q != 1:
+            raise NolError("the hinge-loss oracle is an LP over the L1 ball only")
+        u_best, f_best, cert = _hinge_lp(loss, Xu, y, ball.C)
     else:
-        raise ValueError(f"unknown oracle method {method!r}")
-
+        u_best, f_best, cert = _fista(loss, Xu, y, ball.C, ball.q)
     # w_i = u_i / m_i  (u lives in the S^{-1/2} coordinates)
     w_star = {i: float(u_best[j]) / ball.box.m[i] for j, i in enumerate(coords)}
     return w_star, f_best, cert
-
-
-def empirical_regret(learner_total_loss: float, comparator_total_loss: float) -> float:
-    """R_T = learner's summed progressive loss minus the comparator's."""
-    return learner_total_loss - comparator_total_loss
 
 
 # ---------------------------------------------------------------------------
@@ -521,11 +461,17 @@ def lemma1_check(ledger: RegretLedger, loss: Loss, w: Dict[int, float]) -> Bound
     )
 
 
-def _widened_report(check: str, regret: float, cert: OracleCertificate,
-                    bound: float, components: Dict[str, float],
-                    extras: Optional[dict] = None) -> BoundReport:
-    # The oracle's loss is at most cert.gap above the true minimum, so the
-    # true regret is at most regret + cert.gap.
+def _against_hindsight(check: str, examples: Sequence[SparseExample], loss: Loss,
+                       ledger: RegretLedger, bound: float, components: Dict[str, float],
+                       **extras) -> BoundReport:
+    """The report of a projected run's regret against the best comparator in
+    hindsight over its L1 ball. The oracle's loss is at most cert.gap above
+    the true minimum, so the true regret is at most regret + cert.gap, and
+    the slack counts that."""
+    ball = ComparatorBall(ledger.box, ledger.C, q=1)
+    _, wstar_loss, cert = best_in_hindsight(examples, loss, ball)
+    learner_loss = ledger.total_loss
+    regret = learner_loss - wstar_loss
     slack = bound - (regret + cert.gap)
     return BoundReport(
         check=check,
@@ -535,7 +481,7 @@ def _widened_report(check: str, regret: float, cert: OracleCertificate,
         raw_slack=bound - regret,
         passed=slack >= -SLACK_TOL,
         components=components,
-        extras=extras or {},
+        extras={"learner_loss": learner_loss, "comparator_loss": wstar_loss, **extras},
         oracle=cert,
     )
 
@@ -545,13 +491,8 @@ def theorem1_check(examples: Sequence[SparseExample], loss: Loss, C: float) -> B
     R_T <= 2 sqrt(2) C sum_i sqrt(S_ii sum_j g_ji^2)."""
     ledger = conditioned_run(examples, loss, C, recipe="transductive")
     bound = 2.0 * SQRT2 * lemma2_bound(ledger.sum_g2, ledger.box, C)
-    ball = ComparatorBall(ledger.box, C, q=1)
-    _, wstar_loss, cert = best_in_hindsight(examples, loss, ball)
-    regret = empirical_regret(ledger.total_loss, wstar_loss)
-    return _widened_report("theorem1", regret, cert, bound,
-                           {"lemma2_bound": bound / (2.0 * SQRT2)},
-                           {"learner_loss": ledger.total_loss,
-                            "comparator_loss": wstar_loss})
+    return _against_hindsight("theorem1", examples, loss, ledger, bound,
+                              {"lemma2_bound": bound / (2.0 * SQRT2)})
 
 
 def theorem2_components(ledger: RegretLedger) -> Dict[int, float]:
@@ -572,36 +513,9 @@ def theorem2_check(examples: Sequence[SparseExample], loss: Loss, C: float) -> B
     R_T <= C sum_i (sqrt(sum g^2)/max|x_i|) (1 + 6 Delta_i + Delta_i^2)/(2 sqrt 2)."""
     ledger = conditioned_run(examples, loss, C, recipe="streaming")
     per_coord = theorem2_components(ledger)
-    bound = sum(per_coord.values())
-    ball = ComparatorBall(ledger.box, C, q=1)
-    _, wstar_loss, cert = best_in_hindsight(examples, loss, ball)
-    regret = empirical_regret(ledger.total_loss, wstar_loss)
-    extras = {
-        "learner_loss": ledger.total_loss,
-        "comparator_loss": wstar_loss,
-        "delta": ledger.delta_ratios(),
-    }
-    return _widened_report("theorem2", regret, cert, bound,
-                           {str(i): v for i, v in per_coord.items()}, extras)
-
-
-def rmax_bound(loss_kind: str, C: float, max_abs_label: float = 0.0) -> float:
-    """Largest regret one round can contribute when predictions are clipped
-    to [-C, C]: C+1 for hinge/logistic, 4 C max(C, max|y|) for squared."""
-    if loss_kind in ("hinge", "logistic"):
-        return C + 1.0
-    if loss_kind == "squared":
-        return 4.0 * C * max(C, max_abs_label)
-    raise ValueError(f"unknown loss kind {loss_kind!r}")
-
-
-def per_round_regret_terms(ledger: RegretLedger, loss: Loss,
-                           w_star: Dict[int, float]) -> List[float]:
-    """loss(yhat_t, y_t) - loss(w*.x_t, y_t) for every round."""
-    out = []
-    for r in ledger.rounds:
-        out.append(r.loss - loss.value(predict(w_star, r.x), r.x.label))
-    return out
+    return _against_hindsight("theorem2", examples, loss, ledger, sum(per_coord.values()),
+                              {str(i): v for i, v in per_coord.items()},
+                              delta=ledger.delta_ratios())
 
 
 # ---------------------------------------------------------------------------
@@ -624,56 +538,24 @@ def corollary1_tau(d: int, delta: float, nu: float) -> int:
     return math.ceil(math.log(d / delta) / nu)
 
 
-def _magnitudes(examples: Sequence[SparseExample], d: int) -> np.ndarray:
-    """(T, d) array of |x_ti|."""
-    M = np.zeros((len(examples), d))
-    for t, ex in enumerate(examples):
-        for i, v in ex.features:
-            if i < d:
-                M[t, i] = abs(v)
-    return M
-
-
-def _corollary1_terms(examples: Sequence[SparseExample], d: int, delta: float, nu: float):
-    """tau, the (T, d) array of |x_ti|, max_t |x_ti| per coordinate, and the
-    quantile bound max / Quantile(|x_i|, 1-nu) of each coordinate seen."""
-    tau = corollary1_tau(d, delta, nu)
-    M = _magnitudes(examples, d)
-    total_max = M.max(axis=0)
-    bounds = {}
-    for i in range(d):
-        if total_max[i] > 0.0:
-            qv = nearest_rank_quantile(M[:, i], 1.0 - nu)
-            bounds[i] = total_max[i] / qv if qv > 0.0 else math.inf
-    return tau, M, total_max, bounds
-
-
-def corollary1_quantities(d: int, delta: float, nu: float,
-                          examples: Sequence[SparseExample]) -> dict:
-    """tau, per-coordinate Delta_i = max_{t<=T}|x_ti| / max_{t<=tau}|x_ti|,
-    and the quantile bound max / Quantile(|x_i|, 1-nu) per coordinate."""
-    tau, M, total_max, bounds = _corollary1_terms(examples, d, delta, nu)
-    T = len(examples)
-    prefix_max = M[: min(tau, T)].max(axis=0)
-    deltas = {i: total_max[i] / prefix_max[i] if prefix_max[i] > 0.0 else math.inf
-              for i in bounds}
-    return {
-        "tau": tau,
-        "delta": deltas,
-        "quantile_bound": bounds,
-        "vacuous": tau >= T,
-    }
-
-
 def corollary1_montecarlo(examples: Sequence[SparseExample], d: int, delta: float,
                           nu: float, n_permutations: int = 500, seed: int = 0) -> dict:
     """Fraction of random permutations for which some Delta_i exceeds its
     quantile bound; the high-probability claim puts this at <= delta, checked
-    here against delta + 3 sigma binomial slack."""
-    tau, M, total_max, bounds = _corollary1_terms(examples, d, delta, nu)
+    here against delta + 3 sigma binomial slack. Delta_i is max_t |x_ti| over
+    max_{t<=tau} |x_ti|, and its bound max_t |x_ti| / Quantile(|x_i|, 1-nu)."""
+    tau = corollary1_tau(d, delta, nu)
     T = len(examples)
-    active = list(bounds)
-    bound = np.array(list(bounds.values()))
+    M = np.zeros((T, d))  # |x_ti|
+    for t, ex in enumerate(examples):
+        for i, v in ex.features:
+            if i < d:
+                M[t, i] = abs(v)
+    total_max = M.max(axis=0)
+    active = [i for i in range(d) if total_max[i] > 0.0]
+    quantiles = [nearest_rank_quantile(M[:, i], 1.0 - nu) for i in active]
+    bound = np.array([total_max[i] / qv if qv > 0.0 else math.inf
+                      for i, qv in zip(active, quantiles)])
 
     rng = np.random.default_rng(seed)
     violations = 0

@@ -31,13 +31,13 @@ from nol.regret import (
     conditioned_run,
     corollary1_montecarlo,
     corollary1_tau,
-    grid_minimize,
     lemma1_check,
     random_instance,
     theorem1_check,
     theorem2_check,
     theorem2_components,
 )
+from oracles import grid_minimize
 
 LOSSES = ("squared", "hinge", "logistic")
 

@@ -291,6 +291,28 @@ class TestExitCodes:
         assert code == 2
         assert "data error" in err
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--learner", "sgd", "--loss", "hinge", "--eta", "0.5"],
+        ["sweep", "--learners", "ng,nag", "--loss", "hinge", "--eta-grid", "1..1"]])
+    def test_directory_as_data_is_data_error(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, command + ["--data", str(tmp_path)])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("data error: ") and str(tmp_path) in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (TestTrain.BASE, "--report"),
+        (["regret", "--check", "lemma1", "--instances", "1", "--T", "20"], "--report"),
+        (TestSweep.BASE, "--plot-data")])
+    def test_unwritable_output_path_is_usage_error(self, capsys, tmp_path, argv, flag):
+        path = str(tmp_path / "missing" / "out.json")
+        code, out, err = run_cli(capsys, argv + [flag, path])
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+        assert f"argument {flag}: cannot write {path!r}" in err
+
     def test_malformed_file_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1 0:oops\n")

@@ -14,7 +14,7 @@ from nol.conditioners import (
     project,
 )
 from nol.core import SparseExample
-from nol.regret import grid_minimize
+from oracles import grid_minimize
 
 
 def ex(feats, y=1.0):

@@ -159,6 +159,7 @@ class TestDelimited:
 class TestPrenormalize:
     def test_maxnorm_example(self):
         stats, out = prenormalize([ex({0: 2.0}), ex({0: -4.0})], "maxnorm")
+        out = list(out)
         assert stats.scale == {0: 4.0}
         assert out[0].features == ((0, 0.5),)
         assert out[1].features == ((0, -1.0),)
@@ -181,7 +182,7 @@ class TestPrenormalize:
         stats, out = prenormalize(rows, "sqnorm")
         assert stats.scale[0] == pytest.approx(0.848528137423857, rel=1e-12)
         assert stats.scale[1] == pytest.approx(1.131370849898476, rel=1e-12)
-        assert out[0].features[0][1] == pytest.approx(1.2 / stats.scale[0])
+        assert list(out)[0].features[0][1] == pytest.approx(1.2 / stats.scale[0])
 
     def test_sqnorm_unit_second_moment(self):
         rng = np.random.default_rng(5)
