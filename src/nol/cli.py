@@ -20,13 +20,12 @@ import time
 from typing import List, Optional
 
 from . import data as data_io
-from .core import get_loss
+from .core import LOSS_KINDS, get_loss
 from .errors import DataFormatError, InvalidLabel, NumericFault
 from .evaluate import SweepSpec, default_eta_grid, plot_csv_rows, sweep
 from .learners import KINDS, LearnerConfig, run_stream
 from .regret import (
     corollary1_montecarlo,
-    corollary1_tau,
     lemma1_check,
     conditioned_run,
     random_instance,
@@ -35,7 +34,6 @@ from .regret import (
 )
 
 SCHEMA_VERSION = 1
-LOSS_KINDS = ("squared", "hinge", "logistic")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -171,10 +169,14 @@ def _emit(report: dict, path: Optional[str]):
 
 def _learner_kinds(text: str) -> List[str]:
     kinds = [k.strip() for k in text.split(",") if k.strip()]
+    expected = f"expected some of {', '.join(KINDS)}"
+    if not kinds:
+        raise argparse.ArgumentTypeError(f"no learner kind given; {expected}")
     unknown = [k for k in kinds if k not in KINDS]
     if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown learner kind(s) {', '.join(unknown)}; expected some of {', '.join(KINDS)}")
+        raise argparse.ArgumentTypeError(f"unknown learner kind(s) {', '.join(unknown)}; {expected}")
+    if len(set(kinds)) < len(kinds):
+        raise argparse.ArgumentTypeError(f"learner kinds must not repeat, got {text}")
     return kinds
 
 
@@ -311,7 +313,6 @@ def cmd_regret(args) -> dict:
     if args.check == "cor1":
         examples = random_instance(args.seed, d=args.d, T=args.T,
                                    classification=loss.classification)
-        tau = corollary1_tau(args.d, args.delta, args.nu)
         mc = corollary1_montecarlo(examples, args.d, args.delta, args.nu,
                                    n_permutations=args.instances, seed=args.seed)
         reports.append(mc)
@@ -319,7 +320,7 @@ def cmd_regret(args) -> dict:
             "instances": args.instances,
             "failures": 0 if mc["passed"] else 1,
             "min_slack": None,
-            "tau": tau,
+            "tau": mc["tau"],
         }
     else:
         slacks = []

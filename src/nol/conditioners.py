@@ -220,18 +220,11 @@ def project(w: Mapping[int, float], A: Mapping[int, float], ball: ComparatorBall
             active[i] = wi
         else:
             passthrough[i] = wi
-    if not active:
-        return dict(w)
 
     u = {i: active[i] * m[i] for i in active}
     d = {i: A[i] / (m[i] * m[i]) for i in active}
-    if ball.q == 1:
-        if sum(abs(v) for v in u.values()) <= ball.C:
-            proj = u
-        else:
-            proj = _project_weighted_l1(u, d, ball.C)
-    else:
-        proj = _project_weighted_l2(u, d, ball.C)
+    solve = _project_weighted_l1 if ball.q == 1 else _project_weighted_l2
+    proj = solve(u, d, ball.C)
 
     out = dict(passthrough)
     for i, ui in proj.items():

@@ -165,6 +165,7 @@ _LOSSES = {
     "hinge": HingeLoss(),
     "logistic": LogisticLoss(),
 }
+LOSS_KINDS = tuple(_LOSSES)
 
 
 def get_loss(kind: str) -> Loss:

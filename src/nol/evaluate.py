@@ -19,10 +19,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Loss, SparseExample, _finite, get_loss
+from .core import Loss, SparseExample, _finite, _validated_example, get_loss
 from .data import regression_loss_scale
 from .errors import NolError
-from .learners import ColumnMap, GridLearner, Learner, LearnerConfig, progressive
+from .learners import GridLearner, Learner, LearnerConfig, progressive
 
 
 def default_eta_grid(lo_exp: int = -20, hi_exp: int = 6, base: float = 2.0) -> List[float]:
@@ -116,6 +116,10 @@ class SweepSpec:
     clip_c: Optional[float] = None
 
     def __post_init__(self):
+        if not self.kinds:
+            raise ValueError("learner kinds must be nonempty")
+        if len(set(self.kinds)) < len(self.kinds):
+            raise ValueError(f"learner kinds must not repeat, got {self.kinds}")
         if not self.eta_grid:
             raise ValueError("eta grid must be nonempty")
         if any(b <= a for a, b in zip(self.eta_grid, self.eta_grid[1:])):
@@ -152,14 +156,13 @@ class _Run:
     def __init__(self, spec: SweepSpec, loss: Loss, loss_scale: Optional[float]):
         rows = len(spec.kinds) * len(spec.eta_grid)
         self.spec, self.loss, self.loss_scale = spec, loss, loss_scale
-        self.columns = ColumnMap()
         self.train, self.ev = np.zeros(rows), np.zeros(rows)
         self.errors: List[Optional[str]] = [None] * rows
         self.failure: Optional[str] = None
 
     def grid_learner(self) -> GridLearner:
         spec = self.spec
-        return GridLearner(spec.kinds, spec.eta_grid, self.loss, spec.clip_c, self.columns)
+        return GridLearner(spec.kinds, spec.eta_grid, self.loss, spec.clip_c)
 
 
 class _GridRun(_Run):
@@ -186,8 +189,9 @@ class _GridRun(_Run):
 
 
 class _MulticlassRun(_Run):
-    """multiclass_progressive for every row: one grid learner per class,
-    all sharing one column map."""
+    """multiclass_progressive for every row: one grid learner per class, each
+    with its own columns, fed the example relabelled as that class's +-1
+    without validating its features again."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -207,7 +211,7 @@ class _MulticlassRun(_Run):
         self.ev += scores.argmax(axis=0) != classes.index(ex.label)
         round_train = 0.0
         for c in classes:
-            binary = SparseExample(ex.features, 1.0 if c == ex.label else -1.0)
+            binary = _validated_example(ex.features, 1.0 if c == ex.label else -1.0)
             _, lval, faults = learners[c].observe(binary)
             _record(self.errors, n, faults)
             round_train = round_train + lval
@@ -217,8 +221,8 @@ class _MulticlassRun(_Run):
 def sweep(spec: SweepSpec, examples: Iterable[SparseExample]) -> ComparisonReport:
     """Progressive validation of every (kind, eta) pair in one pass over the
     stream: each example advances one GridLearner whose rows are every cell
-    (one per class when multiclass, all sharing one column map). Regression
-    reads the labels in a pass of their own first, for the loss scale.
+    (one per class when multiclass). Regression reads the labels in a pass
+    of their own first, for the loss scale.
 
     A row whose prediction, loss or weights turn non-finite becomes an error
     cell with the NumericFault message, and so do all rows of a kind whose

@@ -20,9 +20,10 @@ kind-major, with one matrix G of gradient sums for the rows of nag, snag
 and adagrad. Each kind keeps its stream statistics (t, the scale trackers,
 N) in the scalar dicts and floats a Learner has, shared by its rows. The
 columns are features in order of first appearance, the capacity doubling on
-demand. Each example is gathered, predicted, scored, stepped, scattered and
-scanned for faults once for all rows. Grid learners over the same stream
-(one per class in a multiclass sweep) can share one ``ColumnMap``.
+demand; each grid learner keeps its own. Each features tuple is gathered
+once, and each example predicted, scored, stepped, scattered and scanned
+for faults once for all rows. For one learning rate, ``Learner`` is the
+faster of the two.
 
 Each kind is one row of ``_STAGES``: a statistics function and the terms
 of the one step w_i -= (eta * rate) * (gp * u_i) / den_i, which both
@@ -46,8 +47,6 @@ import numpy as np
 
 from .core import Loss, SparseExample, _check_binary_label, _finite, clip_prediction, predict
 from .errors import InvalidLabel, NumericFault
-
-KINDS = ("ng", "nag", "snag", "adagrad", "sgd")
 
 
 @dataclass(frozen=True)
@@ -237,6 +236,7 @@ _STAGES = {
     "adagrad": _Stage(_no_stats, _rate_one, True, False),
     "sgd": _Stage(_no_stats, _rate_one, False, False),
 }
+KINDS = tuple(_STAGES)
 
 
 def _step(l: Learner, supp, gp, scale):
@@ -266,38 +266,6 @@ def _step(l: Learner, supp, gp, scale):
         if not math.isfinite(wi):
             raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
         w[i] = wi
-
-
-class ColumnMap(dict):
-    """Feature index -> dense column, in order of first appearance.
-
-    Grid learners that share one map over a stream gather each example once:
-    ``gather`` hands back its last result when given the same support tuple
-    again, which is exact because a feature's column never changes.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._last = (None, None)
-
-    def gather(self, supp):
-        """(column indices, values) of the support as read-only arrays,
-        assigning columns to new features."""
-        last_supp, last = self._last
-        if supp is last_supp:
-            return last
-        get = self.get
-        cols = []
-        for i, _ in supp:
-            c = get(i)
-            if c is None:
-                c = self[i] = len(self)
-            cols.append(c)
-        out = (np.array(cols, dtype=np.intp), np.array([v for _, v in supp]))
-        for a in out:
-            a.flags.writeable = False
-        self._last = (supp, out)
-        return out
 
 
 class _GridKind:
@@ -330,7 +298,7 @@ class GridLearner:
     """
 
     def __init__(self, kinds: Sequence[str], etas: Sequence[float], loss: Loss,
-                 clip_c: Optional[float] = None, columns: Optional[ColumnMap] = None):
+                 clip_c: Optional[float] = None):
         for kind in kinds:
             for eta in etas:
                 LearnerConfig(kind, eta, clip_c)   # the scalar path's validation
@@ -339,9 +307,10 @@ class GridLearner:
         self.loss = loss
         self.clip_c = clip_c
         self.etas = np.tile(np.array(etas, dtype=float), len(kinds))
-        # feature index -> column of W and G, possibly shared with other
-        # grid learners over the same stream
-        self.columns = ColumnMap() if columns is None else columns
+        # feature index -> column of W and G, in order of first appearance,
+        # and the last gather as (support, its arrays)
+        self.columns: dict = {}
+        self._last = (None, None)
         self.W = np.zeros((len(self.etas), 16))
         # G holds the rows of the kinds that keep gradient sums: G row j is
         # W row _g_ids[j], and W[_g_rows] selects them, by a slice (so a
@@ -353,14 +322,24 @@ class GridLearner:
         self.G = np.zeros((len(g), 16)) if len(g) else None
 
     def _gather(self, supp):
-        """(column indices, values) of the support, growing W and G to hold
-        every column of the map."""
-        cols, x = self.columns.gather(supp)
-        while len(self.columns) > self.W.shape[1]:
+        """(column indices, values) of the support as read-only arrays,
+        assigning columns to new features and growing W and G to hold them.
+        The same support tuple again gets the last result back, which is
+        exact because a feature's column never changes."""
+        last_supp, last = self._last
+        if supp is last_supp:
+            return last
+        columns = self.columns
+        cols = [columns.setdefault(i, len(columns)) for i, _ in supp]
+        out = (np.array(cols, dtype=np.intp), np.array([v for _, v in supp]))
+        for a in out:
+            a.flags.writeable = False
+        self._last = (supp, out)
+        while len(columns) > self.W.shape[1]:
             self.W = np.concatenate([self.W, np.zeros_like(self.W)], axis=1)
             if self.G is not None:
                 self.G = np.concatenate([self.G, np.zeros_like(self.G)], axis=1)
-        return cols, x
+        return out
 
     def predict(self, ex: SparseExample) -> np.ndarray:
         """Raw predictions of every row, without observing the example."""

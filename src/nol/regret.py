@@ -10,6 +10,7 @@ The pieces:
 * a certified regret oracle (``best_in_hindsight``): an exact LP for hinge
   loss and restarted FISTA for the smooth losses, each bounding its own
   suboptimality (the tests cross-check it against a refined grid search);
+  both project onto the L1 ball with ``nol.conditioners``' solver;
 * numeric evaluators for the telescoping inequality (``lemma1_check``), the
   two-pass bound (``theorem1_check``), the one-pass bound (``theorem2_check``)
   and the warmup quantile bound over random permutations
@@ -30,6 +31,7 @@ from .conditioners import (
     DiagonalConditioner,
     EnclosingBox,
     SQRT2,
+    _project_weighted_l1,
     lemma2_bound,
     project,
 )
@@ -184,28 +186,14 @@ def _dense_in_ball_coords(examples, ball: ComparatorBall):
     return coords, Xu, y
 
 
-def _batch_project_l1(P: np.ndarray, C: float) -> np.ndarray:
-    """Project each row of P onto the L1 ball of radius C (Duchi-style
-    sort and threshold, vectorized over rows)."""
-    norms = np.abs(P).sum(axis=1)
-    out = P.copy()
-    over = norms > C
-    if not over.any():
-        return out
-    Q = np.abs(P[over])
-    S = -np.sort(-Q, axis=1)
-    css = np.cumsum(S, axis=1)
-    ks = np.arange(1, Q.shape[1] + 1)
-    cond = S - (css - C) / ks > 0
-    rho = cond.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    theta = (css[np.arange(len(rho)), rho] - C) / (rho + 1)
-    out[over] = np.sign(P[over]) * np.maximum(Q - theta[:, None], 0.0)
-    return out
-
-
 def _project_ball(u: np.ndarray, C: float, q: int) -> np.ndarray:
+    """Euclidean projection of u onto the q-norm ball of radius C: the
+    conditioners' L1 solver at unit weights (a plain dict loop beats numpy
+    at the oracle's few coordinates), or the rescaling for q = 2."""
     if q == 1:
-        return _batch_project_l1(u[None, :], C)[0]
+        v = dict(enumerate(u.tolist()))
+        v = _project_weighted_l1(v, dict.fromkeys(v, 1.0), C)
+        return np.fromiter(v.values(), float, len(v))
     norm = np.linalg.norm(u)
     return u if norm <= C else u * (C / norm)
 
@@ -388,10 +376,8 @@ class BoundReport:
     empirical_regret: float
     bound_value: float
     slack: float                 # bound - (regret + the oracle's certified gap)
-    raw_slack: float             # bound - regret
     passed: bool
     components: Dict[str, float] = field(default_factory=dict)
-    extras: dict = field(default_factory=dict)
     oracle: Optional[OracleCertificate] = None
 
 
@@ -451,7 +437,6 @@ def lemma1_check(ledger: RegretLedger, loss: Loss, w: Dict[int, float]) -> Bound
         empirical_regret=regret,
         bound_value=bound,
         slack=slack,
-        raw_slack=slack,
         passed=slack >= -SLACK_TOL,
         components={
             "initial_distance": first_term,
@@ -462,26 +447,23 @@ def lemma1_check(ledger: RegretLedger, loss: Loss, w: Dict[int, float]) -> Bound
 
 
 def _against_hindsight(check: str, examples: Sequence[SparseExample], loss: Loss,
-                       ledger: RegretLedger, bound: float, components: Dict[str, float],
-                       **extras) -> BoundReport:
+                       ledger: RegretLedger, bound: float,
+                       components: Dict[str, float]) -> BoundReport:
     """The report of a projected run's regret against the best comparator in
     hindsight over its L1 ball. The oracle's loss is at most cert.gap above
     the true minimum, so the true regret is at most regret + cert.gap, and
     the slack counts that."""
     ball = ComparatorBall(ledger.box, ledger.C, q=1)
     _, wstar_loss, cert = best_in_hindsight(examples, loss, ball)
-    learner_loss = ledger.total_loss
-    regret = learner_loss - wstar_loss
+    regret = ledger.total_loss - wstar_loss
     slack = bound - (regret + cert.gap)
     return BoundReport(
         check=check,
         empirical_regret=regret,
         bound_value=bound,
         slack=slack,
-        raw_slack=bound - regret,
         passed=slack >= -SLACK_TOL,
         components=components,
-        extras={"learner_loss": learner_loss, "comparator_loss": wstar_loss, **extras},
         oracle=cert,
     )
 
@@ -514,8 +496,7 @@ def theorem2_check(examples: Sequence[SparseExample], loss: Loss, C: float) -> B
     ledger = conditioned_run(examples, loss, C, recipe="streaming")
     per_coord = theorem2_components(ledger)
     return _against_hindsight("theorem2", examples, loss, ledger, sum(per_coord.values()),
-                              {str(i): v for i, v in per_coord.items()},
-                              delta=ledger.delta_ratios())
+                              {str(i): v for i, v in per_coord.items()})
 
 
 # ---------------------------------------------------------------------------

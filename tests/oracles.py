@@ -1,13 +1,14 @@
 """Reference oracles the tests compare nol against: a coarse-to-fine grid
-search over a q-norm ball, and the grid cross-check of
-``nol.regret.best_in_hindsight`` built on it (it certifies nothing; d <= 3).
+search over a q-norm ball, the grid cross-check of
+``nol.regret.best_in_hindsight`` built on it (it certifies nothing; d <= 3),
+and the row-wise numpy L1 ball projection the grid search uses.
 """
 
 import math
 
 import numpy as np
 
-from nol.regret import _batch_project_l1, _dense_in_ball_coords
+from nol.regret import _dense_in_ball_coords
 
 
 def _logistic(preds, y):
@@ -19,6 +20,25 @@ def _logistic(preds, y):
 _LOSS_VALUES = {"squared": lambda preds, y: (preds - y) ** 2,
                 "hinge": lambda preds, y: np.maximum(0.0, 1.0 - y * preds),
                 "logistic": _logistic}
+
+
+def _batch_project_l1(P, C):
+    """Project each row of P onto the L1 ball of radius C (Duchi-style
+    sort and threshold, vectorized over rows)."""
+    norms = np.abs(P).sum(axis=1)
+    out = P.copy()
+    over = norms > C
+    if not over.any():
+        return out
+    Q = np.abs(P[over])
+    S = -np.sort(-Q, axis=1)
+    css = np.cumsum(S, axis=1)
+    ks = np.arange(1, Q.shape[1] + 1)
+    cond = S - (css - C) / ks > 0
+    rho = cond.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
+    theta = (css[np.arange(len(rho)), rho] - C) / (rho + 1)
+    out[over] = np.sign(P[over]) * np.maximum(Q - theta[:, None], 0.0)
+    return out
 
 
 def grid_minimize(objective_batch, d, C, q, n_per_axis=33, levels=18):

@@ -258,10 +258,13 @@ class TestExitCodes:
         (["regret", "--check", "cor1", "--nu", "1"], "--nu"),
         (["regret", "--check", "cor1", "--nu", "0"], "--nu"),
         (["regret", "--check", "cor1", "--nu", "nan"], "--nu"),
+        *[(["sweep", "--synth", "figure1:T=10", "--learners", kinds, "--loss", "hinge"],
+           "--learners") for kinds in ("", ",", "ng,ng")],
     ], ids=["eta-nan", "eta-negative", "synth-s0", "C-nan", "C-inf", "C-negative",
             "T0", "d0", "instances0", "cor1-instances0", "train-clip-inf", "sweep-clip-inf",
             "thin-negative", "thin0",
-            "delta0", "delta-inf", "delta-nan", "delta1", "nu1", "nu0", "nu-nan"])
+            "delta0", "delta-inf", "delta-nan", "delta1", "nu1", "nu0", "nu-nan",
+            "learners-empty", "learners-comma", "learners-repeated"])
     def test_bad_argument_value_is_one_line_usage_error(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, argv)
         assert code == 1
@@ -649,8 +652,8 @@ class TestFuzz:
                         flag("--eta", floats, optional=False),
                         st.sampled_from([[], ["--eta-decay"]]), flag("--thin", ["1", "3", "0"]))
         sweep = command(st.just(["sweep"]), data,
-                        flag("--learners", ["ng", "nag,snag", "adagrad,sgd", "ng,bogus"],
-                             optional=False),
+                        flag("--learners", ["ng", "nag,snag", "adagrad,sgd", "ng,bogus", "",
+                                            "ng,ng"], optional=False),
                         flag("--eta-grid", ["0.5..2", "1..1", "1e-300..1e-299",
                                             "1e307..1e308", "2..1", "nan..1", "x"]))
         regret = command(st.just(["regret"]),

@@ -102,6 +102,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec(kinds=["sgd"], loss="hinge", eta_grid=[1.0, 0.5])
 
+    @pytest.mark.parametrize("kinds", [[], ["ng", "ng"], ["ng", "sgd", "ng"]])
+    def test_kinds_validation(self, kinds):
+        with pytest.raises(ValueError, match="learner kinds"):
+            SweepSpec(kinds=kinds, loss="hinge")
+
     def test_default_grid(self):
         grid = default_eta_grid()
         assert grid[0] == 2.0 ** -20 and grid[-1] == 64.0

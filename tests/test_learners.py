@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nol.core import SparseExample, get_loss
 from nol.data import synth_figure1
 from nol.errors import NumericFault
-from nol.learners import KINDS, ColumnMap, GridLearner, Learner, LearnerConfig, run_stream
+from nol.learners import KINDS, GridLearner, Learner, LearnerConfig, run_stream
 from nol.regret import apply_scaling, random_instance
 
 SQ = get_loss("squared")
@@ -312,25 +312,25 @@ class TestGridLearner:
             grid.observe(ex({i: 1.0, 1000 + i: -2.0}))
         assert len(grid.columns) == 80 and grid.W.shape == (2, 128) == grid.G.shape
 
-    def test_shared_column_map_changes_no_result(self):
-        # kinds sharing one map see the same columns; each gathers nothing new
+    def test_gather_reuse_changes_no_result(self):
+        # a predict before each observe gathers the example once for both;
+        # the reused arrays are read-only and the results those of observe alone
         stream = random_instance(7, d=6, T=80)
-        shared = ColumnMap()
         loss = get_loss("logistic")
-        pairs = [(GridLearner([kind], [0.1, 1.0], loss, columns=shared),
+        pairs = [(GridLearner([kind], [0.1, 1.0], loss),
                   GridLearner([kind], [0.1, 1.0], loss)) for kind in KINDS]
         for x in stream:
-            cols, values = shared.gather(x.features)
-            assert shared.gather(x.features) is shared.gather(x.features)
-            assert not values.flags.writeable and not cols.flags.writeable
             for a, b in pairs:
+                a.predict(x)
+                cols, values = a._gather(x.features)
+                assert a._gather(x.features) is a._gather(x.features)
+                assert not values.flags.writeable and not cols.flags.writeable
                 ya, la, _ = a.observe(x)
                 yb, lb, _ = b.observe(x)
                 assert ya.tolist() == yb.tolist() and la.tolist() == lb.tolist()
         for a, b in pairs:
-            assert a.columns is shared
-            for i, c in b.columns.items():
-                assert a.W[:, shared[i]].tolist() == b.W[:, c].tolist()
+            assert a.columns == b.columns
+            assert a.W.tolist() == b.W.tolist()
 
 
 class TestStackedGrid:

@@ -21,7 +21,7 @@ from nol.regret import (
     theorem2_check,
     theorem2_components,
 )
-from oracles import grid_oracle
+from oracles import _batch_project_l1, grid_oracle
 
 SQ = get_loss("squared")
 # hinge-oracle radii besides the default C = 1: the simplex's warm start is
@@ -51,6 +51,24 @@ class TestScalingAdversary:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             list(apply_scaling([ex({0: 1.0})], {0: 0.0}))
+
+
+class TestProjectBall:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 20])
+    def test_l1_matches_the_numpy_projection(self, d):
+        # the oracle's L1 projection is the conditioners' solver at unit
+        # weights; the row-wise numpy form must give the same array
+        rng = np.random.default_rng(100 + d)
+        inside = 0
+        for _ in range(400):
+            u = rng.choice([-1.0, 1.0], d) * 10 ** rng.uniform(-3, 3, d)
+            C = float(10 ** rng.uniform(-2, 2))
+            if rng.random() < 0.25:   # a point already in the ball
+                u *= rng.uniform(0.0, 1.0) * C / np.abs(u).sum()
+            inside += int(np.abs(u).sum() <= C)
+            got = regret._project_ball(u, C, 1)
+            assert np.array_equal(got, _batch_project_l1(u[None], C)[0]), (u, C)
+        assert inside >= 50
 
 
 class TestBestInHindsight:
