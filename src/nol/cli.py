@@ -234,6 +234,9 @@ def cmd_train(args) -> dict:
             "learner": args.learner,
             "loss": args.loss,
             "eta": args.eta,
+            "eta_decay": args.eta_decay,
+            "format": args.format,
+            "task": args.task,
             "normalize": args.normalize,
             "clip_c": args.clip_c,
             "seed": args.seed,
@@ -253,15 +256,15 @@ def cmd_train(args) -> dict:
 
 
 def _parse_eta_grid(spec: str) -> List[float]:
-    lo_s, sep, hi_s = spec.partition("..")
-    if not sep:
-        raise DataFormatError(f"bad eta grid {spec!r}; expected LO..HI")
+    """An argparse type: LO..HI as the grid LO, 2 LO, 4 LO, ... up to HI."""
+    lo_s, _, hi_s = spec.partition("..")   # without "..", hi_s is "" and not a float
     try:
         lo, hi = float(lo_s), float(hi_s)
     except ValueError:
-        raise DataFormatError(f"bad eta grid {spec!r}; expected LO..HI")
-    if not (0 < lo <= hi < math.inf):
-        raise DataFormatError("eta grid bounds must be finite and satisfy 0 < LO <= HI")
+        raise argparse.ArgumentTypeError(f"bad eta grid {spec!r}; expected LO..HI")
+    if not 0 < lo <= hi < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"eta grid bounds must be finite and satisfy 0 < LO <= HI, got {spec}")
     # capped so that doubling past the largest float ends the loop
     limit = min(hi * (1 + 1e-12), sys.float_info.max)
     grid = []
@@ -274,9 +277,8 @@ def _parse_eta_grid(spec: str) -> List[float]:
 
 def cmd_sweep(args) -> dict:
     kinds = args.learners
-    grid = _parse_eta_grid(args.eta_grid) if args.eta_grid else default_eta_grid()
-    spec = SweepSpec(kinds=kinds, loss=args.loss, eta_grid=grid, task=args.task,
-                     clip_c=args.clip_c)
+    spec = SweepSpec(kinds=kinds, loss=args.loss, eta_grid=args.eta_grid or default_eta_grid(),
+                     task=args.task, clip_c=args.clip_c)
     with _dataset(args) as examples:
         stream = _normalized(args, examples)
         t0 = time.perf_counter()
@@ -290,6 +292,8 @@ def cmd_sweep(args) -> dict:
         "config": {
             "learners": kinds,
             "loss": args.loss,
+            "format": args.format,
+            "task": args.task,
             "normalize": args.normalize,
             "clip_c": args.clip_c,
             "seed": args.seed,
@@ -305,17 +309,38 @@ def cmd_sweep(args) -> dict:
     }
 
 
+def _bound_item(args, loss, seed: int) -> dict:
+    """The report item of one lemma1, thm1 or thm2 instance of nol regret."""
+    examples = random_instance(seed, d=args.d, T=args.T, classification=loss.classification)
+    if args.check == "lemma1":
+        ledger = conditioned_run(examples, loss, args.C, recipe="streaming", projection=False)
+        rep = lemma1_check(ledger, loss, {})
+    elif args.check == "thm1":
+        rep = theorem1_check(examples, loss, args.C)
+    else:
+        rep = theorem2_check(examples, loss, args.C)
+    item = {
+        "seed": seed,
+        "empirical_regret": rep.empirical_regret,
+        "bound_value": rep.bound_value,
+        "slack": rep.slack,
+        "passed": rep.passed,
+        "components": rep.components,
+    }
+    if rep.oracle is not None:
+        item["oracle"] = rep.oracle._asdict()
+    return item
+
+
 def cmd_regret(args) -> dict:
     loss = get_loss(args.loss)
     t0 = time.perf_counter()
-    reports = []
-    summary: dict = {}
     if args.check == "cor1":
         examples = random_instance(args.seed, d=args.d, T=args.T,
                                    classification=loss.classification)
         mc = corollary1_montecarlo(examples, args.d, args.delta, args.nu,
                                    n_permutations=args.instances, seed=args.seed)
-        reports.append(mc)
+        reports = [mc]
         summary = {
             "instances": args.instances,
             "failures": 0 if mc["passed"] else 1,
@@ -323,50 +348,27 @@ def cmd_regret(args) -> dict:
             "tau": mc["tau"],
         }
     else:
-        slacks = []
-        failures = 0
-        for k in range(args.instances):
-            inst_seed = args.seed + 1000 * k
-            examples = random_instance(inst_seed, d=args.d, T=args.T,
-                                       classification=loss.classification)
-            if args.check == "lemma1":
-                ledger = conditioned_run(examples, loss, args.C,
-                                         recipe="streaming", projection=False)
-                rep = lemma1_check(ledger, loss, {})
-            elif args.check == "thm1":
-                rep = theorem1_check(examples, loss, args.C)
-            else:
-                rep = theorem2_check(examples, loss, args.C)
-            slacks.append(rep.slack)
-            failures += 0 if rep.passed else 1
-            item = {
-                "seed": inst_seed,
-                "empirical_regret": rep.empirical_regret,
-                "bound_value": rep.bound_value,
-                "slack": rep.slack,
-                "passed": rep.passed,
-                "components": rep.components,
-            }
-            if rep.oracle is not None:
-                item["oracle"] = rep.oracle._asdict()
-            reports.append(item)
+        reports = [_bound_item(args, loss, args.seed + 1000 * k) for k in range(args.instances)]
         summary = {
             "instances": args.instances,
-            "failures": failures,
-            "min_slack": min(slacks) if slacks else None,
+            "failures": sum(not item["passed"] for item in reports),
+            "min_slack": min(item["slack"] for item in reports),
             "tau": None,
         }
     elapsed = time.perf_counter() - t0
+    # the instances are random_instance(seed + 1000 k, d, T), with +-1 labels
+    # or real ones as the loss asks
+    dataset = (f"regret:{args.check}:seed={args.seed}:n={args.instances}:d={args.d}:T={args.T}"
+               f":loss={args.loss}")
+    config = {"loss": args.loss, "seed": args.seed, "C": args.C, "d": args.d, "T": args.T,
+              "instances": args.instances, "dataset_digest": _digest_bytes(dataset.encode())}
+    if args.check == "cor1":
+        config.update(delta=args.delta, nu=args.nu)
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "regret",
         "check": args.check,
-        "config": {
-            "loss": args.loss,
-            "seed": args.seed,
-            "dataset_digest": _digest_bytes(
-                f"regret:{args.check}:seed={args.seed}:n={args.instances}".encode()),
-        },
+        "config": config,
         "reports": reports,
         "summary": summary,
         "timing": {"seconds": elapsed},
@@ -393,7 +395,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--learners", required=True, type=_learner_kinds,
                          help="comma-separated learner kinds")
     p_sweep.add_argument("--loss", required=True, choices=LOSS_KINDS)
-    p_sweep.add_argument("--eta-grid", dest="eta_grid",
+    p_sweep.add_argument("--eta-grid", dest="eta_grid", type=_parse_eta_grid,
                          help="LO..HI, expanded by powers of two")
     p_sweep.add_argument("--clip-c", type=_finite_positive, dest="clip_c")
     p_sweep.add_argument("--plot-data", dest="plot_data",

@@ -91,11 +91,11 @@ class ComparatorBall:
 class DiagonalConditioner:
     """Running state for the transductive (fixed box) or streaming
     (running box) conditioner recipes. A_t is returned as a dict over the
-    coordinates with nonzero gradient mass."""
+    coordinates with nonzero gradient mass, at the step size eta = sqrt(2)
+    that the Theorem 1 and 2 bounds are written for."""
 
     recipe: str                      # "transductive" | "streaming"
     C: float
-    eta: float = SQRT2
     box: EnclosingBox = field(default_factory=EnclosingBox)
     sum_g2: Dict[int, float] = field(default_factory=dict)
 
@@ -111,7 +111,7 @@ class DiagonalConditioner:
         for i, gi in g.items():
             if gi != 0.0:
                 self.sum_g2[i] = self.sum_g2.get(i, 0.0) + gi * gi
-        inv_ceta = 1.0 / (self.C * self.eta)
+        inv_ceta = 1.0 / (self.C * SQRT2)
         m = self.box.m
         return {
             i: inv_ceta * math.sqrt(s) * m[i]
@@ -149,9 +149,10 @@ def lemma2_bound(sum_g2: Mapping[int, float], box: EnclosingBox, C: float) -> fl
 
 def _project_weighted_l1(u: Dict[int, float], d: Dict[int, float], C: float) -> Dict[int, float]:
     """min sum d_i (v_i - u_i)^2 s.t. sum |v_i| <= C, by exact sort-based
-    thresholding of the KKT conditions (soft threshold lambda/(2 d_i))."""
+    thresholding of the KKT conditions (soft threshold lambda/(2 d_i)). A
+    feasible u is returned itself."""
     if sum(abs(v) for v in u.values()) <= C:
-        return dict(u)
+        return u
     items = []
     for i, ui in u.items():
         a = abs(ui)
@@ -185,9 +186,9 @@ def _project_weighted_l2(u: Dict[int, float], d: Dict[int, float], C: float) -> 
     trust-region subproblem's; More & Sorensen, 1983). Its left side is convex
     and decreasing in lam, so Newton's iterates from lam = 0 rise
     monotonically to the root, with no bracket; they stop once roundoff ends
-    the rise."""
+    the rise. A feasible u is returned itself."""
     if math.sqrt(sum(v * v for v in u.values())) <= C:
-        return dict(u)
+        return u
 
     keys = list(u)
     lam = 0.0
@@ -225,7 +226,8 @@ def project(w: Mapping[int, float], A: Mapping[int, float], ball: ComparatorBall
     d = {i: A[i] / (m[i] * m[i]) for i in active}
     solve = _project_weighted_l1 if ball.q == 1 else _project_weighted_l2
     proj = solve(u, d, ball.C)
-
+    if proj is u:   # feasible: w itself, not (w_i m_i) / m_i, which can be off by an ulp
+        return dict(w)
     out = dict(passthrough)
     for i, ui in proj.items():
         out[i] = ui / m[i]

@@ -48,10 +48,6 @@ class SparseExample:
         object.__setattr__(self, "features", tuple(cleaned))
         object.__setattr__(self, "label", float(self.label))
 
-    @classmethod
-    def from_dict(cls, feats: Mapping[int, float], label: float) -> "SparseExample":
-        return cls(tuple(sorted(feats.items())), label)
-
     def scaled(self, scale: Mapping[int, float]) -> "SparseExample":
         """Return a copy with each feature i multiplied by scale.get(i, 1)."""
         pairs = tuple((i, v * scale.get(i, 1.0)) for i, v in self.features)

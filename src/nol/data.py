@@ -165,7 +165,7 @@ def read_delimited(lines: Iterable[str], label_column: Optional[str] = None,
             label = float(label_transform[label])
         if not math.isfinite(label):
             raise DataFormatError(f"line {n}: non-finite label {label_cell!r}")
-        yield SparseExample.from_dict(feats, label)
+        yield _validated_example(tuple(sorted(feats.items())), label)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +264,10 @@ def regression_loss_scale(labels: Iterable[float]) -> float:
 # ---------------------------------------------------------------------------
 # Synthetic generators
 
-def synth_figure1(s: float, T: int, seed: int = 0, margin: float = 0.05) -> List[SparseExample]:
+def synth_figure1(s: float, T: int, seed: int = 0) -> List[SparseExample]:
     """Two-dimensional separable stream with the first feature scaled by s.
 
-    Base inputs are uniform on [-1, 1]^2 (resampled to keep a small margin),
+    Base inputs are uniform on [-1, 1]^2 (resampled to keep a margin of 0.05),
     labels are the sign of (1, 1) . x. The base stream depends only on the
     seed, so different s values yield streams identical up to the scaling.
     """
@@ -278,7 +278,7 @@ def synth_figure1(s: float, T: int, seed: int = 0, margin: float = 0.05) -> List
     while len(out) < T:
         x = rng.uniform(-1.0, 1.0, size=2)
         raw = x[0] + x[1]
-        if abs(raw) < margin:
+        if abs(raw) < 0.05:
             continue
         y = 1.0 if raw > 0 else -1.0
         out.append(SparseExample(((0, s * x[0]), (1, x[1])), y))
@@ -286,10 +286,10 @@ def synth_figure1(s: float, T: int, seed: int = 0, margin: float = 0.05) -> List
 
 
 def synth_scaled(d: int, T: int, seed: int = 0, log10_scale_lo: float = -3.0,
-                 log10_scale_hi: float = 3.0, flip: float = 0.05) -> List[SparseExample]:
-    """Separable-ish classification stream whose per-coordinate scales are
-    log-uniform over the requested range; used for learning-rate-range and
-    invariance experiments."""
+                 log10_scale_hi: float = 3.0) -> List[SparseExample]:
+    """Separable-ish classification stream (5% of labels flipped) whose
+    per-coordinate scales are log-uniform over the requested range; used for
+    learning-rate-range and invariance experiments."""
     rng = np.random.default_rng(seed)
     scales = 10.0 ** rng.uniform(log10_scale_lo, log10_scale_hi, size=d)
     w_true = rng.normal(size=d)
@@ -298,7 +298,7 @@ def synth_scaled(d: int, T: int, seed: int = 0, log10_scale_lo: float = -3.0,
         base = rng.uniform(-1.0, 1.0, size=d)
         raw = w_true @ base
         y = 1.0 if raw >= 0 else -1.0
-        if rng.random() < flip:
+        if rng.random() < 0.05:
             y = -y
         x = base * scales
         out.append(SparseExample(tuple((j, x[j]) for j in range(d) if x[j] != 0.0), y))

@@ -25,10 +25,10 @@ from .errors import NolError
 from .learners import GridLearner, Learner, LearnerConfig, progressive
 
 
-def default_eta_grid(lo_exp: int = -20, hi_exp: int = 6, base: float = 2.0) -> List[float]:
-    """Geometric grid base^lo .. base^hi, wide enough to cover the optimal
-    rates seen anywhere between ~1e-7 and 16."""
-    return [base ** e for e in range(lo_exp, hi_exp + 1)]
+def default_eta_grid() -> List[float]:
+    """Geometric grid 2^-20 .. 2^6, wide enough to cover the optimal rates
+    seen anywhere between ~1e-7 and 16."""
+    return [2.0 ** e for e in range(-20, 7)]
 
 
 @dataclass

@@ -363,36 +363,32 @@ class GridLearner:
         supp = ex.features
         cols, x = self._gather(supp)
         Wx = self.W[:, cols]
-        den = np.empty(Wx.shape)
-        rates = np.empty(len(Wx))
+        # the step's u_i, den_i and rate per row; u = 0 where a kind takes no step
+        u = np.zeros(Wx.shape)
+        den = np.ones(Wx.shape)
+        rates = np.zeros(len(Wx))
         faults = {}
-        squashed = False
-        idle = []   # the rows of kinds that take no step
-        over_scale = []   # (rows, x / scale) of the kinds that step in x / scale
         for k in self.kinds:
-            rate, scale = None, None
-            if k.fault is None:
-                k.t += 1
-                try:
-                    factors, scale = k.stage.stats(k, supp)
-                except _NUMERIC_ERRORS as e:
-                    k.fault = _fault_reason(e)
-                    faults.update(dict.fromkeys(range(k.rows.start, k.rows.stop), k.fault))
-                else:
-                    if factors is not None:
-                        Wx[k.rows] *= [factors.get(i, 1.0) for i, _ in supp]
-                        squashed = True
-                    rate = k.stage.rate(k)
+            if k.fault is not None:
+                continue
+            k.t += 1
+            try:
+                factors, scale = k.stage.stats(k, supp)
+            except _NUMERIC_ERRORS as e:
+                k.fault = _fault_reason(e)
+                faults.update(dict.fromkeys(range(k.rows.start, k.rows.stop), k.fault))
+                continue
+            if factors is not None:
+                Wx[k.rows] *= [factors.get(i, 1.0) for i, _ in supp]
+            rate = k.stage.rate(k)
             if rate is None:
-                idle.append(k.rows)
-                rate = 0.0
+                continue
             rates[k.rows] = rate
             if scale is None:
-                den[k.rows] = 1.0
+                u[k.rows] = x
             else:
                 q = den[k.rows] = np.array(scale)
-                if k.stage.over_scale:
-                    over_scale.append((k.rows, x / q))
+                u[k.rows] = x / q if k.stage.over_scale else x
 
         raw = self._dot(Wx, x)
         yhat = raw if self.clip_c is None else np.clip(raw, -self.clip_c, self.clip_c)
@@ -400,11 +396,7 @@ class GridLearner:
 
         new, Gb = Wx, None
         if supp and gp.any():
-            grad = gp[:, None] * x
-            for rows, r in over_scale:
-                grad[rows] = gp[rows, None] * r
-            for rows in idle:
-                grad[rows] = 0.0
+            grad = gp[:, None] * u
             step = (self.etas * rates)[:, None] * grad
             if self.G is not None:
                 g = grad[self._g_rows]
@@ -417,8 +409,7 @@ class GridLearner:
                     step[r, c], den[r, c] = 0.0, 1.0
             step /= den
             new = Wx - step
-        if new is not Wx or squashed:
-            self.W[:, cols] = new
+        self.W[:, cols] = new
 
         checked = new.sum() + yhat.sum() + lval.sum()
         if Gb is not None:

@@ -60,13 +60,13 @@ def apply_scaling(stream: Iterable[SparseExample], D: Dict[int, float]):
         yield ex.scaled(D)
 
 
-def random_instance(seed: int, d: int = 3, T: int = 200, classification: bool = True,
-                    scale_span: float = 2.0) -> List[SparseExample]:
-    """A seeded dense stream with per-coordinate scales spanning
-    10^{+-scale_span}, labels from a hidden linear predictor with 10% flips
-    (classification) or additive noise (regression)."""
+def random_instance(seed: int, d: int = 3, T: int = 200,
+                    classification: bool = True) -> List[SparseExample]:
+    """A seeded dense stream with per-coordinate scales spanning 10^{+-2},
+    labels from a hidden linear predictor with 10% flips (classification) or
+    additive noise (regression)."""
     rng = np.random.default_rng(seed)
-    scales = 10.0 ** rng.uniform(-scale_span, scale_span, size=d)
+    scales = 10.0 ** rng.uniform(-2.0, 2.0, size=d)
     X = rng.uniform(-1.0, 1.0, size=(T, d)) * scales
     w_true = rng.normal(size=d) / scales
     raw = X @ w_true
@@ -88,7 +88,6 @@ def random_instance(seed: int, d: int = 3, T: int = 200, classification: bool = 
 @dataclass
 class LedgerRound:
     x: SparseExample
-    yhat: float
     loss: float
     gprime: float
     A: Dict[int, float]
@@ -130,40 +129,33 @@ def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
     fixed (Eq.-2 style conditioner; projection ball uses the fixed box).
     streaming: the box is a running estimate updated with each example before
     its conditioner is formed (Eq.-3 style; projection ball tracks the box).
+    The conditioner, the ledger and the ball share one box.
     """
-    ledger = RegretLedger(C, projection)
-    if recipe == "transductive":
-        full_box = EnclosingBox.from_stream(examples)
-        cond = DiagonalConditioner(recipe, C, box=full_box)
-        ledger.box = full_box
-    else:
-        cond = DiagonalConditioner(recipe, C)
-        ledger.box = cond.box
-
+    box = EnclosingBox.from_stream(examples) if recipe == "transductive" else EnclosingBox()
+    cond = DiagonalConditioner(recipe, C, box=box)
+    ledger = RegretLedger(C, projection, sum_g2=cond.sum_g2, box=box)
+    ball = ComparatorBall(box, C, q)
     w: Dict[int, float] = {}
 
     def play(ex):
         nonlocal w
         for i, v in ex.features:
-            if i not in ledger.first_abs:
-                ledger.first_abs[i] = abs(v)
+            ledger.first_abs.setdefault(i, abs(v))
         yhat = predict(w, ex)
         lval, gp = loss.value_and_derivative(yhat, ex.label)
         _finite("loss", lval, _finite("prediction", yhat))
         g = {i: gp * v for i, v in ex.features}
         A = cond.step(g, ex)
-        played = LedgerRound(ex, yhat, lval, gp, dict(A), dict(w))
+        played = LedgerRound(ex, lval, gp, A, dict(w))
         for i, gi in g.items():
             Ai = A.get(i, 0.0)
             if Ai > 0.0 and gi != 0.0:
                 w[i] = w.get(i, 0.0) - gi / Ai
         if projection:
-            ball = ComparatorBall(cond.box, C, q)
             w = project(w, A, ball)
         return played
 
     ledger.rounds.extend(progressive(examples, play))
-    ledger.sum_g2 = dict(cond.sum_g2)
     return ledger
 
 
@@ -381,10 +373,6 @@ class BoundReport:
     oracle: Optional[OracleCertificate] = None
 
 
-def _norm_A(diff: Dict[int, float], A: Dict[int, float]) -> float:
-    return sum(A.get(i, 0.0) * v * v for i, v in diff.items())
-
-
 def lemma1_check(ledger: RegretLedger, loss: Loss, w: Dict[int, float]) -> BoundReport:
     """Evaluate 2 R_T <= ||w_1 - w||^2_{A_1} + sum_t ||w_t - w||^2_{A_t - A_{t-1}}
     + sum_t g_t^T A_t^{-1} g_t against an arbitrary comparator w.
@@ -403,19 +391,15 @@ def lemma1_check(ledger: RegretLedger, loss: Loss, w: Dict[int, float]) -> Bound
 
     regret = ledger.total_loss - ledger.comparator_loss(loss, w)
 
-    r1 = rounds[0]
-    diff1 = {i: r1.w.get(i, 0.0) - wi for i, wi in w.items()}
-    for i, wi in r1.w.items():
-        if i not in diff1:
-            diff1[i] = wi
-    first_term = _norm_A(diff1, r1.A)
+    # w_1 = 0, as conditioned_run starts from {}; and the support of A only
+    # grows, so each round's increments lie on its own A's keys
+    A1 = rounds[0].A
+    first_term = sum(A1.get(i, 0.0) * wi * wi for i, wi in w.items())
 
     increment_sum = 0.0
-    for k in range(1, len(rounds)):
-        prev_A, cur = rounds[k - 1].A, rounds[k]
-        keys = set(cur.A) | set(prev_A) | set(w) | set(cur.w)
-        for i in keys:
-            dA = cur.A.get(i, 0.0) - prev_A.get(i, 0.0)
+    for prev, cur in zip(rounds, rounds[1:]):
+        for i, Ai in cur.A.items():
+            dA = Ai - prev.A.get(i, 0.0)
             if dA != 0.0:
                 diff = cur.w.get(i, 0.0) - w.get(i, 0.0)
                 increment_sum += dA * diff * diff
@@ -502,16 +486,6 @@ def theorem2_check(examples: Sequence[SparseExample], loss: Loss, C: float) -> B
 # ---------------------------------------------------------------------------
 # Corollary 1
 
-def nearest_rank_quantile(values: Sequence[float], level: float) -> float:
-    """Smallest value with at least ceil(level * n) observations <= it."""
-    s = sorted(values)
-    n = len(s)
-    if n == 0:
-        raise ValueError("empty sequence")
-    k = max(1, math.ceil(level * n))
-    return s[min(k, n) - 1]
-
-
 def corollary1_tau(d: int, delta: float, nu: float) -> int:
     """tau = ceil(ln(d / delta) / nu), natural log."""
     if not (0 < delta < 1 and 0 < nu < 1):
@@ -533,10 +507,11 @@ def corollary1_montecarlo(examples: Sequence[SparseExample], d: int, delta: floa
             if i < d:
                 M[t, i] = abs(v)
     total_max = M.max(axis=0)
-    active = [i for i in range(d) if total_max[i] > 0.0]
-    quantiles = [nearest_rank_quantile(M[:, i], 1.0 - nu) for i in active]
-    bound = np.array([total_max[i] / qv if qv > 0.0 else math.inf
-                      for i, qv in zip(active, quantiles)])
+    active = np.flatnonzero(total_max > 0.0)
+    # the smallest value with >= ceil((1 - nu) T) values <= it; a zero one bounds by inf
+    quantiles = np.quantile(M[:, active], 1.0 - nu, axis=0, method="inverted_cdf")
+    with np.errstate(divide="ignore"):
+        bound = total_max[active] / quantiles
 
     rng = np.random.default_rng(seed)
     violations = 0

@@ -178,16 +178,16 @@ class TestSweep:
         code, _, err = run_cli(capsys, [
             "sweep", "--synth", "figure1:T=10", "--learners", "sgd",
             "--loss", "hinge", "--eta-grid", "nope"])
-        assert code == 2
-        assert "data error" in err
+        assert code == 1
+        assert err.count("\n") == 1 and "argument --eta-grid:" in err
 
     @pytest.mark.parametrize("grid", ["1..inf", "nan..1", "1..nan", "inf..inf", "a..1"])
-    def test_unusable_eta_grid_is_data_error(self, capsys, grid):
+    def test_unusable_eta_grid_is_usage_error(self, capsys, grid):
         code, _, err = run_cli(capsys, [
             "sweep", "--synth", "figure1:T=10", "--learners", "sgd",
             "--loss", "hinge", "--eta-grid", grid])
-        assert code == 2
-        assert "data error" in err
+        assert code == 1
+        assert err.count("\n") == 1 and "argument --eta-grid:" in err
 
     def test_eta_grid_stops_at_largest_float(self):
         grid = _parse_eta_grid("1..1.7976931348623157e308")
@@ -232,6 +232,47 @@ class TestRegret:
         r2 = run_report(capsys, argv)
         del r1["timing"], r2["timing"]
         assert r1 == r2
+
+
+class TestConfigRecordsEveryFlag:
+    """A report's config tells apart runs whose flags differ; the regret
+    digest tells apart instances drawn at another shape or label kind."""
+
+    LEMMA1 = ["regret", "--check", "lemma1", "--loss", "squared", "--instances", "1",
+              "--T", "20"]
+    COR1 = ["regret", "--check", "cor1", "--instances", "20", "--T", "20"]
+
+    @staticmethod
+    def configs(capsys, base, extra):
+        return run_report(capsys, base)["config"], run_report(capsys, base + extra)["config"]
+
+    @pytest.mark.parametrize("base,extra", [
+        (TestTrain.BASE, ["--eta-decay"]),
+        (TestTrain.BASE, ["--format", "csv"]),
+        (TestTrain.BASE, ["--task", "regression"]),
+        (TestSweep.BASE, ["--format", "csv"]),
+        (TestSweep.BASE, ["--task", "regression"]),
+        (LEMMA1, ["-C", "2"]),
+        (LEMMA1, ["--d", "2"]),
+        (LEMMA1, ["--T", "30"]),
+        (LEMMA1, ["--instances", "2"]),
+        (COR1, ["--delta", "0.2"]),
+        (COR1, ["--nu", "0.25"]),
+    ])
+    def test_each_flag_changes_the_config(self, capsys, base, extra):
+        before, after = self.configs(capsys, base, extra)
+        del before["dataset_digest"], after["dataset_digest"]
+        assert after != before
+
+    @pytest.mark.parametrize("extra", [["--d", "2"], ["--T", "30"], ["--instances", "2"],
+                                       ["--loss", "hinge"]])
+    def test_instance_shape_changes_the_regret_digest(self, capsys, extra):
+        before, after = self.configs(capsys, self.LEMMA1, extra)
+        assert after["dataset_digest"] != before["dataset_digest"]
+
+    def test_C_keeps_the_regret_digest(self, capsys):
+        before, after = self.configs(capsys, self.LEMMA1, ["-C", "2"])
+        assert after["dataset_digest"] == before["dataset_digest"]
 
 
 class TestExitCodes:

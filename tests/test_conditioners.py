@@ -87,12 +87,12 @@ class TestHindsight:
 
 class TestConditionerSteps:
     def test_streaming_first_step(self):
-        cond = DiagonalConditioner("streaming", C=1.0, eta=SQRT2)
+        cond = DiagonalConditioner("streaming", C=1.0)
         a = cond.step({0: -4.0}, ex({0: 2.0}))
         assert a[0] == pytest.approx(8.0 / SQRT2, rel=1e-12)
 
     def test_streaming_second_step(self):
-        cond = DiagonalConditioner("streaming", C=1.0, eta=SQRT2)
+        cond = DiagonalConditioner("streaming", C=1.0)
         cond.step({0: -4.0}, ex({0: 2.0}))
         a = cond.step({0: 3.0}, ex({0: 1.0}))
         assert cond.box.m[0] == 2.0
@@ -117,13 +117,13 @@ class TestConditionerSteps:
 
     def test_transductive_matches_streaming_when_max_attained(self):
         box = EnclosingBox({0: 2.0})
-        cond = DiagonalConditioner("transductive", C=1.0, eta=SQRT2, box=box)
+        cond = DiagonalConditioner("transductive", C=1.0, box=box)
         a = cond.step({0: -4.0}, ex({0: 2.0}))
         assert a[0] == pytest.approx(8.0 / SQRT2, rel=1e-12)
 
     def test_transductive_uses_full_pass_box(self):
         box = EnclosingBox({0: 4.0})  # first pass saw max |x| = 4 later on
-        cond = DiagonalConditioner("transductive", C=1.0, eta=SQRT2, box=box)
+        cond = DiagonalConditioner("transductive", C=1.0, box=box)
         a = cond.step({0: -4.0}, ex({0: 2.0}))
         assert a[0] == pytest.approx(16.0 / SQRT2, rel=1e-12)
 
@@ -167,6 +167,14 @@ class TestProjection:
         ball = self.identity_ball(2, C=1.0, q=q)
         w = {0: 0.3, 1: 0.1}
         assert project(w, {0: 2.0, 1: 5.0}, ball) == w
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_feasible_point_returned_exactly(self, q):
+        # 0.1 * 3.0 / 3.0 is 0.10000000000000002: a feasible point must not
+        # take that round trip through the ball's coordinates
+        ball = ComparatorBall(EnclosingBox({0: 3.0, 1: 7.0}), 100.0, q)
+        w = {0: 0.1, 1: 0.7}
+        assert project(w, {0: 1.0, 1: 1.0}, ball) == w
 
     def test_empty_support_passthrough(self):
         ball = self.identity_ball(1)

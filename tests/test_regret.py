@@ -269,6 +269,53 @@ class TestLemma1:
                 rep = lemma1_check(ledger, SQ, comparator)
                 assert rep.slack >= -1e-6
 
+    @staticmethod
+    def definition(ledger, w):
+        """The three terms of Lemma 1 as written, ||w_1 - w||^2_{A_1},
+        sum_{t>1} ||w_t - w||^2_{A_t - A_{t-1}} and sum_t g_t^T A_t^-1 g_t,
+        each a dense sum over every coordinate any round or w names."""
+        rounds = ledger.rounds
+        coords = set(w)
+        for r in rounds:
+            coords |= set(r.A) | set(r.w) | {i for i, _ in r.x.features}
+        coords = sorted(coords)
+
+        def dense(m):
+            return [m.get(i, 0.0) for i in coords]
+
+        wv = dense(w)
+
+        def dist(a, wt):
+            return math.fsum(ai * (wti - wi) ** 2 for ai, wti, wi in zip(a, wt, wv))
+
+        initial = dist(dense(rounds[0].A), dense(rounds[0].w))
+        increments = math.fsum(
+            dist([a - b for a, b in zip(dense(cur.A), dense(prev.A))], dense(cur.w))
+            for prev, cur in zip(rounds, rounds[1:]))
+        grads = 0.0
+        for r in rounds:
+            x = dict(r.x.features)
+            g = [r.gprime * x.get(i, 0.0) for i in coords]
+            grads += math.fsum(gi * gi / a for gi, a in zip(g, dense(r.A)) if gi != 0.0)
+        return {"initial_distance": initial, "conditioner_increments": increments,
+                "gradient_sum": grads}
+
+    @pytest.mark.parametrize("seed,d,T", [(0, 1, 20), (1, 2, 60), (2, 3, 200), (3, 4, 90),
+                                          (4, 5, 150)])
+    @pytest.mark.parametrize("loss_kind", ["squared", "hinge", "logistic"])
+    def test_components_match_the_definition(self, seed, d, T, loss_kind):
+        loss = get_loss(loss_kind)
+        stream = random_instance(seed, d=d, T=T, classification=loss.classification)
+        ledger = conditioned_run(stream, loss, C=1.0, recipe="streaming", projection=False)
+        m = ledger.box.m
+        inside = {i: (-1) ** i * 0.5 / (len(m) * mi) for i, mi in m.items()}
+        assert ComparatorBall(ledger.box, C=1.0, q=1).contains(inside)
+        uncovered = {0: 0.3, d + 7: -0.5}   # A never has coordinate d + 7
+        for w in ({}, inside, uncovered):
+            rep = lemma1_check(ledger, loss, w)
+            for name, want in self.definition(ledger, w).items():
+                assert rep.components[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
+
 
 class TestTheorem1:
     def test_bound_value_formula(self):

@@ -1,0 +1,99 @@
+"""Snapshot the reports of a fixed list of nol commands, to diff two checkouts.
+
+    python3 tools/report_snapshot.py CHECKOUT OUT_DIR
+    diff -r OUT_A OUT_B
+
+Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
+
+* ``nol regret`` thm1, thm2 and lemma1 x 3 losses x ``--d`` 1, 2, 3, 5, 20
+  x ``-C`` 0.1, 1, 30, at ``--T 60 --instances 3``;
+* ``nol regret --check cor1`` x 3 losses x seeds 0-3, at ``--instances 50``;
+* the benchmark's ``train-wide`` commands for input variants 0-2, and its
+  ``sweep-narrow`` and ``regret-bounds`` commands for variants 0-15, their
+  inputs written by CHECKOUT's ``bench/inputs.make`` into a temporary
+  directory (``bench/`` itself is left as it is);
+* two ``nol sweep --eta-grid`` values that are not a grid.
+
+OUT_DIR gets one sorted-keys JSON file per command: its argv (the temporary
+directory written as ``$TMP``), exit code, stderr and report, the report
+without its ``timing``. Two checkouts that give the same results give
+snapshots that ``diff -r`` finds equal.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+LOSSES = ("squared", "hinge", "logistic")
+
+
+def _regret_commands():
+    for check in ("thm1", "thm2", "lemma1"):
+        for loss in LOSSES:
+            for d in (1, 2, 3, 5, 20):
+                for C in ("0.1", "1", "30"):
+                    yield (f"regret-{check}-{loss}-d{d}-C{C}",
+                           ["regret", "--check", check, "--loss", loss, "--d", str(d),
+                            "-C", C, "--T", "60", "--instances", "3"])
+    for loss in LOSSES:
+        for seed in range(4):
+            yield (f"regret-cor1-{loss}-seed{seed}",
+                   ["regret", "--check", "cor1", "--loss", loss, "--seed", str(seed),
+                    "--instances", "50"])
+    for grid in ("nope", "1..inf"):
+        yield (f"sweep-eta-grid-{grid}",
+               ["sweep", "--synth", "figure1:T=10", "--learners", "sgd", "--loss", "hinge",
+                "--eta-grid", grid])
+
+
+def _bench_commands(inputs, tmp, root):
+    for workload, variants in (("train-wide", 3), ("sweep-narrow", 16), ("regret-bounds", 16)):
+        for variant in range(variants):
+            work = os.path.join(tmp, f"{workload}-{variant}")
+            for label, argv in inputs.make(workload, variant, work, root)["commands"]:
+                yield f"{workload}-{variant}-{label.replace(':', '-')}", argv
+
+
+def _run(main, argv, tmp):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    text = out.getvalue()
+    if "--report" in argv:
+        path = argv[argv.index("--report") + 1]
+        if os.path.exists(path):
+            with open(path) as fh:
+                text = fh.read()
+    report = json.loads(text) if text else None
+    if isinstance(report, dict):
+        report.pop("timing", None)
+    return {"argv": [a.replace(tmp, "$TMP") for a in argv], "code": code,
+            "stderr": err.getvalue().replace(tmp, "$TMP"), "report": report}
+
+
+def main(args):
+    if len(args) != 2:
+        raise SystemExit(__doc__)
+    checkout, out_dir = (os.path.abspath(a) for a in args)
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "bench")]
+    import inputs
+    import nol.cli
+
+    if not nol.cli.__file__.startswith(os.path.join(checkout, "src")):
+        raise SystemExit(f"imported nol from {nol.cli.__file__}, not from {checkout}")
+    os.makedirs(out_dir, exist_ok=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        commands = [*_regret_commands(), *_bench_commands(inputs, tmp, checkout)]
+        for label, argv in commands:
+            snap = _run(nol.cli.main, argv, tmp)
+            with open(os.path.join(out_dir, label + ".json"), "w") as fh:
+                json.dump(snap, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+    print(f"{len(commands)} reports in {out_dir}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
