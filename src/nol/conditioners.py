@@ -9,6 +9,9 @@ Three recipes produce the diagonal A_t:
 * streaming    -- one-pass: both the box and the gradient sums are running
                   estimates.
 
+``DiagonalConditioner`` runs the last two, given the first pass's box or an
+empty one.
+
 The module also provides the metric projection onto the comparator ball
 {w : ||S^{-1/2} w||_q <= C} for q in {1, 2}.
 """
@@ -89,25 +92,22 @@ class ComparatorBall:
 
 @dataclass
 class DiagonalConditioner:
-    """Running state for the transductive (fixed box) or streaming
-    (running box) conditioner recipes. A_t is returned as a dict over the
-    coordinates with nonzero gradient mass, at the step size eta = sqrt(2)
-    that the Theorem 1 and 2 bounds are written for."""
+    """Running state of the transductive and streaming conditioner recipes,
+    which differ only in the box they start from: the full pass's for
+    transductive, an empty one for streaming. Each step folds its input into
+    the box, a no-op for the transductive box, which already holds every
+    example's max. A_t is returned as a dict over the coordinates with
+    nonzero gradient mass, at the step size eta = sqrt(2) that the
+    Theorem 1 and 2 bounds are written for."""
 
-    recipe: str                      # "transductive" | "streaming"
     C: float
     box: EnclosingBox = field(default_factory=EnclosingBox)
     sum_g2: Dict[int, float] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.recipe not in ("transductive", "streaming"):
-            raise ValueError(f"unknown conditioner recipe {self.recipe!r}")
-
     def step(self, g: Mapping[int, float], x: SparseExample) -> Dict[int, float]:
-        """Fold in the round-t gradient (and, when streaming, the input) and
-        return the current diagonal A_t."""
-        if self.recipe == "streaming":
-            self.box.update(x)
+        """Fold in the round-t gradient and input and return the current
+        diagonal A_t."""
+        self.box.update(x)
         for i, gi in g.items():
             if gi != 0.0:
                 self.sum_g2[i] = self.sum_g2.get(i, 0.0) + gi * gi

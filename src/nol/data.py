@@ -84,9 +84,11 @@ def serialize_svmlight(ex: SparseExample) -> str:
 
 
 def read_svmlight(lines: Iterable[str]) -> Iterator[SparseExample]:
+    """Examples of svmlight lines; text from a '#' on is a comment, and lines
+    without an example are skipped."""
     for n, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        line = line.partition("#")[0].strip()
+        if not line:
             continue
         yield parse_svmlight_line(line, n)
 
@@ -98,13 +100,14 @@ def _sniff_delimiter(header: str) -> str:
     return "\t" if "\t" in header else ","
 
 
-def read_delimited(lines: Iterable[str], label_column: Optional[str] = None,
+def read_delimited(lines: Iterable[str],
                    label_transform: Optional[dict] = None) -> Iterator[SparseExample]:
-    """CSV/TSV with header; the last column is the label unless named.
+    """CSV/TSV with header; the last column is the label.
 
-    Numeric columns map to one feature each; non-numeric columns are one-hot
-    expanded with a stable value -> index mapping (value 1.0). Label values
-    may be remapped via label_transform (e.g. {0: -1, 1: 1}).
+    Numeric column j is feature j; non-numeric columns are one-hot expanded
+    with a stable value -> index mapping (value 1.0), the indices following
+    the columns'. Numeric labels may be remapped via label_transform (e.g.
+    {0: -1, 1: 1}).
     """
     it = iter(lines)
     try:
@@ -114,18 +117,7 @@ def read_delimited(lines: Iterable[str], label_column: Optional[str] = None,
     delim = _sniff_delimiter(header_line)
     reader = csv.reader(io.StringIO(header_line), delimiter=delim)
     columns = next(reader)
-    if label_column is None:
-        label_idx = len(columns) - 1
-    else:
-        try:
-            label_idx = columns.index(label_column)
-        except ValueError:
-            raise DataFormatError(f"label column {label_column!r} not in header")
-
-    feature_cols = [j for j in range(len(columns)) if j != label_idx]
-    # one slot per numeric column; categorical levels get fresh indices
-    slot: Dict[int, int] = {j: k for k, j in enumerate(feature_cols)}
-    next_index = len(feature_cols)
+    label_idx = next_index = len(columns) - 1
     categories: Dict[tuple, int] = {}
 
     for n, line in enumerate(it, start=2):
@@ -136,7 +128,7 @@ def read_delimited(lines: Iterable[str], label_column: Optional[str] = None,
         if len(row) != len(columns):
             raise DataFormatError(f"line {n}: expected {len(columns)} fields, got {len(row)}")
         feats: Dict[int, float] = {}
-        for j in feature_cols:
+        for j in range(label_idx):
             cell = row[j].strip()
             if cell == "":
                 continue
@@ -152,15 +144,12 @@ def read_delimited(lines: Iterable[str], label_column: Optional[str] = None,
             if not math.isfinite(val):
                 raise DataFormatError(f"line {n}: non-finite value {cell!r}")
             if val != 0.0:
-                feats[slot[j]] = val
+                feats[j] = val
         label_cell = row[label_idx].strip()
         try:
             label = float(label_cell)
         except ValueError:
-            if label_transform and label_cell in label_transform:
-                label = float(label_transform[label_cell])
-            else:
-                raise DataFormatError(f"line {n}: bad label {label_cell!r}")
+            raise DataFormatError(f"line {n}: bad label {label_cell!r}")
         if label_transform and label in label_transform:
             label = float(label_transform[label])
         if not math.isfinite(label):
@@ -175,9 +164,7 @@ def read_delimited(lines: Iterable[str], label_column: Optional[str] = None,
 class NormalizerStats:
     """Fixed per-coordinate statistics from a dedicated first pass."""
 
-    mode: str                                   # "maxnorm" | "sqnorm"
     scale: Dict[int, float] = field(default_factory=dict)  # divide by this
-    count: int = 0
 
     def apply(self, ex: SparseExample) -> SparseExample:
         scale = self.scale.get
@@ -186,8 +173,8 @@ class NormalizerStats:
             si = scale(i, 0.0)
             if si > 0.0:
                 v = v / si
-                # compute_normalizer's statistics keep |v / si| <= sqrt(count),
-                # so the quotient is finite; it can underflow to zero
+                # compute_normalizer's statistics keep |v / si| <= sqrt(n) over
+                # n examples, so the quotient is finite; it can underflow to zero
                 if v == 0.0:
                     continue
             pairs.append((i, v))
@@ -221,7 +208,7 @@ def compute_normalizer(examples: Iterable[SparseExample], mode: str) -> Normaliz
         except KeyError as e:   # a file rewritten between the passes
             raise DataFormatError(f"feature {e} is new in the second pass over the examples")
         stats = {i: stats[i] * math.sqrt(s / n) for i, s in sums.items()}
-    return NormalizerStats(mode, stats, n)
+    return NormalizerStats(stats)
 
 
 class Normalized:

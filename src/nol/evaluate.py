@@ -6,8 +6,10 @@ a geometric learning-rate grid for every learner in one pass over the stream;
 significance between two loss sequences is decided by disjointness
 of relative-entropy Chernoff confidence intervals on the means.
 
-A non-finite prediction, loss, weight or sum is a ``NumericFault`` naming the
-example: it ends a progressive run, and it fails only its own cell of a sweep.
+A non-finite prediction, loss, eval loss, weight or sum is a ``NumericFault``
+naming the example: it ends a progressive run, and it fails only its own cell
+of a sweep. Sweeps are binary or regression; multiclass one-against-all runs
+through ``multiclass_progressive``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Loss, SparseExample, _finite, _validated_example, get_loss
+from .core import Loss, SparseExample, _finite, get_loss
 from .data import regression_loss_scale
 from .errors import NolError
 from .learners import GridLearner, Learner, LearnerConfig, progressive
@@ -112,7 +114,6 @@ class SweepSpec:
     loss: str
     eta_grid: List[float] = field(default_factory=default_eta_grid)
     task: str = "classification"
-    multiclass: bool = False
     clip_c: Optional[float] = None
 
     def __post_init__(self):
@@ -142,113 +143,58 @@ class ComparisonReport:
     best: Dict[str, Tuple[float, float]]   # kind -> (eta*, best eval loss)
 
 
-def _record(errors: List[Optional[str]], n: int, faults: Dict[int, str]):
-    for r, reason in faults.items():
-        if errors[r] is None:
-            errors[r] = f"example {n}: {reason}"
-
-
-class _Run:
-    """The rows of a sweep, kind-major, fed one example at a time: summed
-    training and eval losses, per-row errors, and ``failure``, set when an
-    error ends the whole pass."""
-
-    def __init__(self, spec: SweepSpec, loss: Loss, loss_scale: Optional[float]):
-        rows = len(spec.kinds) * len(spec.eta_grid)
-        self.spec, self.loss, self.loss_scale = spec, loss, loss_scale
-        self.train, self.ev = np.zeros(rows), np.zeros(rows)
-        self.errors: List[Optional[str]] = [None] * rows
-        self.failure: Optional[str] = None
-
-    def grid_learner(self) -> GridLearner:
-        spec = self.spec
-        return GridLearner(spec.kinds, spec.eta_grid, self.loss, spec.clip_c)
-
-
-class _GridRun(_Run):
-    """progressive_validation for every row of one grid learner."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.learner = self.grid_learner()
-
-    def observe(self, n: int, ex: SparseExample):
-        yhat, lval, faults = self.learner.observe(ex)
-        _record(self.errors, n, faults)
-        self.train += lval
-        if self.spec.task == "classification":
-            self.ev += np.sign(yhat) != ex.label
-        else:
-            d = yhat - ex.label
-            e = d * d / self.loss_scale
-            self.ev += e
-            if not np.isfinite(e).all():
-                _record(self.errors, n, {int(r): f"non-finite eval loss {float(e[r])!r} "
-                                                 f"at prediction {float(yhat[r])!r}"
-                                         for r in np.flatnonzero(~np.isfinite(e))})
-
-
-class _MulticlassRun(_Run):
-    """multiclass_progressive for every row: one grid learner per class, each
-    with its own columns, fed the example relabelled as that class's +-1
-    without validating its features again."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.learners: Dict[float, GridLearner] = {}
-        self.classes: List[float] = []
-
-    def observe(self, n: int, ex: SparseExample):
-        learners, classes = self.learners, self.classes
-        if ex.label not in learners:
-            learners[ex.label] = self.grid_learner()
-            classes.append(ex.label)
-        scores = np.array([learners[c].predict(ex) for c in classes])
-        if not np.isfinite(scores).all():
-            _record(self.errors, n, {int(r): f"non-finite prediction {float(scores[k, r])!r}"
-                                     for k, r in zip(*np.nonzero(~np.isfinite(scores)))})
-        # argmax takes the first of tied classes, as max() over classes does
-        self.ev += scores.argmax(axis=0) != classes.index(ex.label)
-        round_train = 0.0
-        for c in classes:
-            binary = _validated_example(ex.features, 1.0 if c == ex.label else -1.0)
-            _, lval, faults = learners[c].observe(binary)
-            _record(self.errors, n, faults)
-            round_train = round_train + lval
-        self.train += round_train
-
-
 def sweep(spec: SweepSpec, examples: Iterable[SparseExample]) -> ComparisonReport:
     """Progressive validation of every (kind, eta) pair in one pass over the
-    stream: each example advances one GridLearner whose rows are every cell
-    (one per class when multiclass). Regression reads the labels in a pass
-    of their own first, for the loss scale.
+    stream: each example advances one GridLearner whose rows are the cells,
+    kind-major. Regression reads the labels in a pass of their own first,
+    for the loss scale.
 
-    A row whose prediction, loss or weights turn non-finite becomes an error
-    cell with the NumericFault message, and so do all rows of a kind whose
-    statistics fail; the other rows go on. An error that concerns the whole
-    pass (an invalid label, say) marks every cell, naming the example.
-    Errors raised by the stream itself (a malformed line) end the sweep.
+    A row whose prediction, loss, eval loss or weights turn non-finite
+    becomes an error cell with the NumericFault message, and so do all rows
+    of a kind whose statistics fail; the other rows go on. An error that
+    concerns the whole pass (an invalid label, say) marks every cell, naming
+    the example. Errors raised by the stream itself (a malformed line) end
+    the sweep.
     """
     loss = get_loss(spec.loss)
     loss_scale = None
     if spec.task == "regression":
         loss_scale = regression_loss_scale(ex.label for ex in examples)
 
-    run = (_MulticlassRun if spec.multiclass else _GridRun)(spec, loss, loss_scale)
+    learner = GridLearner(spec.kinds, spec.eta_grid, loss, spec.clip_c)
+    rows = len(learner.etas)
+    train, ev = np.zeros(rows), np.zeros(rows)
+    errors: List[Optional[str]] = [None] * rows
+    failure: Optional[str] = None
     n = 0
     with np.errstate(all="ignore"):
         for n, ex in enumerate(examples, start=1):
-            if run.failure is None:
-                try:
-                    run.observe(n, ex)
-                except (NolError, ArithmeticError) as e:   # failed cells are reported, not fatal
-                    run.failure = f"example {n}: {e}"
+            if failure is not None:
+                continue
+            try:
+                yhat, lval, faults = learner.observe(ex)
+            except (NolError, ArithmeticError) as e:   # failed cells are reported, not fatal
+                failure = f"example {n}: {e}"
+                continue
+            if spec.task == "classification":
+                e = np.sign(yhat) != ex.label
+            else:
+                d = yhat - ex.label
+                e = d * d / loss_scale
+                for r in np.flatnonzero(~np.isfinite(e)):
+                    faults.setdefault(int(r), f"non-finite eval loss {float(e[r])!r} "
+                                              f"at prediction {float(yhat[r])!r}")
+            for r, reason in faults.items():
+                if errors[r] is None:
+                    errors[r] = f"example {n}: {reason}"
+            train += lval
+            ev += e
     if n == 0:
         raise ValueError("no examples")
 
-    errors = run.errors if run.failure is None else [run.failure] * len(run.errors)
-    train, ev = run.train / n, run.ev / n
+    if failure is not None:
+        errors = [failure] * rows
+    train, ev = train / n, ev / n
     cells: List[SweepCell] = []
     for r, (kind, eta) in enumerate(itertools.product(spec.kinds, spec.eta_grid)):
         if errors[r] is None:
@@ -294,6 +240,10 @@ def kl_confidence_interval(mean: float, n: int, alpha: float) -> Tuple[float, fl
     inverting the KL Chernoff bound at failure probability alpha per tail."""
     if not 0.0 <= mean <= 1.0:
         raise ValueError("mean of bounded losses must lie in [0, 1]")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n!r}")
     target = math.log(1.0 / alpha) / n
     if mean >= 1.0 or _kl_bernoulli(mean, 1.0 - 1e-15) <= target:
         hi = 1.0
@@ -336,6 +286,8 @@ def significance(losses_a: Sequence[float], losses_b: Sequence[float],
     (alpha/4 per tail per sequence); the verdict is significant iff the two
     confidence intervals are disjoint.
     """
+    if not 0.0 < failure_probability < 1.0:
+        raise ValueError(f"failure probability must lie in (0, 1), got {failure_probability!r}")
     if len(losses_a) != len(losses_b):
         raise ValueError("loss sequences must have equal length")
     if not losses_a:

@@ -20,10 +20,9 @@ kind-major, with one matrix G of gradient sums for the rows of nag, snag
 and adagrad. Each kind keeps its stream statistics (t, the scale trackers,
 N) in the scalar dicts and floats a Learner has, shared by its rows. The
 columns are features in order of first appearance, the capacity doubling on
-demand; each grid learner keeps its own. Each features tuple is gathered
-once, and each example predicted, scored, stepped, scattered and scanned
-for faults once for all rows. For one learning rate, ``Learner`` is the
-faster of the two.
+demand; each grid learner keeps its own. Each example is gathered,
+predicted, scored, stepped, scattered and scanned for faults once for all
+rows. For one learning rate, ``Learner`` is the faster of the two.
 
 Each kind is one row of ``_STAGES``: a statistics function and the terms
 of the one step w_i -= (eta * rate) * (gp * u_i) / den_i, which both
@@ -307,10 +306,8 @@ class GridLearner:
         self.loss = loss
         self.clip_c = clip_c
         self.etas = np.tile(np.array(etas, dtype=float), len(kinds))
-        # feature index -> column of W and G, in order of first appearance,
-        # and the last gather as (support, its arrays)
+        # feature index -> column of W and G, in order of first appearance
         self.columns: dict = {}
-        self._last = (None, None)
         self.W = np.zeros((len(self.etas), 16))
         # G holds the rows of the kinds that keep gradient sums: G row j is
         # W row _g_ids[j], and W[_g_rows] selects them, by a slice (so a
@@ -322,29 +319,15 @@ class GridLearner:
         self.G = np.zeros((len(g), 16)) if len(g) else None
 
     def _gather(self, supp):
-        """(column indices, values) of the support as read-only arrays,
-        assigning columns to new features and growing W and G to hold them.
-        The same support tuple again gets the last result back, which is
-        exact because a feature's column never changes."""
-        last_supp, last = self._last
-        if supp is last_supp:
-            return last
+        """(column indices, values) of the support, assigning columns to new
+        features and growing W and G to hold them."""
         columns = self.columns
         cols = [columns.setdefault(i, len(columns)) for i, _ in supp]
-        out = (np.array(cols, dtype=np.intp), np.array([v for _, v in supp]))
-        for a in out:
-            a.flags.writeable = False
-        self._last = (supp, out)
         while len(columns) > self.W.shape[1]:
             self.W = np.concatenate([self.W, np.zeros_like(self.W)], axis=1)
             if self.G is not None:
                 self.G = np.concatenate([self.G, np.zeros_like(self.G)], axis=1)
-        return out
-
-    def predict(self, ex: SparseExample) -> np.ndarray:
-        """Raw predictions of every row, without observing the example."""
-        cols, x = self._gather(ex.features)
-        return self._dot(self.W[:, cols], x)
+        return np.array(cols, dtype=np.intp), np.array([v for _, v in supp])
 
     def _dot(self, Wx, x):
         """Wx @ x, one product per kind: BLAS sums a row in an order that

@@ -131,8 +131,10 @@ def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
     its conditioner is formed (Eq.-3 style; projection ball tracks the box).
     The conditioner, the ledger and the ball share one box.
     """
+    if recipe not in ("transductive", "streaming"):
+        raise ValueError(f"unknown conditioner recipe {recipe!r}")
     box = EnclosingBox.from_stream(examples) if recipe == "transductive" else EnclosingBox()
-    cond = DiagonalConditioner(recipe, C, box=box)
+    cond = DiagonalConditioner(C, box=box)
     ledger = RegretLedger(C, projection, sum_g2=cond.sum_g2, box=box)
     ball = ComparatorBall(box, C, q)
     w: Dict[int, float] = {}

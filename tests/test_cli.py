@@ -93,6 +93,18 @@ class TestTrain:
         assert rep["final_state"]["examples"] == 3
         assert len(rep["config"]["dataset_digest"]) == 64
 
+    def test_svmlight_trailing_comment(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("# header\n1 0:1 # c\n-1 0:-2.0#\n")
+        rep = run_report(capsys, [
+            "train", "--data", str(path), "--learner", "ng", "--loss", "squared", "--eta", "0.5"])
+        plain = tmp_path / "plain.txt"
+        plain.write_text("1 0:1\n-1 0:-2.0\n")
+        want = run_report(capsys, [
+            "train", "--data", str(plain), "--learner", "ng", "--loss", "squared", "--eta", "0.5"])
+        assert rep["final_state"] == want["final_state"]
+        assert rep["config"]["dataset_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_csv_file_with_normalization(self, capsys, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b,y\n1.0,200,1\n-0.5,100,0\n")
@@ -422,6 +434,17 @@ class TestExitCodes:
         assert run_cli(capsys, [
             "train", "--data", str(path), "--learner", "snag", "--loss", "hinge", "--eta", "1",
         ]) == (3, "", f"numeric fault: {reason}\n")
+
+    def test_non_finite_regression_eval_loss_fails_its_cell(self, capsys, tmp_path):
+        # hinge loss 1 + 1e156 is finite; the eval loss (1e156 + 1)^2 / 4 is not
+        path = tmp_path / "d.txt"
+        path.write_text("1 0:1e78\n-1 0:1e78\n1 0:1\n")
+        rep = run_report(capsys, [
+            "sweep", "--data", str(path), "--task", "regression", "--loss", "hinge",
+            "--learners", "sgd", "--eta-grid", "1..1"])
+        assert [c["error"] for c in rep["cells"]] == \
+               ["example 2: non-finite eval loss inf at prediction 1e+156"]
+        assert rep["best"] == {}
 
     def test_train_and_sweep_check_the_clipped_prediction(self, capsys, tmp_path):
         # the raw second prediction overflows, the clipped one is 1

@@ -87,25 +87,25 @@ class TestHindsight:
 
 class TestConditionerSteps:
     def test_streaming_first_step(self):
-        cond = DiagonalConditioner("streaming", C=1.0)
+        cond = DiagonalConditioner(C=1.0)
         a = cond.step({0: -4.0}, ex({0: 2.0}))
         assert a[0] == pytest.approx(8.0 / SQRT2, rel=1e-12)
 
     def test_streaming_second_step(self):
-        cond = DiagonalConditioner("streaming", C=1.0)
+        cond = DiagonalConditioner(C=1.0)
         cond.step({0: -4.0}, ex({0: 2.0}))
         a = cond.step({0: 3.0}, ex({0: 1.0}))
         assert cond.box.m[0] == 2.0
         assert a[0] == pytest.approx(10.0 / SQRT2, rel=1e-12)
 
     def test_streaming_zero_gradient_excluded(self):
-        cond = DiagonalConditioner("streaming", C=1.0)
+        cond = DiagonalConditioner(C=1.0)
         a = cond.step({0: 0.0}, ex({0: 2.0}))
         assert 0 not in a
 
     def test_streaming_monotone(self):
         rng = np.random.default_rng(2)
-        cond = DiagonalConditioner("streaming", C=1.0)
+        cond = DiagonalConditioner(C=1.0)
         prev = {}
         for _ in range(100):
             x = ex({0: float(rng.uniform(-3, 3)) or 1.0})
@@ -117,18 +117,18 @@ class TestConditionerSteps:
 
     def test_transductive_matches_streaming_when_max_attained(self):
         box = EnclosingBox({0: 2.0})
-        cond = DiagonalConditioner("transductive", C=1.0, box=box)
+        cond = DiagonalConditioner(C=1.0, box=box)
         a = cond.step({0: -4.0}, ex({0: 2.0}))
         assert a[0] == pytest.approx(8.0 / SQRT2, rel=1e-12)
 
     def test_transductive_uses_full_pass_box(self):
         box = EnclosingBox({0: 4.0})  # first pass saw max |x| = 4 later on
-        cond = DiagonalConditioner("transductive", C=1.0, box=box)
+        cond = DiagonalConditioner(C=1.0, box=box)
         a = cond.step({0: -4.0}, ex({0: 2.0}))
         assert a[0] == pytest.approx(16.0 / SQRT2, rel=1e-12)
 
     def test_transductive_zero_gradients(self):
-        cond = DiagonalConditioner("transductive", C=1.0, box=EnclosingBox({0: 2.0}))
+        cond = DiagonalConditioner(C=1.0, box=EnclosingBox({0: 2.0}))
         assert cond.step({0: 0.0}, ex({0: 2.0})) == {}
 
 

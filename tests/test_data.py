@@ -99,6 +99,14 @@ class TestSvmlight:
         got = list(read_svmlight(lines))
         assert [e.label for e in got] == [1.0, -1.0]
 
+    def test_reader_drops_trailing_comments(self):
+        lines = ["1 0:1 # c", "# header", "-1 1:2#x:1", "1 # label only", "  # indented"]
+        assert list(read_svmlight(lines)) == [ex({0: 1.0}, 1.0), ex({1: 2.0}, -1.0), ex({}, 1.0)]
+
+    def test_comments_keep_line_numbers(self):
+        with pytest.raises(DataFormatError, match="^line 3: malformed token '0:x'$"):
+            list(read_svmlight(["# header", "1 0:1 # ok", "1 0:x # bad"]))
+
     def test_reader_reports_line_number(self):
         with pytest.raises(DataFormatError, match="line 3"):
             list(read_svmlight(["1 0:1", "", "1 0:bad"]))
@@ -115,14 +123,6 @@ class TestDelimited:
         got = list(read_delimited(["a\ty", "2\t1"]))
         assert got == [ex({0: 2.0}, 1.0)]
 
-    def test_named_label_column(self):
-        got = list(read_delimited(["y,a", "1,2"], label_column="y"))
-        assert got == [ex({0: 2.0}, 1.0)]
-
-    def test_missing_label_column(self):
-        with pytest.raises(DataFormatError):
-            list(read_delimited(["a,b", "1,2"], label_column="z"))
-
     def test_one_hot_stable_mapping(self):
         lines = ["color,y", "red,1", "blue,1", "red,-1"]
         got = list(read_delimited(lines))
@@ -136,10 +136,6 @@ class TestDelimited:
         got = list(read_delimited(["a,y", "1,0", "1,1"],
                                   label_transform={0: -1, 1: 1}))
         assert [e.label for e in got] == [-1.0, 1.0]
-
-    def test_string_label_transform(self):
-        got = list(read_delimited(["a,y", "1,spam"], label_transform={"spam": 1}))
-        assert got[0].label == 1.0
 
     def test_ragged_row_rejected(self):
         with pytest.raises(DataFormatError, match="line 2"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,44 +234,28 @@ class TestSweepMatchesScalar:
         assert all(c.eval_loss is None and c.training_loss is None
                    for c in rep.cells if c.error is not None)
 
-    def test_multiclass_matches_multiclass_progressive(self):
-        rng = np.random.default_rng(8)
-        stream = []
-        for _ in range(200):
-            c = int(rng.integers(0, 3))
-            x = {c: 1.0, 3: float(rng.normal() * 0.1), 4: float(rng.normal() * 100.0)}
-            stream.append(ex(x, float(c)))
-        grid = [2.0 ** e for e in range(-12, 7, 2)]
-        for loss_kind in ("hinge", "logistic", "squared"):
-            loss = get_loss(loss_kind)
-            rep = sweep(SweepSpec(kinds=list(KINDS), loss=loss_kind, eta_grid=grid,
-                                  multiclass=True), stream)
-
-            def reference(kind, eta):
-                return multiclass_progressive(LearnerConfig(kind, eta), loss, stream)
-
-            for cell, res in _matches_scalar(rep, reference):
-                assert cell.eval_loss == res.average_eval_loss, cell
-
-    @pytest.mark.parametrize("case", ["logistic", "hinge-clip", "squared", "multiclass"])
+    @pytest.mark.parametrize("case", ["logistic", "hinge-clip", "squared"])
     def test_one_grid_equals_a_sweep_per_kind(self, case):
         # every kind's rows of the one grid against a sweep of that kind alone
-        if case == "multiclass":
-            rng = np.random.default_rng(8)
-            stream = [ex({c: 1.0, 3: float(rng.normal() * 0.1), 4: float(rng.normal() * 100.0)},
-                         float(c)) for c in rng.integers(0, 3, size=200).tolist()]
-            kw = dict(loss="logistic", multiclass=True)
-        else:
-            stream = synth_figure1(1.0, 150, seed=3)
-            kw = {"logistic": dict(loss="logistic"),
-                  "hinge-clip": dict(loss="hinge", clip_c=1.0),
-                  "squared": dict(loss="squared", task="regression")}[case]
+        stream = synth_figure1(1.0, 150, seed=3)
+        kw = {"logistic": dict(loss="logistic"),
+              "hinge-clip": dict(loss="hinge", clip_c=1.0),
+              "squared": dict(loss="squared", task="regression")}[case]
         rep = sweep(SweepSpec(kinds=list(KINDS), **kw), stream)
         alone = [sweep(SweepSpec(kinds=[kind], **kw), stream) for kind in KINDS]
         assert rep.cells == [c for r in alone for c in r.cells]
         assert rep.best == {k: v for r in alone for k, v in r.best.items()}
         if case == "squared":
             assert sum(c.error is not None for c in rep.cells) == 5
+
+    def test_non_finite_eval_loss_fails_its_cell(self):
+        stream = [ex({0: 1e78}, 1.0), ex({0: 1e78}, -1.0), ex({0: 1.0}, 1.0)]
+        reason = "example 2: non-finite eval loss inf at prediction 1e+156"
+        rep = sweep(SweepSpec(kinds=["sgd"], loss="hinge", eta_grid=[1.0], task="regression"),
+                    stream)
+        assert [c.error for c in rep.cells] == [reason]
+        with pytest.raises(NumericFault, match=f"^{re.escape(reason)}$"):
+            progressive_validation(LearnerConfig("sgd", 1.0), HINGE, stream, "regression")
 
     def test_invalid_label_fails_every_cell_of_the_kind(self):
         stream = [ex({0: 1.0}, 1.0), ex({0: 2.0}, 2.0)]
@@ -307,8 +292,24 @@ class TestKLInterval:
         with pytest.raises(ValueError):
             kl_confidence_interval(1.5, 10, 0.025)
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, 8.0, math.nan])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must lie in \\(0, 1\\), got {alpha!r}"):
+            kl_confidence_interval(0.3, 10, alpha)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_bad_n_rejected(self, n):
+        with pytest.raises(ValueError, match=f"n must be at least 1, got {n}"):
+            kl_confidence_interval(0.3, n, 0.025)
+
 
 class TestSignificance:
+    @pytest.mark.parametrize("p", [8.0, 1.0, 0.0, -1.0, math.nan])
+    def test_bad_failure_probability_rejected(self, p):
+        with pytest.raises(ValueError,
+                           match=f"failure probability must lie in \\(0, 1\\), got {p!r}"):
+            significance([0.5, 0.5], [0.6, 0.6], failure_probability=p)
+
     def test_identical_sequences_not_significant(self):
         seq = [0.0, 1.0] * 50
         v = significance(seq, seq)

@@ -312,26 +312,6 @@ class TestGridLearner:
             grid.observe(ex({i: 1.0, 1000 + i: -2.0}))
         assert len(grid.columns) == 80 and grid.W.shape == (2, 128) == grid.G.shape
 
-    def test_gather_reuse_changes_no_result(self):
-        # a predict before each observe gathers the example once for both;
-        # the reused arrays are read-only and the results those of observe alone
-        stream = random_instance(7, d=6, T=80)
-        loss = get_loss("logistic")
-        pairs = [(GridLearner([kind], [0.1, 1.0], loss),
-                  GridLearner([kind], [0.1, 1.0], loss)) for kind in KINDS]
-        for x in stream:
-            for a, b in pairs:
-                a.predict(x)
-                cols, values = a._gather(x.features)
-                assert a._gather(x.features) is a._gather(x.features)
-                assert not values.flags.writeable and not cols.flags.writeable
-                ya, la, _ = a.observe(x)
-                yb, lb, _ = b.observe(x)
-                assert ya.tolist() == yb.tolist() and la.tolist() == lb.tolist()
-        for a, b in pairs:
-            assert a.columns == b.columns
-            assert a.W.tolist() == b.W.tolist()
-
 
 class TestStackedGrid:
     """A grid of several kinds is the one-kind grids of its kinds, row block

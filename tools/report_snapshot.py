@@ -12,7 +12,12 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
   ``sweep-narrow`` and ``regret-bounds`` commands for variants 0-15, their
   inputs written by CHECKOUT's ``bench/inputs.make`` into a temporary
   directory (``bench/`` itself is left as it is);
-* two ``nol sweep --eta-grid`` values that are not a grid.
+* two ``nol sweep --eta-grid`` values that are not a grid;
+* ``nol train`` and ``nol sweep`` on a CSV file with a numeric and a one-hot
+  column and 0/1 labels, a regression ``nol sweep --normalize sqnorm`` of
+  every learner on an svmlight file with real labels, and a regression
+  sweep whose eval loss overflows in one cell, their inputs written into
+  the temporary directory.
 
 OUT_DIR gets one sorted-keys JSON file per command: its argv (the temporary
 directory written as ``$TMP``), exit code, stderr and report, the report
@@ -24,6 +29,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -47,6 +53,40 @@ def _regret_commands():
         yield (f"sweep-eta-grid-{grid}",
                ["sweep", "--synth", "figure1:T=10", "--learners", "sgd", "--loss", "hinge",
                 "--eta-grid", grid])
+
+
+def _write(tmp, name, lines):
+    path = os.path.join(tmp, name)
+    with open(path, "w") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return path
+
+
+def _file_commands(tmp):
+    rng = random.Random(14)
+    colors = ("red", "green", "blue")
+    rows = []
+    for _ in range(60):
+        x, color = rng.uniform(-3.0, 3.0), rng.choice(colors)
+        rows.append(f"{x!r},{color},{int(x + colors.index(color) - 1.0 > 0)}")
+    csv = _write(tmp, "onehot.csv", ["x,color,y", *rows])
+    yield ("csv-train", ["train", "--data", csv, "--format", "csv", "--learner", "nag",
+                         "--loss", "logistic", "--eta", "0.5"])
+    yield ("csv-sweep", ["sweep", "--data", csv, "--format", "csv", "--learners", "ng,nag,sgd",
+                         "--loss", "hinge"])
+    lines = []
+    for _ in range(80):
+        x = [rng.gauss(0.0, 1.0) * 10.0 ** e for e in (-4, 0, 5)]
+        y = 3.0 * x[0] * 1e4 - x[1] + 2e-5 * x[2] + rng.gauss(0.0, 0.1)
+        lines.append(f"{y!r} " + " ".join(f"{i}:{v!r}" for i, v in enumerate(x)))
+    reg = _write(tmp, "regression.svm", lines)
+    yield ("regression-sweep-sqnorm",
+           ["sweep", "--data", reg, "--task", "regression", "--loss", "squared",
+            "--learners", "ng,nag,snag,adagrad,sgd", "--normalize", "sqnorm"])
+    fault = _write(tmp, "eval-loss-fault.svm", ["1 0:1e78", "-1 0:1e78", "1 0:1"])
+    yield ("sweep-eval-loss-fault",
+           ["sweep", "--data", fault, "--task", "regression", "--loss", "hinge",
+            "--learners", "sgd", "--eta-grid", "1..1"])
 
 
 def _bench_commands(inputs, tmp, root):
@@ -86,7 +126,8 @@ def main(args):
         raise SystemExit(f"imported nol from {nol.cli.__file__}, not from {checkout}")
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        commands = [*_regret_commands(), *_bench_commands(inputs, tmp, checkout)]
+        commands = [*_regret_commands(), *_file_commands(tmp),
+                    *_bench_commands(inputs, tmp, checkout)]
         for label, argv in commands:
             snap = _run(nol.cli.main, argv, tmp)
             with open(os.path.join(out_dir, label + ".json"), "w") as fh:
