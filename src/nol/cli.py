@@ -22,7 +22,7 @@ from typing import List, Optional
 from . import data as data_io
 from .core import LOSS_KINDS, get_loss
 from .errors import DataFormatError, InvalidLabel, NumericFault
-from .evaluate import SweepSpec, default_eta_grid, plot_csv_rows, sweep
+from .evaluate import plot_csv_rows, sweep
 from .learners import KINDS, LearnerConfig, run_stream
 from .regret import (
     corollary1_montecarlo,
@@ -45,10 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
 class _OutputError(Exception):
     """An output path that cannot be written: a usage error, exit 1."""
-
-
-def _digest_bytes(blob: bytes) -> str:
-    return hashlib.sha256(blob).hexdigest()
 
 
 def _text_lines(fh, sha, path):
@@ -118,35 +114,49 @@ class _DataFile:
             it.close()
 
 
-def _dataset(args):
-    """The examples --data or --synth names, as a context manager: the
-    generated list, or a _DataFile."""
+def _fit(args, fit):
+    """(fit's result, the data flags' config, fit's seconds) over the examples
+    --data or --synth names, pre-normalized as --normalize asks. The digest is
+    the sha256 of --data's bytes, or of the --synth spec and seed."""
     if args.synth:
         examples = data_io.parse_synth_spec(args.synth)(args.seed)
         if not examples:
             raise DataFormatError("dataset is empty")
-        return contextlib.nullcontext(examples)
-    if args.format == "svmlight":
-        parse = data_io.read_svmlight
+        source = contextlib.nullcontext(examples)
+        digest = hashlib.sha256(f"synth:{args.synth}:seed={args.seed}".encode()).hexdigest()
     else:
-        transform = {0.0: -1.0} if args.task == "classification" else None
-        parse = functools.partial(data_io.read_delimited, label_transform=transform)
-    return _DataFile(args.data, parse)
+        if args.format == "svmlight":
+            parse = data_io.read_svmlight
+        else:
+            transform = {0.0: -1.0} if args.task == "classification" else None
+            parse = functools.partial(data_io.read_delimited, label_transform=transform)
+        source = _DataFile(args.data, parse)
+    with source as examples:
+        if args.normalize != "none":
+            examples = data_io.prenormalize(examples, args.normalize)[1]
+        t0 = time.perf_counter()
+        result = fit(examples)
+        seconds = time.perf_counter() - t0
+    config = {
+        "format": args.format,
+        "task": args.task,
+        "normalize": args.normalize,
+        "clip_c": args.clip_c,
+        "seed": args.seed,
+        "dataset_digest": digest if args.synth else source.digest,
+    }
+    return result, config, seconds
 
 
-def _digest(args, examples) -> str:
-    """The dataset digest of the report: the sha256 of --data's bytes, or of
-    the --synth spec and seed."""
-    if args.synth:
-        return _digest_bytes(f"synth:{args.synth}:seed={args.seed}".encode())
-    return examples.digest
-
-
-def _normalized(args, examples):
-    """examples, pre-normalized by a statistics pass when --normalize asks."""
-    if args.normalize == "none":
-        return examples
-    return data_io.prenormalize(examples, args.normalize)[1]
+def _report(kind: str, config: dict, seconds: float, **body) -> dict:
+    """A report: its schema version, kind, config, body and timing."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": kind,
+        "config": config,
+        **body,
+        "timing": {"seconds": seconds},
+    }
 
 
 def _write(flag: str, path: str, text: str):
@@ -221,38 +231,28 @@ def _add_data_flags(p):
 def cmd_train(args) -> dict:
     config = LearnerConfig(kind=args.learner, eta=args.eta, clip_c=args.clip_c,
                            eta_decay=args.eta_decay)
-    loss = get_loss(args.loss)
-    with _dataset(args) as examples:
-        stream = _normalized(args, examples)
-        t0 = time.perf_counter()
-        report = run_stream(config, loss, stream, keep_state=True)
-        elapsed = time.perf_counter() - t0
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "run",
-        "config": {
+    report, data, seconds = _fit(args, lambda examples: run_stream(
+        config, get_loss(args.loss), examples, keep_state=True))
+    return _report(
+        "run",
+        {
             "learner": args.learner,
             "loss": args.loss,
             "eta": args.eta,
             "eta_decay": args.eta_decay,
-            "format": args.format,
-            "task": args.task,
-            "normalize": args.normalize,
-            "clip_c": args.clip_c,
-            "seed": args.seed,
-            "dataset_digest": _digest(args, examples),
+            **data,
         },
-        "trace": report.losses[::args.thin],
-        "trace_thinning": args.thin,
-        "average_loss": report.average_loss,
-        "final_state": {
+        seconds,
+        trace=report.losses[::args.thin],
+        trace_thinning=args.thin,
+        average_loss=report.average_loss,
+        final_state={
             "nonzero_weights": report.nonzero_weights,
             "normalizer": report.normalizer,
             "examples": report.n_examples,
             "state": report.state,
         },
-        "timing": {"seconds": elapsed},
-    }
+    )
 
 
 def _parse_eta_grid(spec: str) -> List[float]:
@@ -276,37 +276,25 @@ def _parse_eta_grid(spec: str) -> List[float]:
 
 
 def cmd_sweep(args) -> dict:
-    kinds = args.learners
-    spec = SweepSpec(kinds=kinds, loss=args.loss, eta_grid=args.eta_grid or default_eta_grid(),
-                     task=args.task, clip_c=args.clip_c)
-    with _dataset(args) as examples:
-        stream = _normalized(args, examples)
-        t0 = time.perf_counter()
-        report = sweep(spec, stream)
-        elapsed = time.perf_counter() - t0
+    report, data, seconds = _fit(args, lambda examples: sweep(
+        args.learners, args.loss, examples, args.eta_grid, args.task, args.clip_c))
     if args.plot_data:
         _write("--plot-data", args.plot_data, "\n".join(plot_csv_rows(report)) + "\n")
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "sweep",
-        "config": {
-            "learners": kinds,
+    return _report(
+        "sweep",
+        {
+            "learners": args.learners,
             "loss": args.loss,
-            "format": args.format,
-            "task": args.task,
-            "normalize": args.normalize,
-            "clip_c": args.clip_c,
-            "seed": args.seed,
-            "dataset_digest": _digest(args, examples),
+            **data,
         },
-        "cells": [
+        seconds,
+        cells=[
             {"learner": c.kind, "eta": c.eta, "loss": c.eval_loss,
              "training_loss": c.training_loss, "error": c.error}
             for c in report.cells
         ],
-        "best": {k: {"eta": v[0], "loss": v[1]} for k, v in report.best.items()},
-        "timing": {"seconds": elapsed},
-    }
+        best={k: {"eta": v[0], "loss": v[1]} for k, v in report.best.items()},
+    )
 
 
 def _bound_item(args, loss, seed: int) -> dict:
@@ -359,20 +347,19 @@ def cmd_regret(args) -> dict:
     # the instances are random_instance(seed + 1000 k, d, T), with +-1 labels
     # or real ones as the loss asks
     dataset = (f"regret:{args.check}:seed={args.seed}:n={args.instances}:d={args.d}:T={args.T}"
-               f":loss={args.loss}")
+               f":loss={args.loss}").encode()
     config = {"loss": args.loss, "seed": args.seed, "C": args.C, "d": args.d, "T": args.T,
-              "instances": args.instances, "dataset_digest": _digest_bytes(dataset.encode())}
+              "instances": args.instances, "dataset_digest": hashlib.sha256(dataset).hexdigest()}
     if args.check == "cor1":
         config.update(delta=args.delta, nu=args.nu)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "regret",
-        "check": args.check,
-        "config": config,
-        "reports": reports,
-        "summary": summary,
-        "timing": {"seconds": elapsed},
-    }
+    return _report(
+        "regret",
+        config,
+        elapsed,
+        check=args.check,
+        reports=reports,
+        summary=summary,
+    )
 
 
 def build_parser() -> _Parser:

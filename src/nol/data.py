@@ -1,11 +1,14 @@
-"""Dataset readers, pre-normalizers, and synthetic stream generators."""
+"""Dataset readers, pre-normalizers, and synthetic stream generators.
+
+A pre-normalizer's statistics pass gives each feature a divisor, and
+``Normalized`` divides the examples by them as they are read.
+"""
 
 from __future__ import annotations
 
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from itertools import repeat
 from operator import lt
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
@@ -96,10 +99,6 @@ def read_svmlight(lines: Iterable[str]) -> Iterator[SparseExample]:
 # ---------------------------------------------------------------------------
 # Delimited files with a header row
 
-def _sniff_delimiter(header: str) -> str:
-    return "\t" if "\t" in header else ","
-
-
 def read_delimited(lines: Iterable[str],
                    label_transform: Optional[dict] = None) -> Iterator[SparseExample]:
     """CSV/TSV with header; the last column is the label.
@@ -114,9 +113,10 @@ def read_delimited(lines: Iterable[str],
         header_line = next(it)
     except StopIteration:
         raise DataFormatError("empty delimited file")
-    delim = _sniff_delimiter(header_line)
-    reader = csv.reader(io.StringIO(header_line), delimiter=delim)
-    columns = next(reader)
+    delim = "\t" if "\t" in header_line else ","
+    columns = next(csv.reader(io.StringIO(header_line), delimiter=delim), None)
+    if columns is None:
+        raise DataFormatError("line 1: empty header")
     label_idx = next_index = len(columns) - 1
     categories: Dict[tuple, int] = {}
 
@@ -160,30 +160,9 @@ def read_delimited(lines: Iterable[str],
 # ---------------------------------------------------------------------------
 # Pre-normalizers (two-pass)
 
-@dataclass
-class NormalizerStats:
-    """Fixed per-coordinate statistics from a dedicated first pass."""
-
-    scale: Dict[int, float] = field(default_factory=dict)  # divide by this
-
-    def apply(self, ex: SparseExample) -> SparseExample:
-        scale = self.scale.get
-        pairs = []
-        for i, v in ex.features:
-            si = scale(i, 0.0)
-            if si > 0.0:
-                v = v / si
-                # compute_normalizer's statistics keep |v / si| <= sqrt(n) over
-                # n examples, so the quotient is finite; it can underflow to zero
-                if v == 0.0:
-                    continue
-            pairs.append((i, v))
-        return _validated_example(tuple(pairs), ex.label)
-
-
-def compute_normalizer(examples: Iterable[SparseExample], mode: str) -> NormalizerStats:
-    """maxnorm: divide each feature by its max |x_i|. sqnorm: divide by the
-    root of the uncentered second moment over all rows (zeros included).
+def compute_normalizer(examples: Iterable[SparseExample], mode: str) -> Dict[int, float]:
+    """The divisor of each feature: maxnorm its max |x_i|, sqnorm the root
+    of its uncentered second moment over all rows (zeros included).
 
     One pass over examples for maxnorm and two for sqnorm, so examples must
     be iterable again (a list, or a file read afresh on each iteration)."""
@@ -208,29 +187,42 @@ def compute_normalizer(examples: Iterable[SparseExample], mode: str) -> Normaliz
         except KeyError as e:   # a file rewritten between the passes
             raise DataFormatError(f"feature {e} is new in the second pass over the examples")
         stats = {i: stats[i] * math.sqrt(s / n) for i, s in sums.items()}
-    return NormalizerStats(stats)
+    return stats
 
 
 class Normalized:
-    """examples divided by fixed statistics, applied as they are read: each
-    iteration applies stats to a fresh iteration of examples, so nothing is
-    held beyond the example at hand. It is an iterable only: make a list of
-    it to index it."""
+    """examples divided by fixed per-feature divisors as they are read, a
+    feature without one passing through: each iteration divides a fresh
+    iteration of examples, so nothing is held beyond the example at hand.
+    It is an iterable only: make a list of it to index it."""
 
-    def __init__(self, stats: NormalizerStats, examples: Iterable[SparseExample]):
-        self.stats = stats
+    def __init__(self, scale: Dict[int, float], examples: Iterable[SparseExample]):
+        self.scale = scale
         self.examples = examples
 
     def __iter__(self) -> Iterator[SparseExample]:
-        return map(self.stats.apply, self.examples)
+        return map(self._apply, self.examples)
+
+    def _apply(self, ex: SparseExample) -> SparseExample:
+        scale = self.scale.get
+        pairs = []
+        for i, v in ex.features:
+            si = scale(i, 0.0)
+            if si > 0.0:
+                v = v / si
+                # compute_normalizer's divisors keep |v / si| <= sqrt(n) over
+                # n examples, so the quotient is finite; it can underflow to zero
+                if v == 0.0:
+                    continue
+            pairs.append((i, v))
+        return _validated_example(tuple(pairs), ex.label)
 
 
 def prenormalize(examples: Iterable[SparseExample], mode: str):
-    """(stats, the examples Normalized by them). Only the statistics pass
-    runs here; the division happens as the result is iterated. Coordinates
-    with zero statistic pass through unchanged."""
-    stats = compute_normalizer(examples, mode)
-    return stats, Normalized(stats, examples)
+    """(the divisors, the examples Normalized by them). Only the statistics
+    pass runs here; the division happens as the result is iterated."""
+    scale = compute_normalizer(examples, mode)
+    return scale, Normalized(scale, examples)
 
 
 def regression_loss_scale(labels: Iterable[float]) -> float:

@@ -1,8 +1,9 @@
 """Progressive validation, learning-rate sweeps, and the significance test.
 
 Progressive validation measures each example's loss before its update, so the
-running average estimates generalization without a holdout set. Sweeps search
-a geometric learning-rate grid for every learner in one pass over the stream;
+running average estimates generalization without a holdout set; a regression
+eval loss is divided by the labels' (max - min)^2. Sweeps search a geometric
+learning-rate grid for every learner in one pass over the stream;
 significance between two loss sequences is decided by disjointness
 of relative-entropy Chernoff confidence intervals on the means.
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,15 +47,14 @@ class ProgressiveResult:
 
 def progressive_validation(config: LearnerConfig, loss: Loss,
                            examples: Sequence[SparseExample],
-                           task: str = "classification",
-                           loss_scale: Optional[float] = None) -> ProgressiveResult:
+                           task: str = "classification") -> ProgressiveResult:
     """Run a learner over the stream, scoring each example before updating.
 
     Classification reports 0-1 loss on sign(yhat) alongside the training
     loss; ties (yhat == 0) count as errors. Regression divides squared loss
-    by the worst-possible-loss scale (max - min)^2.
+    by the worst-possible-loss scale (max - min)^2 of the labels.
     """
-    if task == "regression" and loss_scale is None:
+    if task == "regression":
         loss_scale = regression_loss_scale(ex.label for ex in examples)
     learner = Learner(config, loss)
 
@@ -109,25 +109,6 @@ def multiclass_progressive(config: LearnerConfig, loss: Loss,
 # Learning-rate sweeps
 
 @dataclass
-class SweepSpec:
-    kinds: List[str]
-    loss: str
-    eta_grid: List[float] = field(default_factory=default_eta_grid)
-    task: str = "classification"
-    clip_c: Optional[float] = None
-
-    def __post_init__(self):
-        if not self.kinds:
-            raise ValueError("learner kinds must be nonempty")
-        if len(set(self.kinds)) < len(self.kinds):
-            raise ValueError(f"learner kinds must not repeat, got {self.kinds}")
-        if not self.eta_grid:
-            raise ValueError("eta grid must be nonempty")
-        if any(b <= a for a, b in zip(self.eta_grid, self.eta_grid[1:])):
-            raise ValueError("eta grid must be strictly increasing")
-
-
-@dataclass
 class SweepCell:
     kind: str
     eta: float
@@ -138,16 +119,17 @@ class SweepCell:
 
 @dataclass
 class ComparisonReport:
-    spec: SweepSpec
     cells: List[SweepCell]
     best: Dict[str, Tuple[float, float]]   # kind -> (eta*, best eval loss)
 
 
-def sweep(spec: SweepSpec, examples: Iterable[SparseExample]) -> ComparisonReport:
+def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
+          eta_grid: Optional[Sequence[float]] = None, task: str = "classification",
+          clip_c: Optional[float] = None) -> ComparisonReport:
     """Progressive validation of every (kind, eta) pair in one pass over the
     stream: each example advances one GridLearner whose rows are the cells,
-    kind-major. Regression reads the labels in a pass of their own first,
-    for the loss scale.
+    kind-major. The grid defaults to default_eta_grid(). Regression reads
+    the labels in a pass of their own first, for the loss scale.
 
     A row whose prediction, loss, eval loss or weights turn non-finite
     becomes an error cell with the NumericFault message, and so do all rows
@@ -156,12 +138,19 @@ def sweep(spec: SweepSpec, examples: Iterable[SparseExample]) -> ComparisonRepor
     the example. Errors raised by the stream itself (a malformed line) end
     the sweep.
     """
-    loss = get_loss(spec.loss)
-    loss_scale = None
-    if spec.task == "regression":
+    if not kinds:
+        raise ValueError("learner kinds must be nonempty")
+    if len(set(kinds)) < len(kinds):
+        raise ValueError(f"learner kinds must not repeat, got {kinds}")
+    eta_grid = default_eta_grid() if eta_grid is None else eta_grid
+    if not eta_grid:
+        raise ValueError("eta grid must be nonempty")
+    if any(b <= a for a, b in zip(eta_grid, eta_grid[1:])):
+        raise ValueError("eta grid must be strictly increasing")
+    if task == "regression":
         loss_scale = regression_loss_scale(ex.label for ex in examples)
 
-    learner = GridLearner(spec.kinds, spec.eta_grid, loss, spec.clip_c)
+    learner = GridLearner(kinds, eta_grid, get_loss(loss), clip_c)
     rows = len(learner.etas)
     train, ev = np.zeros(rows), np.zeros(rows)
     errors: List[Optional[str]] = [None] * rows
@@ -176,7 +165,7 @@ def sweep(spec: SweepSpec, examples: Iterable[SparseExample]) -> ComparisonRepor
             except (NolError, ArithmeticError) as e:   # failed cells are reported, not fatal
                 failure = f"example {n}: {e}"
                 continue
-            if spec.task == "classification":
+            if task == "classification":
                 e = np.sign(yhat) != ex.label
             else:
                 d = yhat - ex.label
@@ -196,7 +185,7 @@ def sweep(spec: SweepSpec, examples: Iterable[SparseExample]) -> ComparisonRepor
         errors = [failure] * rows
     train, ev = train / n, ev / n
     cells: List[SweepCell] = []
-    for r, (kind, eta) in enumerate(itertools.product(spec.kinds, spec.eta_grid)):
+    for r, (kind, eta) in enumerate(itertools.product(kinds, eta_grid)):
         if errors[r] is None:
             cells.append(SweepCell(kind, eta, float(ev[r]), float(train[r])))
         else:
@@ -209,7 +198,7 @@ def sweep(spec: SweepSpec, examples: Iterable[SparseExample]) -> ComparisonRepor
         cur = best.get(cell.kind)
         if cur is None or cell.eval_loss < cur[1]:
             best[cell.kind] = (cell.eta, cell.eval_loss)
-    return ComparisonReport(spec, cells, best)
+    return ComparisonReport(cells, best)
 
 
 def plot_csv_rows(report: ComparisonReport) -> List[str]:

@@ -208,12 +208,13 @@ def _no_stats(g, supp):
     return None, None
 
 
+# N > 0 at a step: the support is nonempty, N never falls, a first value adds 1 (snag: t)
 def _rate_ng(g):
-    return g.t / g.N if g.N != 0.0 else None
+    return g.t / g.N
 
 
 def _rate_nag(g):
-    return math.sqrt(g.t / g.N) if g.N != 0.0 else None
+    return math.sqrt(g.t / g.N)
 
 
 def _rate_one(g):
@@ -222,7 +223,7 @@ def _rate_one(g):
 
 class _Stage(NamedTuple):
     stats: Callable     # the stream statistics
-    rate: Callable      # the factor of eta in the step, None for no step
+    rate: Callable      # the factor of eta in the step
     sums: bool          # keeps gradient sums G
     over_scale: bool    # the step takes x_i / scale_i for x_i
 
@@ -243,11 +244,8 @@ def _step(l: Learner, supp, gp, scale):
     grid's order of operations. eta_decay divides eta by sqrt(t) for the
     kinds without gradient sums, which decay through G."""
     stage, cfg = l._stage, l.config
-    rate = stage.rate(l)
-    if rate is None:
-        return
     eta = cfg.eta / math.sqrt(l.t) if cfg.eta_decay and not stage.sums else cfg.eta
-    lr = eta * rate
+    lr = eta * stage.rate(l)
     w, G, sums, over_scale = l.w, l.G, stage.sums, stage.over_scale
     for (i, v), den in zip(supp, repeat(1.0) if scale is None else scale):
         if over_scale:
@@ -363,10 +361,9 @@ class GridLearner:
                 continue
             if factors is not None:
                 Wx[k.rows] *= [factors.get(i, 1.0) for i, _ in supp]
-            rate = k.stage.rate(k)
-            if rate is None:
+            if not supp:   # no column to step
                 continue
-            rates[k.rows] = rate
+            rates[k.rows] = k.stage.rate(k)
             if scale is None:
                 u[k.rows] = x
             else:

@@ -114,6 +114,15 @@ class TestTrain:
         assert rep["final_state"]["examples"] == 2
         assert rep["config"]["normalize"] == "maxnorm"
 
+    def test_csv_blank_line_is_skipped(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("a,y\n1,1\n\n2,0\n")
+        rep = run_report(capsys, [
+            "train", "--data", str(path), "--format", "csv", "--learner", "sgd",
+            "--loss", "hinge", "--eta", "1"])
+        assert rep["final_state"]["examples"] == 2
+        assert len(rep["trace"]) == 2
+
 
 class TestSweep:
     BASE = ["sweep", "--synth", "figure1:s=1,T=150", "--learners", "nag,sgd",
@@ -385,6 +394,38 @@ class TestExitCodes:
             "train", "--data", str(path), "--learner", "sgd", "--loss",
             "hinge", "--eta", "0.5"])
         assert code == 2
+
+    def test_empty_synth_dataset_is_data_error(self, capsys):
+        assert run_cli(capsys, [
+            "train", "--synth", "figure1:T=0", "--learner", "sgd", "--loss", "hinge",
+            "--eta", "1"]) == (2, "", "data error: dataset is empty\n")
+
+    def test_blank_csv_header_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("\n1,2\n")
+        assert run_cli(capsys, [
+            "train", "--data", str(path), "--format", "csv", "--learner", "sgd",
+            "--loss", "hinge", "--eta", "1"]) == (2, "", "data error: line 1: empty header\n")
+
+    def test_non_finite_csv_value_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("a,y\ninf,1\n")
+        assert run_cli(capsys, [
+            "train", "--data", str(path), "--format", "csv", "--learner", "sgd",
+            "--loss", "hinge", "--eta", "1",
+        ]) == (2, "", "data error: line 2: non-finite value 'inf'\n")
+
+    def test_train_and_sweep_name_the_same_prediction_fault(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1 0:1\n1 0:1e10\n-1 0:1\n")
+        reason = "example 2: non-finite prediction inf"
+        assert run_cli(capsys, [
+            "train", "--data", str(path), "--learner", "sgd", "--loss", "hinge", "--eta", "1e300",
+        ]) == (3, "", f"numeric fault: {reason}\n")
+        rep = run_report(capsys, [
+            "sweep", "--data", str(path), "--learners", "sgd", "--loss", "hinge",
+            "--eta-grid", "1e300..1e300"])
+        assert [c["error"] for c in rep["cells"]] == [reason]
 
     def test_overflowing_update_names_example_coordinate_and_value(self, capsys, tmp_path):
         path = tmp_path / "d.txt"

@@ -147,6 +147,10 @@ class TestComparatorBall:
         with pytest.raises(ValueError):
             ComparatorBall(EnclosingBox({0: 1.0}), C=C, q=1)
 
+    def test_q_must_be_1_or_2(self):
+        with pytest.raises(ValueError, match="q must be 1 or 2"):
+            ComparatorBall(EnclosingBox({0: 1.0}), C=1.0, q=3)
+
 
 class TestProjection:
     def identity_ball(self, d, C=1.0, q=1):

@@ -151,12 +151,24 @@ class TestDelimited:
         with pytest.raises(DataFormatError):
             list(read_delimited([]))
 
+    def test_blank_header_rejected(self):
+        with pytest.raises(DataFormatError, match="^line 1: empty header$"):
+            list(read_delimited(["", "1,2"]))
+
+    def test_blank_data_line_skipped(self):
+        got = list(read_delimited(["a,y", "1,1", "", "2,0"]))
+        assert got == [ex({0: 1.0}, 1.0), ex({0: 2.0}, 0.0)]
+
+    def test_non_finite_value_rejected(self):
+        with pytest.raises(DataFormatError, match="^line 2: non-finite value 'inf'$"):
+            list(read_delimited(["a,y", "inf,1"]))
+
 
 class TestPrenormalize:
     def test_maxnorm_example(self):
-        stats, out = prenormalize([ex({0: 2.0}), ex({0: -4.0})], "maxnorm")
+        scale, out = prenormalize([ex({0: 2.0}), ex({0: -4.0})], "maxnorm")
         out = list(out)
-        assert stats.scale == {0: 4.0}
+        assert scale == {0: 4.0}
         assert out[0].features == ((0, 0.5),)
         assert out[1].features == ((0, -1.0),)
 
@@ -175,10 +187,10 @@ class TestPrenormalize:
     def test_sqnorm_counts_zero_rows(self):
         # second moments over *all* rows: 1.2^2/2 and 1.6^2/2
         rows = [ex({0: 1.2, 1: 1.6}), ex({})]
-        stats, out = prenormalize(rows, "sqnorm")
-        assert stats.scale[0] == pytest.approx(0.848528137423857, rel=1e-12)
-        assert stats.scale[1] == pytest.approx(1.131370849898476, rel=1e-12)
-        assert list(out)[0].features[0][1] == pytest.approx(1.2 / stats.scale[0])
+        scale, out = prenormalize(rows, "sqnorm")
+        assert scale[0] == pytest.approx(0.848528137423857, rel=1e-12)
+        assert scale[1] == pytest.approx(1.131370849898476, rel=1e-12)
+        assert list(out)[0].features[0][1] == pytest.approx(1.2 / scale[0])
 
     def test_sqnorm_unit_second_moment(self):
         rng = np.random.default_rng(5)
@@ -191,8 +203,8 @@ class TestPrenormalize:
         # squaring 1e200 overflows; scaling by the feature's max first does not
         rows = [SparseExample(((0, 1e200), (1, 2.0)), 1.0),
                 SparseExample(((0, 3e199),), -1.0)]
-        stats, out = prenormalize(rows, "sqnorm")
-        assert stats.scale[0] == pytest.approx(1e200 * math.sqrt((1 + 0.3 ** 2) / 2), rel=1e-14)
+        scale, out = prenormalize(rows, "sqnorm")
+        assert scale[0] == pytest.approx(1e200 * math.sqrt((1 + 0.3 ** 2) / 2), rel=1e-14)
         assert [e.features[0][0] for e in out] == [0, 0]
         m2 = sum(e.features[0][1] ** 2 for e in out) / len(rows)
         assert m2 == pytest.approx(1.0, rel=1e-12)

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from nol.core import SparseExample, get_loss
-from nol.data import regression_loss_scale, synth_figure1, synth_scaled
+from nol.data import synth_figure1, synth_scaled
 from nol.errors import NolError, NumericFault
 from nol.evaluate import (
     ComparisonReport,
-    SweepSpec,
     default_eta_grid,
     kl_confidence_interval,
     multiclass_progressive,
@@ -45,11 +44,11 @@ class TestProgressiveValidation:
         assert res.average_eval_loss == 0.25
 
     def test_training_loss_is_progressive(self):
-        stream = [ex({0: 1.0}), ex({0: 2.0})]
-        res = progressive_validation(LearnerConfig("ng", 0.5), SQ, stream,
-                                     task="regression", loss_scale=1.0)
-        assert res.training_losses == [1.0, 0.25]
-        assert res.average_training_loss == 0.625
+        # w = 1 after the first step, squashed to 1/4 when the scale grows to 2
+        stream = [ex({0: 1.0}, 1.0), ex({0: 2.0}, 2.0)]
+        res = progressive_validation(LearnerConfig("ng", 0.5), SQ, stream, task="regression")
+        assert res.training_losses == [1.0, 2.25]
+        assert res.average_training_loss == 1.625
 
     def test_regression_scaling(self):
         stream = [ex({0: 1.0}, 0.0), ex({0: 1.0}, 2.0)]
@@ -91,22 +90,24 @@ class TestMulticlass:
 
 
 class TestSweep:
-    def small_spec(self, **kw):
-        defaults = dict(kinds=["nag", "sgd"], loss="hinge",
-                        eta_grid=[0.25, 0.5, 1.0])
-        defaults.update(kw)
-        return SweepSpec(**defaults)
+    def small_sweep(self, stream, kinds=("nag", "sgd")):
+        return sweep(list(kinds), "hinge", stream, [0.25, 0.5, 1.0])
 
     def test_grid_validation(self):
+        stream = synth_figure1(1.0, 10, seed=2)
         with pytest.raises(ValueError):
-            SweepSpec(kinds=["sgd"], loss="hinge", eta_grid=[])
+            sweep(["sgd"], "hinge", stream, [])
         with pytest.raises(ValueError):
-            SweepSpec(kinds=["sgd"], loss="hinge", eta_grid=[1.0, 0.5])
+            sweep(["sgd"], "hinge", stream, [1.0, 0.5])
 
     @pytest.mark.parametrize("kinds", [[], ["ng", "ng"], ["ng", "sgd", "ng"]])
     def test_kinds_validation(self, kinds):
         with pytest.raises(ValueError, match="learner kinds"):
-            SweepSpec(kinds=kinds, loss="hinge")
+            sweep(kinds, "hinge", synth_figure1(1.0, 10, seed=2))
+
+    def test_empty_stream_rejected(self):
+        with pytest.raises(ValueError, match="^no examples$"):
+            sweep(["sgd"], "hinge", [])
 
     def test_default_grid(self):
         grid = default_eta_grid()
@@ -115,14 +116,14 @@ class TestSweep:
 
     def test_cells_cover_product(self):
         stream = synth_figure1(1.0, 50, seed=2)
-        rep = sweep(self.small_spec(), stream)
+        rep = self.small_sweep(stream)
         assert [(c.kind, c.eta) for c in rep.cells] == [
             ("nag", 0.25), ("nag", 0.5), ("nag", 1.0),
             ("sgd", 0.25), ("sgd", 0.5), ("sgd", 1.0)]
 
     def test_best_is_argmin(self):
         stream = synth_figure1(1.0, 200, seed=2)
-        rep = sweep(self.small_spec(), stream)
+        rep = self.small_sweep(stream)
         for kind in ("nag", "sgd"):
             cells = [c for c in rep.cells if c.kind == kind]
             lo = min(c.eval_loss for c in cells)
@@ -131,17 +132,15 @@ class TestSweep:
 
     def test_deterministic(self):
         stream = synth_figure1(1.0, 100, seed=5)
-        r1 = sweep(self.small_spec(), stream)
-        r2 = sweep(self.small_spec(), stream)
+        r1 = self.small_sweep(stream)
+        r2 = self.small_sweep(stream)
         assert [(c.kind, c.eta, c.eval_loss, c.training_loss) for c in r1.cells] == \
                [(c.kind, c.eta, c.eval_loss, c.training_loss) for c in r2.cells]
 
     def test_failed_cell_marked_not_fatal(self):
         # enormous constant rate diverges sgd on squared loss
         stream = [ex({0: 10.0}, 1.0 + (k % 2)) for k in range(200)]
-        spec = SweepSpec(kinds=["sgd"], loss="squared", eta_grid=[1e-3, 1e150],
-                         task="regression")
-        rep = sweep(spec, stream)
+        rep = sweep(["sgd"], "squared", stream, [1e-3, 1e150], task="regression")
         ok, bad = rep.cells
         assert ok.error is None and ok.eval_loss is not None
         assert bad.error is not None and bad.eval_loss is None
@@ -149,14 +148,14 @@ class TestSweep:
 
     def test_one_pass_over_a_one_shot_stream(self):
         stream = synth_figure1(1.0, 120, seed=4)
-        spec = self.small_spec(kinds=["ng", "nag", "sgd"])
-        want = sweep(spec, stream)
-        got = sweep(spec, iter(stream))
+        kinds = ["ng", "nag", "sgd"]
+        want = self.small_sweep(stream, kinds)
+        got = self.small_sweep(iter(stream), kinds)
         assert got.cells == want.cells and got.best == want.best
 
     def test_plot_csv(self):
         stream = synth_figure1(1.0, 30, seed=1)
-        rep = sweep(self.small_spec(), stream)
+        rep = self.small_sweep(stream)
         rows = plot_csv_rows(rep)
         assert rows[0] == "learner,eta,loss"
         assert len(rows) == 1 + len(rep.cells)
@@ -208,14 +207,11 @@ class TestSweepMatchesScalar:
         stream = SWEEP_STREAMS[stream_name]()
         loss = get_loss(loss_kind)
         task = "regression" if loss_kind == "squared" else "classification"
-        scale = regression_loss_scale(ex.label for ex in stream) if task == "regression" else None
-        rep = sweep(SweepSpec(kinds=list(KINDS), loss=loss_kind, task=task, clip_c=clip_c),
-                    stream)
+        rep = sweep(list(KINDS), loss_kind, stream, task=task, clip_c=clip_c)
         assert len(rep.cells) == len(KINDS) * 27
 
         def reference(kind, eta):
-            return progressive_validation(LearnerConfig(kind, eta, clip_c), loss, stream,
-                                          task, scale)
+            return progressive_validation(LearnerConfig(kind, eta, clip_c), loss, stream, task)
 
         for cell, res in _matches_scalar(rep, reference):
             if task == "classification":
@@ -225,8 +221,7 @@ class TestSweepMatchesScalar:
                                                        rel=TRAINING_LOSS_RTOL), cell
 
     def test_overflowing_cells_fail_with_numeric_fault(self):
-        rep = sweep(SweepSpec(kinds=["ng", "sgd"], loss="squared", task="regression"),
-                    synth_figure1(1.0, 150, seed=3))
+        rep = sweep(["ng", "sgd"], "squared", synth_figure1(1.0, 150, seed=3), task="regression")
         failed = {(c.kind, c.eta): c.error for c in rep.cells if c.error is not None}
         assert set(failed) == {("ng", 16.0), ("ng", 32.0), ("ng", 64.0),
                                ("sgd", 32.0), ("sgd", 64.0)}
@@ -241,8 +236,8 @@ class TestSweepMatchesScalar:
         kw = {"logistic": dict(loss="logistic"),
               "hinge-clip": dict(loss="hinge", clip_c=1.0),
               "squared": dict(loss="squared", task="regression")}[case]
-        rep = sweep(SweepSpec(kinds=list(KINDS), **kw), stream)
-        alone = [sweep(SweepSpec(kinds=[kind], **kw), stream) for kind in KINDS]
+        rep = sweep(list(KINDS), examples=stream, **kw)
+        alone = [sweep([kind], examples=stream, **kw) for kind in KINDS]
         assert rep.cells == [c for r in alone for c in r.cells]
         assert rep.best == {k: v for r in alone for k, v in r.best.items()}
         if case == "squared":
@@ -251,15 +246,14 @@ class TestSweepMatchesScalar:
     def test_non_finite_eval_loss_fails_its_cell(self):
         stream = [ex({0: 1e78}, 1.0), ex({0: 1e78}, -1.0), ex({0: 1.0}, 1.0)]
         reason = "example 2: non-finite eval loss inf at prediction 1e+156"
-        rep = sweep(SweepSpec(kinds=["sgd"], loss="hinge", eta_grid=[1.0], task="regression"),
-                    stream)
+        rep = sweep(["sgd"], "hinge", stream, [1.0], task="regression")
         assert [c.error for c in rep.cells] == [reason]
         with pytest.raises(NumericFault, match=f"^{re.escape(reason)}$"):
             progressive_validation(LearnerConfig("sgd", 1.0), HINGE, stream, "regression")
 
     def test_invalid_label_fails_every_cell_of_the_kind(self):
         stream = [ex({0: 1.0}, 1.0), ex({0: 2.0}, 2.0)]
-        rep = sweep(SweepSpec(kinds=["nag"], loss="hinge", eta_grid=[0.5, 1.0]), stream)
+        rep = sweep(["nag"], "hinge", stream, [0.5, 1.0])
         assert [c.error for c in rep.cells] == \
                ["example 2: classification label must be -1 or +1, got 2.0"] * 2
         assert rep.best == {}

@@ -63,6 +63,17 @@ class TestWorkedExamples:
         assert l.w == {} and l.N == 0.0
 
 
+class TestLearnerConfig:
+    @pytest.mark.parametrize("kw,message", [
+        (dict(kind="x", eta=1.0), "^unknown learner kind 'x'; expected one of "),
+        (dict(kind="sgd", eta=math.nan), "^eta must be finite and >= 0, got nan$"),
+        (dict(kind="sgd", eta=1.0, clip_c=0), "^clip_c must be strictly positive, got 0$"),
+    ], ids=["kind", "eta", "clip_c"])
+    def test_bad_value_is_named(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            LearnerConfig(**kw)
+
+
 class TestRunStream:
     def test_zero_eta_sgd(self):
         stream = [ex({0: 1.0}, y) for y in (1.0, -1.0, 2.0)]
@@ -305,6 +316,21 @@ class TestGridLearner:
             assert grid.W[0, c].hex() == learner.w.get(i, 0.0).hex()
             if grid.G is not None:
                 assert grid.G[0, c].hex() == learner.G.get(i, 0.0).hex()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_empty_supports_take_no_step(self, kind):
+        # N is still 0 after an empty first example, so no rate exists yet
+        stream = [ex({}), ex({0: 2.0}), ex({}, -1.0), ex({0: -1.0, 1: 3.0}, -1.0)]
+        grid = GridLearner([kind], [0.5], HINGE)
+        learner = Learner(LearnerConfig(kind, 0.5), HINGE)
+        for x in stream:
+            yhat, lval, faults = grid.observe(x)
+            assert faults == {}
+            want_yhat, want_lval = learner.observe(x)
+            assert yhat[0] == pytest.approx(want_yhat, rel=1e-12)
+            assert lval[0] == pytest.approx(want_lval, rel=1e-12)
+        for i, c in grid.columns.items():
+            assert grid.W[0, c] == pytest.approx(learner.w.get(i, 0.0), rel=1e-12)
 
     def test_columns_grow_past_capacity(self):
         grid = GridLearner(["nag"], [0.5, 1.0], SQ)

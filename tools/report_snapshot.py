@@ -17,11 +17,18 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
   column and 0/1 labels, a regression ``nol sweep --normalize sqnorm`` of
   every learner on an svmlight file with real labels, and a regression
   sweep whose eval loss overflows in one cell, their inputs written into
-  the temporary directory.
+  the temporary directory;
+* the data flags on every path from ``--data`` or ``--synth`` to the
+  report: ``train`` and ``sweep`` on ``--synth`` specs, ``train`` with
+  ``--clip-c``, ``--eta-decay`` and ``--thin``, ``sweep`` with ``--clip-c``,
+  ``--eta-grid`` and ``--plot-data``, ``train --normalize sqnorm`` on an
+  svmlight file, reports to stdout and to ``--report``, a data error, and a
+  file whose prediction overflows under ``train`` and ``sweep``.
 
 OUT_DIR gets one sorted-keys JSON file per command: its argv (the temporary
 directory written as ``$TMP``), exit code, stderr and report, the report
-without its ``timing``. Two checkouts that give the same results give
+without its ``timing``, and the text of the ``--plot-data`` file when the
+command names one. Two checkouts that give the same results give
 snapshots that ``diff -r`` finds equal.
 """
 
@@ -87,6 +94,37 @@ def _file_commands(tmp):
     yield ("sweep-eval-loss-fault",
            ["sweep", "--data", fault, "--task", "regression", "--loss", "hinge",
             "--learners", "sgd", "--eta-grid", "1..1"])
+    yield from _data_flag_commands(tmp, rng)
+
+
+def _data_flag_commands(tmp, rng):
+    lines = []
+    for _ in range(120):
+        x = [rng.gauss(0.0, 1.0) * 10.0 ** e for e in (-3, 0, 2)]
+        y = 1 if x[0] * 1e3 - x[1] + 0.01 * x[2] > 0 else -1
+        kept = [f"{i}:{v!r}" for i, v in enumerate(x) if rng.random() < 0.8]
+        lines.append(" ".join([str(y), *kept]))
+    svm = _write(tmp, "binary.svm", lines)
+    yield ("synth-train-figure1", ["train", "--synth", "figure1:s=1000,T=300", "--learner", "ng",
+                                   "--loss", "hinge", "--eta", "0.5", "--seed", "3"])
+    yield ("synth-sweep-scaled", ["sweep", "--synth", "scaled:d=5,T=300", "--learners", "nag,snag",
+                                  "--loss", "logistic", "--report", os.path.join(tmp, "s.json")])
+    yield ("train-clip-decay-thin",
+           ["train", "--data", svm, "--learner", "sgd", "--loss", "logistic", "--eta", "0.3",
+            "--clip-c", "1", "--eta-decay", "--thin", "7", "--report", os.path.join(tmp, "t.json")])
+    yield ("sweep-clip-grid-plot",
+           ["sweep", "--data", svm, "--learners", "ng,adagrad", "--loss", "hinge", "--clip-c", "1",
+            "--eta-grid", "0.01..4", "--plot-data", os.path.join(tmp, "plot.csv")])
+    yield ("train-sqnorm", ["train", "--data", svm, "--learner", "adagrad", "--loss", "hinge",
+                            "--eta", "1", "--normalize", "sqnorm"])
+    csv = _write(tmp, "inf.csv", ["a,y", "inf,1"])
+    yield ("csv-non-finite-data-error", ["train", "--data", csv, "--format", "csv",
+                                         "--learner", "sgd", "--loss", "hinge", "--eta", "1"])
+    fault = _write(tmp, "prediction-fault.svm", ["1 0:1", "1 0:1e10", "-1 0:1"])
+    yield ("train-prediction-fault", ["train", "--data", fault, "--learner", "sgd",
+                                      "--loss", "hinge", "--eta", "1e300"])
+    yield ("sweep-prediction-fault", ["sweep", "--data", fault, "--learners", "sgd",
+                                      "--loss", "hinge", "--eta-grid", "1e300..1e300"])
 
 
 def _bench_commands(inputs, tmp, root):
@@ -110,8 +148,12 @@ def _run(main, argv, tmp):
     report = json.loads(text) if text else None
     if isinstance(report, dict):
         report.pop("timing", None)
-    return {"argv": [a.replace(tmp, "$TMP") for a in argv], "code": code,
+    snap = {"argv": [a.replace(tmp, "$TMP") for a in argv], "code": code,
             "stderr": err.getvalue().replace(tmp, "$TMP"), "report": report}
+    if "--plot-data" in argv:
+        with open(argv[argv.index("--plot-data") + 1]) as fh:
+            snap["plot_data"] = fh.read()
+    return snap
 
 
 def main(args):
