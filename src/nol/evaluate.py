@@ -2,10 +2,11 @@
 
 Progressive validation measures each example's loss before its update, so the
 running average estimates generalization without a holdout set; a regression
-eval loss is divided by the labels' (max - min)^2. Sweeps search a geometric
-learning-rate grid for every learner in one pass over the stream;
-significance between two loss sequences is decided by disjointness
-of relative-entropy Chernoff confidence intervals on the means.
+eval loss is divided by the labels' (max - min)^2, read in a pass of their
+own. Sweeps search a geometric learning-rate grid for every learner in one
+pass over the stream, a block of examples at a time; significance between
+two loss sequences is decided by disjointness of relative-entropy Chernoff
+confidence intervals on the means.
 
 A non-finite prediction, loss, eval loss, weight or sum is a ``NumericFault``
 naming the example: it ends a progressive run, and it fails only its own cell
@@ -22,10 +23,12 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Loss, SparseExample, _finite, get_loss
+from .core import Loss, SparseExample, _check_binary_label, _finite, get_loss
 from .data import regression_loss_scale
-from .errors import NolError
+from .errors import InvalidLabel
 from .learners import GridLearner, Learner, LearnerConfig, progressive
+
+BLOCK = 256   # examples per GridLearner.observe_block in a sweep
 
 
 def default_eta_grid() -> List[float]:
@@ -55,7 +58,7 @@ def progressive_validation(config: LearnerConfig, loss: Loss,
     by the worst-possible-loss scale (max - min)^2 of the labels.
     """
     if task == "regression":
-        loss_scale = regression_loss_scale(ex.label for ex in examples)
+        loss_scale = _regression_scale(examples)
     learner = Learner(config, loss)
 
     def step(ex):
@@ -67,6 +70,15 @@ def progressive_validation(config: LearnerConfig, loss: Loss,
         return lval, _finite("eval loss", d * d / loss_scale, yhat)
 
     return _result(progressive(examples, step))
+
+
+def _regression_scale(examples: Iterable[SparseExample]) -> float:
+    """The labels' (max - min)^2, read in a pass of its own over examples."""
+    if iter(examples) is examples:
+        raise TypeError("a regression run reads the stream twice, the labels for the loss "
+                        "scale and then the examples, so it needs a re-iterable stream "
+                        "(a list, say), not a one-shot iterator")
+    return regression_loss_scale(ex.label for ex in examples)
 
 
 def _result(rounds) -> ProgressiveResult:
@@ -127,16 +139,17 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
           eta_grid: Optional[Sequence[float]] = None, task: str = "classification",
           clip_c: Optional[float] = None) -> ComparisonReport:
     """Progressive validation of every (kind, eta) pair in one pass over the
-    stream: each example advances one GridLearner whose rows are the cells,
-    kind-major. The grid defaults to default_eta_grid(). Regression reads
-    the labels in a pass of their own first, for the loss scale.
+    stream: BLOCK examples at a time advance one GridLearner whose rows are
+    the cells, kind-major. The grid defaults to default_eta_grid().
+    Regression reads the labels in a pass of their own first, for the loss
+    scale, so it needs a re-iterable stream.
 
     A row whose prediction, loss, eval loss or weights turn non-finite
     becomes an error cell with the NumericFault message, and so do all rows
     of a kind whose statistics fail; the other rows go on. An error that
     concerns the whole pass (an invalid label, say) marks every cell, naming
     the example. Errors raised by the stream itself (a malformed line) end
-    the sweep.
+    the sweep, which reads up to BLOCK examples ahead of the ones it learns.
     """
     if not kinds:
         raise ValueError("learner kinds must be nonempty")
@@ -148,7 +161,7 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
     if any(b <= a for a, b in zip(eta_grid, eta_grid[1:])):
         raise ValueError("eta grid must be strictly increasing")
     if task == "regression":
-        loss_scale = regression_loss_scale(ex.label for ex in examples)
+        loss_scale = _regression_scale(examples)
 
     learner = GridLearner(kinds, eta_grid, get_loss(loss), clip_c)
     rows = len(learner.etas)
@@ -156,28 +169,20 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
     errors: List[Optional[str]] = [None] * rows
     failure: Optional[str] = None
     n = 0
+    stream = iter(examples)
     with np.errstate(all="ignore"):
-        for n, ex in enumerate(examples, start=1):
-            if failure is not None:
-                continue
-            try:
-                yhat, lval, faults = learner.observe(ex)
-            except (NolError, ArithmeticError) as e:   # failed cells are reported, not fatal
-                failure = f"example {n}: {e}"
-                continue
-            if task == "classification":
-                e = np.sign(yhat) != ex.label
-            else:
-                d = yhat - ex.label
-                e = d * d / loss_scale
-                for r in np.flatnonzero(~np.isfinite(e)):
-                    faults.setdefault(int(r), f"non-finite eval loss {float(e[r])!r} "
-                                              f"at prediction {float(yhat[r])!r}")
-            for r, reason in faults.items():
-                if errors[r] is None:
-                    errors[r] = f"example {n}: {reason}"
-            train += lval
-            ev += e
+        for block in iter(lambda: list(itertools.islice(stream, BLOCK)), []):
+            if failure is None and learner.loss.classification:
+                try:
+                    for n_bad, ex in enumerate(block, start=n + 1):
+                        _check_binary_label(ex.label)
+                except InvalidLabel as e:   # failed cells are reported, not fatal
+                    failure = f"example {n_bad}: {e}"
+            if failure is None:
+                train, ev = _sweep_block(learner, block, n, train, ev, errors,
+                                         loss_scale if task == "regression" else None)
+            n += len(block)
+            del block   # not held while the next one is read
     if n == 0:
         raise ValueError("no examples")
 
@@ -199,6 +204,38 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
         if cur is None or cell.eval_loss < cur[1]:
             best[cell.kind] = (cell.eta, cell.eval_loss)
     return ComparisonReport(cells, best)
+
+
+def _sweep_block(learner: GridLearner, block: List[SparseExample], n: int,
+                 train: np.ndarray, ev: np.ndarray, errors: List[Optional[str]],
+                 loss_scale: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """Advance a sweep over the block of examples n + 1, n + 2, ...: returns
+    the rows' running training and eval loss sums, and sets the error of
+    each row that faults first on this block. Classification scores 0-1
+    loss, regression squared loss over loss_scale."""
+    Y, L, faults = learner.observe_block(block)
+    labels = np.array([ex.label for ex in block])[:, None]
+    if loss_scale is None:
+        E = np.sign(Y) != labels
+    else:
+        D = Y - labels
+        E = D * D / loss_scale
+        unset = np.array([e is None for e in errors])
+        for j, r in zip(*np.nonzero(~np.isfinite(E) & unset)):
+            j, r = int(j), int(r)
+            if j < faults.get(r, (len(block),))[0]:   # else the learner's came first
+                faults[r] = (j, f"non-finite eval loss {float(E[j, r])!r} "
+                                f"at prediction {float(Y[j, r])!r}")
+    for r, (j, reason) in faults.items():
+        if errors[r] is None:
+            errors[r] = f"example {n + j + 1}: {reason}"
+    return _add_in_order(train, L), _add_in_order(ev, E)
+
+
+def _add_in_order(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """total + terms[0] + terms[1] + ... per column, added in that order, as
+    one example at a time would add them."""
+    return np.add.accumulate(np.vstack([total, terms]))[-1].copy()
 
 
 def plot_csv_rows(report: ComparisonReport) -> List[str]:

@@ -17,12 +17,14 @@ dicts keyed by feature index, so the index space is unbounded and grows on
 demand. ``GridLearner`` runs several kinds at every learning rate of a grid
 in one pass, as the rows of one (n_kinds * n_eta, capacity) weight matrix W,
 kind-major, with one matrix G of gradient sums for the rows of nag, snag
-and adagrad. Each kind keeps its stream statistics (t, the scale trackers,
-N) in the scalar dicts and floats a Learner has, shared by its rows. The
-columns are features in order of first appearance, the capacity doubling on
-demand; each grid learner keeps its own. Each example is gathered,
-predicted, scored, stepped, scattered and scanned for faults once for all
-rows. For one learning rate, ``Learner`` is the faster of the two.
+and adagrad. The columns are features in order of first appearance, the
+capacity doubling on demand; each grid learner keeps its own. It takes a
+block of examples at a time: it gathers the block's columns once and
+computes each kind's stream statistics (t, the scale trackers, N, the
+squash factors and the rate) for the whole block with numpy, once for ng
+and nag, whose statistics are equal. Each example then only reads and
+steps W and G, for all rows at once. For one learning rate, ``Learner`` is
+the faster of the two.
 
 Each kind is one row of ``_STAGES``: a statistics function and the terms
 of the one step w_i -= (eta * rate) * (gp * u_i) / den_i, which both
@@ -38,8 +40,10 @@ gradient sum or snag sum of squares is a ``NumericFault``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections import namedtuple
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -98,7 +102,8 @@ class Learner:
         """
         self.t += 1
         supp = ex.features
-        factors, scale = self._stage.stats(self, supp)
+        stage = self._stage
+        factors, scale = (None, None) if stage.stats is None else stage.stats(self, supp, stage.squash)
         w = self.w
         if factors is not None:
             for i, f in factors.items():
@@ -130,18 +135,18 @@ class Learner:
 # ---------------------------------------------------------------------------
 # The update rules, one row of _STAGES per kind
 #
-# A stats stage updates the stream statistics of a Learner or of one kind of
-# a GridLearner (s, sigma, N and t are the same plain dicts and floats in
-# both) and returns (feature -> squash factor, or None when nothing
-# squashes; the per-coordinate scale of the step). Both learners then step
-# every coordinate of the support by
+# A stats stage updates the stream statistics of a Learner (s, sigma, N and
+# t) and returns (feature -> squash factor, or None when nothing squashes;
+# the per-coordinate scale of the step); a GridLearner computes the same
+# statistics a block of examples at a time. Both learners then step every
+# coordinate of the support by
 #
 #     w_i -= (eta * rate) * (gp * u_i) / den_i
 #
 # where rate is the kind's factor of eta, u_i is x_i / scale_i for ng and
 # x_i otherwise, and den_i is scale_i (ng), scale_i * sqrt(G_i) (nag,
 # snag), sqrt(G_i) (adagrad) or 1 (sgd), a zero G_i making no step:
-# ``_step`` over a Learner's dicts, GridLearner.observe over all its rows at
+# ``_step`` over a Learner's dicts, GridLearner._steps over all its rows at
 # once, in the same order of operations. So a grid row matches the scalar
 # learner up to the summation order of the prediction and, on logistic
 # loss, numpy's exp and log1p, which can round otherwise than libm's.
@@ -172,20 +177,9 @@ def _normalize(g, supp, scale):
     return scale
 
 
-def _squash_ng(si, av):
-    r = si / av
-    return r * r
-
-
-def _stats_ng(g, supp):
-    return _track_max(g, supp, _squash_ng)
-
-
-def _stats_nag(g, supp):
-    return _track_max(g, supp, lambda si, av: si / av)
-
-
-def _stats_snag(g, supp):
+def _stats_snag(g, supp, squash):
+    """snag: running sum s_i of x_i^2 and sigma_i = sqrt(s_i / t),
+    squash(old sigma, new sigma) on growth."""
     s, sigma, t = g.s, g.sigma, g.t
     factors = None
     scale = []
@@ -198,43 +192,50 @@ def _stats_snag(g, supp):
         if sig_new > sig_old and sig_old > 0.0:
             if factors is None:
                 factors = {}
-            factors[i] = sig_old / sig_new
+            factors[i] = squash(sig_old, sig_new)
         sigma[i] = sig_new
         scale.append(sig_new)
     return factors, _normalize(g, supp, scale)
 
 
-def _no_stats(g, supp):
-    return None, None
+# the squash factors of old and new scale, on floats or numpy arrays alike
+def _squash_ng(old, new):
+    r = old / new
+    return r * r
+
+
+def _ratio(old, new):
+    return old / new
 
 
 # N > 0 at a step: the support is nonempty, N never falls, a first value adds 1 (snag: t)
-def _rate_ng(g):
-    return g.t / g.N
+def _rate_ng(t, N):
+    return t / N
 
 
-def _rate_nag(g):
-    return math.sqrt(g.t / g.N)
+def _rate_nag(t, N):
+    return math.sqrt(t / N)
 
 
-def _rate_one(g):
+def _rate_one(t, N):
     return 1.0
 
 
 class _Stage(NamedTuple):
-    stats: Callable     # the stream statistics
-    rate: Callable      # the factor of eta in the step
-    sums: bool          # keeps gradient sums G
-    over_scale: bool    # the step takes x_i / scale_i for x_i
+    stats: Optional[Callable]    # the stream statistics, None for none
+    squash: Optional[Callable]   # the weights' factor from the old and new scale
+    rate: Callable               # the factor of eta, from t and N
+    sums: bool                   # keeps gradient sums G
+    over_scale: bool             # the step takes x_i / scale_i for x_i
 
 
-# kind -> (stats, rate, keeps G, steps in x / scale)
+# kind -> (stats, squash, rate, keeps G, steps in x / scale)
 _STAGES = {
-    "ng": _Stage(_stats_ng, _rate_ng, False, True),
-    "nag": _Stage(_stats_nag, _rate_nag, True, False),
-    "snag": _Stage(_stats_snag, _rate_nag, True, False),
-    "adagrad": _Stage(_no_stats, _rate_one, True, False),
-    "sgd": _Stage(_no_stats, _rate_one, False, False),
+    "ng": _Stage(_track_max, _squash_ng, _rate_ng, False, True),
+    "nag": _Stage(_track_max, _ratio, _rate_nag, True, False),
+    "snag": _Stage(_stats_snag, _ratio, _rate_nag, True, False),
+    "adagrad": _Stage(None, None, _rate_one, True, False),
+    "sgd": _Stage(None, None, _rate_one, False, False),
 }
 KINDS = tuple(_STAGES)
 
@@ -245,7 +246,7 @@ def _step(l: Learner, supp, gp, scale):
     kinds without gradient sums, which decay through G."""
     stage, cfg = l._stage, l.config
     eta = cfg.eta / math.sqrt(l.t) if cfg.eta_decay and not stage.sums else cfg.eta
-    lr = eta * stage.rate(l)
+    lr = eta * stage.rate(l.t, l.N)
     w, G, sums, over_scale = l.w, l.G, stage.sums, stage.over_scale
     for (i, v), den in zip(supp, repeat(1.0) if scale is None else scale):
         if over_scale:
@@ -265,33 +266,99 @@ def _step(l: Learner, supp, gp, scale):
         w[i] = wi
 
 
-class _GridKind:
-    """One kind's rows of a GridLearner: the slice ``rows`` of W and its
-    stream statistics, which are a Learner's (t, s, sigma, N). ``fault`` is
-    set when the statistics themselves fail; the rows then stay at zero."""
+# ---------------------------------------------------------------------------
+# The grid: stream statistics a block of examples at a time
+#
+# The statistics read only the stream, so a GridLearner computes them for a
+# whole block with numpy before it steps through the block, bitwise as the
+# scalar stages do: the running max and the running sum of squares in
+# stream order per column (``_scan``), N as one math.fsum per example,
+# folded in order, and each rate by the scalar function.
 
-    def __init__(self, kind: str, rows: slice):
-        self.kind, self.rows = kind, rows
-        self.stage = _STAGES[kind]
-        self.s: dict = {}
-        self.sigma: dict = {}
-        self.N = 0.0
+class _Tracker:
+    """The stream statistics of one stats stage in a GridLearner, shared by
+    its kinds (ng and nag share the running max): t, N and, per column, s
+    and (snag) sigma. ``fault`` is set when they fail; the kinds' rows then
+    take no step."""
+
+    def __init__(self, stats):
+        self.stats = stats
         self.t = 0
+        self.N = 0.0
+        self.s = None if stats is None else np.zeros(0)
+        self.sigma = np.zeros(0) if stats is _stats_snag else None
         self.fault: Optional[str] = None
+
+
+# A block of examples as GridLearner steps it. Per nonzero, example after
+# example: its value x, its place ``local`` in the block's sorted columns
+# ``seen`` and, per (nonzero, kind), the squash factor F, the step's u and
+# its scale S. Per example: where its nonzeros end (ends[j + 1]), whether it
+# holds every column of the block in order (``whole``), and eta's factor per
+# kind (``rates``), 0 where the kind takes no step. ``faults`` maps a kind
+# whose statistics fail on the block to (example, reason).
+_Block = namedtuple("_Block", "examples x ends seen local whole F U S rates faults")
+
+
+class _GridKind(NamedTuple):
+    kind: str
+    rows: slice       # its rows of W
+    stage: _Stage
+    tracker: _Tracker
+
+
+def _runs(cols):
+    """How ``_scan`` visits a block's nonzeros (their columns, in stream
+    order) column by column.
+
+    Returns (order, pos, heads, tails, columns). A scan array holds one run
+    per column: the value carried into the block at heads[c], then the
+    column's nonzeros in stream order, the k-th nonzero of the stable sort
+    ``order`` at pos[k]; the run ends before tails[c]. ``columns`` are the
+    block's distinct columns, in the order of the runs."""
+    order = np.argsort(cols, kind="stable")
+    c = cols[order]
+    first = np.ones(len(c), dtype=bool)
+    np.not_equal(c[1:], c[:-1], out=first[1:])
+    pos = np.arange(len(c)) + np.cumsum(first)
+    heads = pos[first] - 1
+    return order, pos, heads, np.append(heads, len(pos) + len(heads))[1:], c[first]
+
+
+def _scan(op, runs, state, v):
+    """The running op (np.maximum or np.add) of each column's values v in
+    stream order, from state[column]: per nonzero, the running value before
+    it and after it. With op None each nonzero keeps its own value, so
+    before is the column's previous one. state takes each column's last."""
+    order, pos, heads, tails, columns = runs
+    ext = np.empty(len(pos) + len(heads))
+    ext[heads] = state[columns]
+    ext[pos] = v[order]
+    if op is not None:
+        ext[heads + 1] = op(ext[heads], ext[heads + 1])
+        longer = tails - heads > 2
+        for a, b in zip(heads[longer].tolist(), tails[longer].tolist()):
+            op.accumulate(ext[a + 1:b], out=ext[a + 1:b])
+    state[columns] = ext[tails - 1]
+    before, after = np.empty_like(v), np.empty_like(v)
+    before[order] = ext[pos - 1]
+    after[order] = ext[pos]
+    return before, after
 
 
 class GridLearner:
     """Learner kinds and one loss at every learning rate of a grid, as the
-    rows of one weight matrix.
+    rows of one weight matrix, a block of examples at a time.
 
     Rows are kind-major: row k * len(etas) + j follows
     Learner(LearnerConfig(kinds[k], etas[j], clip_c), loss) up to the
     summation order of the prediction. W holds every row and G the rows of
-    the kinds that keep gradient sums. A row whose prediction, loss, weights
-    or gradient sums turn non-finite is reported by ``observe`` and reset to
-    zero so that it stays finite; its later results mean nothing. A kind
-    whose statistics fail faults all its rows, and the other kinds go on.
-    Run it under ``np.errstate``, since such rows overflow by design.
+    the kinds that keep gradient sums; the columns are features in order of
+    first appearance, the capacity doubling on demand. A row whose
+    prediction, loss, weights or gradient sums turn non-finite is reported
+    once, at that example, and retired: reset to zero, and no longer
+    checked, so that its later results mean nothing. A kind whose
+    statistics fail faults all its rows, and the other kinds go on.
     """
 
     def __init__(self, kinds: Sequence[str], etas: Sequence[float], loss: Loss,
@@ -300,13 +367,20 @@ class GridLearner:
             for eta in etas:
                 LearnerConfig(kind, eta, clip_c)   # the scalar path's validation
         n = len(etas)
-        self.kinds = [_GridKind(kind, slice(k * n, (k + 1) * n)) for k, kind in enumerate(kinds)]
+        trackers: dict = {}
+        self.kinds = []
+        for k, kind in enumerate(kinds):
+            stage = _STAGES[kind]
+            tracker = trackers.setdefault(stage.stats, _Tracker(stage.stats))
+            self.kinds.append(_GridKind(kind, slice(k * n, (k + 1) * n), stage, tracker))
+        self._trackers = list(trackers.values())
         self.loss = loss
         self.clip_c = clip_c
         self.etas = np.tile(np.array(etas, dtype=float), len(kinds))
+        self._live = np.ones(len(self.etas), dtype=bool)   # rows not yet retired
         # feature index -> column of W and G, in order of first appearance
         self.columns: dict = {}
-        self.W = np.zeros((len(self.etas), 16))
+        self.W = np.zeros((len(self.etas), 0))
         # G holds the rows of the kinds that keep gradient sums: G row j is
         # W row _g_ids[j], and W[_g_rows] selects them, by a slice (so a
         # view) when they are contiguous
@@ -314,109 +388,230 @@ class GridLearner:
                                     for r in range(k.rows.start, k.rows.stop)], dtype=np.intp)
         contiguous = len(g) > 0 and g[-1] - g[0] == len(g) - 1
         self._g_rows = slice(g[0], g[-1] + 1) if contiguous else g
-        self.G = np.zeros((len(g), 16)) if len(g) else None
+        self.G = np.zeros((len(g), 0)) if len(g) else None
+        self._grow(16)
 
-    def _gather(self, supp):
-        """(column indices, values) of the support, assigning columns to new
-        features and growing W and G to hold them."""
-        columns = self.columns
-        cols = [columns.setdefault(i, len(columns)) for i, _ in supp]
-        while len(columns) > self.W.shape[1]:
-            self.W = np.concatenate([self.W, np.zeros_like(self.W)], axis=1)
-            if self.G is not None:
-                self.G = np.concatenate([self.G, np.zeros_like(self.G)], axis=1)
-        return np.array(cols, dtype=np.intp), np.array([v for _, v in supp])
-
-    def _dot(self, Wx, x):
-        """Wx @ x, one product per kind: BLAS sums a row in an order that
-        depends on the number of rows."""
-        return np.concatenate([Wx[k.rows] @ x for k in self.kinds])
+    def _grow(self, capacity: int):
+        """Widen W, G and the trackers' columns to capacity."""
+        def wide(a):
+            return np.concatenate([a, np.zeros(a.shape[:-1] + (capacity - a.shape[-1],))], axis=-1)
+        self.W = wide(self.W)
+        if self.G is not None:
+            self.G = wide(self.G)
+        for tr in self._trackers:
+            if tr.s is not None:
+                tr.s = wide(tr.s)
+            if tr.sigma is not None:
+                tr.sigma = wide(tr.sigma)
 
     def observe(self, ex: SparseExample):
-        """Learner.observe for every row at once.
+        """Learner.observe for every row at once: observe_block of the one
+        example, its faults a dict row -> reason."""
+        Y, L, faults = self.observe_block([ex])
+        return Y[0], L[0], {r: reason for r, (_, reason) in faults.items()}
 
-        Returns (predictions, progressive losses, faults), the first two
-        arrays over the rows and faults a dict row -> reason for the rows
-        that turned non-finite on this example.
+    def observe_block(self, examples: Sequence[SparseExample]):
+        """Learner.observe for every row at once, example after example.
+
+        Returns (predictions, progressive losses, faults): the first two
+        (examples, rows) arrays, and faults a dict row -> (offset of the
+        example in the block, reason) for the rows that turned non-finite.
+        The block's columns are gathered and its statistics computed once.
+        Non-finite values persist in the block's weights, gradient sums and
+        the returned arrays, so they are looked for once, at the end; a
+        block that holds one is stepped again from W and G, checking each
+        example.
         """
         if self.loss.classification:
-            _check_binary_label(ex.label)
-        supp = ex.features
-        cols, x = self._gather(supp)
-        Wx = self.W[:, cols]
-        # the step's u_i, den_i and rate per row; u = 0 where a kind takes no step
-        u = np.zeros(Wx.shape)
-        den = np.ones(Wx.shape)
-        rates = np.zeros(len(Wx))
+            for ex in examples:
+                _check_binary_label(ex.label)
+        block = self._block(examples)
+        with np.errstate(all="ignore"):
+            Y, L, faults, WT, GT = self._steps(block, checked=bool(block.faults))
+            if not block.faults and self._nonfinite(Y, L, WT, GT):
+                Y, L, faults, WT, GT = self._steps(block, checked=True)
+        self.W[:, block.seen] = WT.T
+        if GT is not None:
+            self.G[:, block.seen] = GT.T
+        return Y, L, faults
+
+    def _block(self, examples) -> _Block:
+        """Gather a block's columns, growing W, G and the trackers to hold
+        them, and advance the stream statistics over it."""
+        columns = self.columns
+        feats = [i for ex in examples for i, _ in ex.features]
+        cols = np.array([columns.setdefault(i, len(columns)) for i in feats], dtype=np.intp)
+        x = np.array([v for ex in examples for _, v in ex.features], dtype=float)
+        ends = [0, *accumulate(len(ex.features) for ex in examples)]
+        capacity = self.W.shape[1]
+        while capacity < len(columns):
+            capacity *= 2
+        if capacity > self.W.shape[1]:
+            self._grow(capacity)
+        runs = _runs(cols)
+        seen = runs[4]   # sorted, so each nonzero's place in it is a searchsorted
+        local = np.searchsorted(seen, cols)
+        sizes = np.diff(ends)
+        out_of_place = np.cumsum(local != np.arange(len(x)) - np.repeat(ends[:-1], sizes))
+        out_of_place = np.append(0, out_of_place)[ends]
+        whole = ((sizes == len(seen)) & (out_of_place[1:] == out_of_place[:-1])).tolist()
+
+        K, B = len(self.kinds), len(examples)
+        F, U, S = np.ones((len(x), K)), np.zeros((len(x), K)), np.ones((len(x), K))
+        rates = np.zeros((B, K))
         faults = {}
-        for k in self.kinds:
-            if k.fault is not None:
-                continue
-            k.t += 1
-            try:
-                factors, scale = k.stage.stats(k, supp)
-            except _NUMERIC_ERRORS as e:
-                k.fault = _fault_reason(e)
-                faults.update(dict.fromkeys(range(k.rows.start, k.rows.stop), k.fault))
-                continue
-            if factors is not None:
-                Wx[k.rows] *= [factors.get(i, 1.0) for i, _ in supp]
-            if not supp:   # no column to step
-                continue
-            rates[k.rows] = k.stage.rate(k)
-            if scale is None:
-                u[k.rows] = x
-            else:
-                q = den[k.rows] = np.array(scale)
-                u[k.rows] = x / q if k.stage.over_scale else x
+        with np.errstate(all="ignore"):
+            tracked = {tr: self._track(tr, x, ends, feats, runs)
+                       for tr in self._trackers if tr.fault is None}
+            for k, gk in enumerate(self.kinds):
+                tr = gk.tracker
+                if tr not in tracked:   # failed on an earlier block
+                    continue
+                t0, scale, old, new, Ns = tracked[tr]
+                stop = len(Ns)
+                a = ends[stop]   # nonzeros from a failing example on take no step
+                if scale is not None:
+                    grow = np.flatnonzero((new[:a] > old[:a]) & (old[:a] > 0.0))
+                    F[grow, k] = gk.stage.squash(old[grow], new[grow])
+                    S[:a, k] = scale[:a]
+                U[:a, k] = x[:a] / scale[:a] if gk.stage.over_scale else x[:a]
+                rate = gk.stage.rate
+                rates[:stop, k] = [rate(t0 + j + 1, N) if ends[j] < ends[j + 1] else 0.0
+                                   for j, N in enumerate(Ns)]
+                if stop < B:
+                    faults[k] = (stop, tr.fault)
+        return _Block(examples, x, ends, seen, local, whole, F, U, S, rates, faults)
 
-        raw = self._dot(Wx, x)
-        yhat = raw if self.clip_c is None else np.clip(raw, -self.clip_c, self.clip_c)
-        lval, gp = self.loss.values_and_derivatives(yhat, ex.label)
+    def _track(self, tr, x, ends, feats, runs):
+        """Advance a tracker over the block: (t before it, scale, old and
+        new scale per nonzero, N after each example up to the one its
+        statistics fail on)."""
+        B, t0 = len(ends) - 1, tr.t
+        tr.t += B
+        if tr.stats is None:
+            return t0, None, None, None, [tr.N] * B
+        if tr.stats is _track_max:
+            new = np.abs(x)
+            old, scale = _scan(np.maximum, runs, tr.s, new)
+            bad = B
+        else:
+            _, s = _scan(np.add, runs, tr.s, x * x)
+            t = np.repeat(np.arange(t0 + 1, t0 + B + 1, dtype=float), np.diff(ends))  # per nonzero
+            scale = new = np.sqrt(s / t)
+            old, _ = _scan(None, runs, tr.sigma, new)
+            k = np.flatnonzero((s == math.inf) | (new == 0.0))
+            bad = bisect_right(ends, k[0]) - 1 if len(k) else B
+        r = x / scale
+        r2 = (r * r).tolist()
+        N, Ns = tr.N, []
+        for j in range(bad):
+            N += math.fsum(r2[ends[j]:ends[j + 1]])
+            Ns.append(N)
+        tr.N = N
+        if bad < B:   # the scalar stage's error: a sum that overflows first, else the division
+            inf = [feats[k] for k in range(ends[bad], ends[bad + 1]) if s[k] == math.inf]
+            tr.fault = (f"non-finite sum of squares inf at coordinate {inf[0]}" if inf
+                        else "float division by zero")
+        return t0, scale, old, new, Ns
 
-        new, Gb = Wx, None
-        if supp and gp.any():
-            grad = gp[:, None] * u
-            step = (self.etas * rates)[:, None] * grad
-            if self.G is not None:
-                g = grad[self._g_rows]
-                Gb = self.G[:, cols] + g * g
-                self.G[:, cols] = Gb
-                den[self._g_rows] *= np.sqrt(Gb)
-                if not Gb.all():   # a zero gradient sum makes no step
-                    r, c = np.nonzero(Gb == 0.0)
-                    r = self._g_ids[r]
-                    step[r, c], den[r, c] = 0.0, 1.0
-            step /= den
-            new = Wx - step
-        self.W[:, cols] = new
+    def _steps(self, block: _Block, checked: bool):
+        """Predict, score and step every row on each example of the block in
+        turn, on a copy of the block's columns of W and G, transposed;
+        returns (predictions, losses, faults, the copies). When checked, the
+        rows that turn non-finite are reported and retired."""
+        K, R = len(self.kinds), len(self.etas)
+        n = R // K
+        g_ids, g_rows, clip_c = self._g_ids, self._g_rows, self.clip_c
+        x, ends, local, whole, F, U, S = (block.x, block.ends, block.local, block.whole,
+                                          block.F, block.U, block.S)
+        lrs = (block.rates[:, :, None] * self.etas.reshape(K, n)).reshape(-1, R)
+        WT = self.W[:, block.seen].T   # C-ordered: (column, row)
+        GT = None if self.G is None else self.G[:, block.seen].T
+        Y, L = np.empty((len(block.examples), R)), np.empty((len(block.examples), R))
+        faults = {}
+        for j, ex in enumerate(block.examples):
+            a, b = ends[j], ends[j + 1]
+            m, c = b - a, slice(None) if whole[j] else local[a:b]
+            Wx = WT[c]
+            Wk = Wx.reshape(m, K, n)
+            Wk *= F[a:b, :, None]
+            yhat = Y[j]
+            # one product per kind, with W's layout: BLAS sums a row in an
+            # order that depends on the number of rows and on the layout
+            np.matmul(Wk.transpose(1, 2, 0), x[a:b], out=yhat.reshape(K, n))
+            if clip_c is not None:
+                np.clip(yhat, -clip_c, clip_c, out=yhat)
+            lval, gp = self.loss.values_and_derivatives(yhat, ex.label)
+            L[j] = lval
+            Gb = None
+            if m and gp.any():
+                grad = (gp.reshape(K, n) * U[a:b, :, None]).reshape(m, R)
+                step = grad * lrs[j]
+                den = np.repeat(S[a:b], n, axis=1)
+                if GT is not None:
+                    g = grad[:, g_rows]
+                    Gb = GT[c] + g * g
+                    GT[c] = Gb
+                    den[:, g_rows] *= np.sqrt(Gb)
+                    if not Gb.all():   # a zero gradient sum makes no step
+                        q, r = np.nonzero(Gb == 0.0)
+                        r = g_ids[r]
+                        step[q, r], den[q, r] = 0.0, 1.0
+                step /= den
+                Wx = Wx - step
+            WT[c] = Wx
+            if checked:
+                rows = self._check(j, ex.features, Wx.T, None if Gb is None else Gb.T,
+                                   yhat, lval, block.faults)
+                if rows:
+                    faults.update((r, (j, reason)) for r, reason in rows.items())
+                    rows = list(rows)
+                    self._live[rows] = False
+                    self.W[rows] = WT[:, rows] = 0.0
+                    if GT is not None:
+                        g = np.isin(g_ids, rows)
+                        self.G[g] = GT[:, g] = 0.0
+        return Y, L, faults, WT, GT
 
-        checked = new.sum() + yhat.sum() + lval.sum()
+    def _check(self, j, supp, new, Gb, yhat, lval, stat_faults) -> dict:
+        """The live rows that example j turned non-finite: row -> reason."""
+        found = {}
+        for k, (at, reason) in stat_faults.items():
+            if at == j:
+                rows = self.kinds[k].rows
+                found.update(dict.fromkeys(range(rows.start, rows.stop), reason))
+        # a cheap test first, a sum per row: inf and nan propagate
+        bad = ~np.isfinite(new.sum(axis=1) + yhat + lval)
         if Gb is not None:
-            checked += Gb.sum()
-        if not math.isfinite(checked):   # a cheap test first: inf and nan propagate
+            bad[self._g_ids] |= ~np.isfinite(Gb.sum(axis=1))
+        rows = np.flatnonzero(bad & self._live)
+        if len(rows):
             if Gb is not None:
-                _block_faults(faults, "gradient sum", Gb, supp, self._g_ids)
-            _block_faults(faults, "weight", new, supp)
-            for r in np.flatnonzero(~np.isfinite(yhat)):
-                faults.setdefault(int(r), f"non-finite prediction {float(yhat[r])!r}")
-            for r in np.flatnonzero(~np.isfinite(lval)):
-                faults.setdefault(int(r), f"non-finite loss {float(lval[r])!r} "
-                                          f"at prediction {float(yhat[r])!r}")
-        if faults:
-            rows = list(faults)
-            self.W[rows] = 0.0
-            if self.G is not None:
-                self.G[np.isin(self._g_ids, rows)] = 0.0
-        return yhat, lval, faults
+                g = np.flatnonzero(np.isin(self._g_ids, rows))
+                _block_faults(found, "gradient sum", Gb[g], supp, self._g_ids[g])
+            _block_faults(found, "weight", new[rows], supp, rows)
+            for r in rows.tolist():
+                if not math.isfinite(yhat[r]):
+                    found.setdefault(r, f"non-finite prediction {float(yhat[r])!r}")
+                elif not math.isfinite(lval[r]):
+                    found.setdefault(r, f"non-finite loss {float(lval[r])!r} "
+                                        f"at prediction {float(yhat[r])!r}")
+        return {r: reason for r, reason in found.items() if self._live[r]}
+
+    def _nonfinite(self, Y, L, WT, GT) -> bool:
+        """Whether a live row holds a non-finite value after the block."""
+        ok = np.isfinite(Y).all(axis=0) & np.isfinite(L).all(axis=0) & np.isfinite(WT).all(axis=0)
+        if GT is not None:
+            ok[self._g_ids] &= np.isfinite(GT).all(axis=0)
+        return bool((self._live & ~ok).any())
 
 
-def _block_faults(faults: dict, what: str, block: np.ndarray, supp, rows=None):
+def _block_faults(faults: dict, what: str, block: np.ndarray, supp, rows):
     """Add to faults, for each row of a (rows, support) block without a
     fault yet, its first non-finite entry; rows maps the block's rows to
     grid rows."""
     for r, k in zip(*np.nonzero(~np.isfinite(block))):
-        row = int(r if rows is None else rows[r])
+        row = int(rows[r])
         faults.setdefault(row, f"non-finite {what} {float(block[r, k])!r} "
                                f"at coordinate {supp[k][0]}")
 

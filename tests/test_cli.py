@@ -574,8 +574,10 @@ class TestStreaming:
         return ["train", "--data", str(path), "--learner", "nag", "--loss", "logistic",
                 "--eta", "0.5", *extra]
 
-    @pytest.mark.parametrize("normalize", ["none", "maxnorm"])
-    def test_traced_peak_does_not_grow_with_the_file(self, capsys, tmp_path, normalize):
+    @staticmethod
+    def assert_peak_is_flat(capsys, tmp_path, argv_of):
+        """argv_of(path)'s traced peak grows by less than a quarter of the
+        growth of the file from one copy of 250 lines to four."""
         # the same 40 features on every line, so per-feature state is fixed
         lines = "".join(
             " ".join([str(1 - 2 * (k % 2))]
@@ -586,16 +588,26 @@ class TestStreaming:
             path = tmp_path / f"x{copies}.svm"
             path.write_text(lines * copies)
             sizes.append(path.stat().st_size)
-            argv = self.train_argv(path, "--normalize", normalize, "--thin", "1000000",
-                                   "--report", str(tmp_path / "r.json"))
             tracemalloc.start()
             try:
-                code = main(argv)
+                code = main(argv_of(path))
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
             assert code == 0, capsys.readouterr().err
         assert peaks[1] - peaks[0] < (sizes[1] - sizes[0]) / 4, (peaks, sizes)
+
+    @pytest.mark.parametrize("normalize", ["none", "maxnorm"])
+    def test_traced_peak_does_not_grow_with_the_file(self, capsys, tmp_path, normalize):
+        self.assert_peak_is_flat(capsys, tmp_path, lambda path: self.train_argv(
+            path, "--normalize", normalize, "--thin", "1000000",
+            "--report", str(tmp_path / "r.json")))
+
+    def test_sweep_traced_peak_does_not_grow_with_the_file(self, capsys, tmp_path):
+        # the sweep holds one block of examples and its buffers at a time
+        self.assert_peak_is_flat(capsys, tmp_path, lambda path: [
+            "sweep", "--data", str(path), "--learners", "ng,nag,snag", "--loss", "logistic",
+            "--report", str(tmp_path / "r.json")])
 
     BREAKS = "1 0:1\r\n-1 1:2\r1 0:3\x0c-1 0:0.5 2:4\u2028# note\n\n1 1:-5\x0b-1 0:2\n"
 

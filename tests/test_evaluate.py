@@ -7,6 +7,7 @@ import pytest
 from nol.core import SparseExample, get_loss
 from nol.data import synth_figure1, synth_scaled
 from nol.errors import NolError, NumericFault
+from nol import evaluate
 from nol.evaluate import (
     ComparisonReport,
     default_eta_grid,
@@ -257,6 +258,91 @@ class TestSweepMatchesScalar:
         assert [c.error for c in rep.cells] == \
                ["example 2: classification label must be -1 or +1, got 2.0"] * 2
         assert rep.best == {}
+
+
+def _cell_bits(rep):
+    """A report's cells and best etas, floats as their hex."""
+    def bits(v):
+        return None if v is None else v.hex()
+    return ([(c.kind, bits(c.eta), bits(c.eval_loss), bits(c.training_loss), c.error)
+             for c in rep.cells],
+            {k: (bits(eta), bits(loss)) for k, (eta, loss) in rep.best.items()})
+
+
+def _figure1_squared():
+    # ng at eta 16 and 64 and sgd at 64 overflow
+    return dict(kinds=["nag", "ng", "adagrad", "sgd", "snag"], loss="squared",
+                examples=synth_figure1(1.0, 150, seed=3),
+                eta_grid=[2.0 ** e for e in range(-8, 7, 2)], task="regression")
+
+
+def _snag_overflow(lead):
+    # snag's sum of squares overflows on example lead + 2
+    stream = [ex({1: 1.0}, 1.0), ex({1: 2.0}, -1.0)][:lead] + \
+             [ex({0: 1e154}), ex({0: 1e154})] + \
+             [ex({1: float(k % 3 + 1)}, 1.0 if k % 2 else -1.0) for k in range(20)]
+    return dict(kinds=["sgd", "snag", "ng"], loss="hinge", examples=stream, eta_grid=[0.5, 1.0])
+
+
+def _boundaries(bad_label):
+    # empty supports on examples 3 and 4, either side of the first boundary
+    # of 3-example blocks; with bad_label, example 7 opens the third block
+    stream = [ex({0: 1.0, 2: 3.0}), ex({1: -2.0}, -1.0), ex({}), ex({}, -1.0),
+              ex({0: -1.0, 3: 5.0}, -1.0), ex({2: 0.5}), ex({1: 1.5, 3: -1.0}, -1.0),
+              ex({0: 2.0, 1: 1.0})]
+    if bad_label:
+        stream[6] = SparseExample(stream[6].features, 2.0)
+    return dict(kinds=list(KINDS), loss="logistic", examples=stream, eta_grid=[0.25, 1.0, 4.0])
+
+
+SUM_OVERFLOW = "non-finite sum of squares inf at coordinate 0"
+BAD_LABEL = "example 7: classification label must be -1 or +1, got 2.0"
+
+
+class TestSweepBlocks:
+    """A sweep's cells and error messages do not depend on its block size."""
+
+    @pytest.mark.parametrize("case,errors", [
+        pytest.param(_figure1_squared,
+                     {("ng", 16.0): "example 148: non-finite loss inf at prediction -2.55",
+                      ("ng", 64.0): "example 98: non-finite loss inf at prediction -1.15",
+                      ("sgd", 64.0): "example 108: non-finite loss inf at prediction -3.54"},
+                     id="squared-overflow"),
+        pytest.param(lambda: _snag_overflow(0),
+                     {("snag", eta): f"example 2: {SUM_OVERFLOW}" for eta in (0.5, 1.0)},
+                     id="snag-overflow-inside"),
+        pytest.param(lambda: _snag_overflow(2),
+                     {("snag", eta): f"example 4: {SUM_OVERFLOW}" for eta in (0.5, 1.0)},
+                     id="snag-overflow-at-boundary"),
+        pytest.param(lambda: _boundaries(False), {}, id="empty-supports-at-boundary"),
+        pytest.param(lambda: _boundaries(True),
+                     {(kind, eta): BAD_LABEL for kind in KINDS for eta in (0.25, 1.0, 4.0)},
+                     id="invalid-label-at-boundary"),
+    ])
+    def test_cells_do_not_depend_on_the_block_size(self, monkeypatch, case, errors):
+        got = {}
+        for block in (1, 3, evaluate.BLOCK):
+            monkeypatch.setattr(evaluate, "BLOCK", block)
+            got[block] = _cell_bits(sweep(**case()))
+        assert got[3] == got[1] and got[evaluate.BLOCK] == got[1]
+        rep = sweep(**case())
+        failed = {(c.kind, c.eta): c.error for c in rep.cells if c.error is not None}
+        assert failed.keys() == errors.keys()
+        assert all(failed[cell].startswith(errors[cell]) for cell in errors), failed
+
+
+class TestOneShotRegression:
+    """A regression run reads the labels first, so it needs a re-iterable."""
+
+    def test_sweep(self):
+        stream = synth_figure1(1.0, 20, seed=1)
+        with pytest.raises(TypeError, match="reads the stream twice"):
+            sweep(["sgd"], "squared", iter(stream), [0.5], task="regression")
+
+    def test_progressive_validation(self):
+        stream = synth_figure1(1.0, 20, seed=1)
+        with pytest.raises(TypeError, match="reads the stream twice"):
+            progressive_validation(LearnerConfig("sgd", 0.5), SQ, iter(stream), "regression")
 
 
 class TestKLInterval:

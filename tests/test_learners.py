@@ -19,6 +19,16 @@ def ex(feats, y=1.0):
     return SparseExample(tuple(sorted(feats.items())), y)
 
 
+def grid_stats(grid, k=0):
+    """(t, N, s, sigma) of a grid's k-th kind as a Learner keeps them: s and
+    sigma as dicts feature -> value, read through the column map."""
+    tr = grid.kinds[k].tracker
+
+    def by_feature(a):
+        return {} if a is None else {i: float(a[c]) for i, c in grid.columns.items()}
+    return tr.t, tr.N, by_feature(tr.s), by_feature(tr.sigma)
+
+
 class TestWorkedExamples:
     def test_ng_single_step(self):
         l = Learner(LearnerConfig("ng", 0.5), SQ)
@@ -292,10 +302,8 @@ class TestGridLearner:
                 want_yhat, want_lval = learner.observe(x)
                 assert yhat[r] == pytest.approx(want_yhat, rel=1e-9, abs=1e-12)
                 assert lval[r] == pytest.approx(want_lval, rel=1e-9)
-        stats = grid.kinds[0]
         for learner in scalars:
-            assert (stats.t, stats.N, stats.s, stats.sigma) == \
-                   (learner.t, learner.N, learner.s, learner.sigma)
+            assert grid_stats(grid) == (learner.t, learner.N, learner.s, learner.sigma)
         for r, learner in enumerate(scalars):
             for i, c in grid.columns.items():
                 assert grid.W[r, c] == pytest.approx(learner.w.get(i, 0.0), rel=1e-9, abs=1e-12)
@@ -394,10 +402,52 @@ class TestStackedGrid:
         reason = "non-finite sum of squares inf at coordinate 0"
         assert faults[1] == {2: reason, 3: reason}
         assert all(f == {} for i, f in enumerate(faults) if i != 1)
-        assert [k.fault for k in stacked.kinds] == [None, reason, None]
+        assert [k.tracker.fault for k in stacked.kinds] == [None, reason, None]
         assert not stacked.W[2:4].any() and not stacked.G.any()
         np.testing.assert_array_equal(stacked.W[[0, 1, 4, 5]], others.W)
         assert others.W[:, others.columns[1]].all()
+
+
+class TestBlockStatistics:
+    """A grid's block statistics are the scalar stages', bit for bit."""
+
+    @staticmethod
+    def streams():
+        # features come and go; magnitudes log-uniform over 1e-6 .. 1e6
+        value = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-6.0, 6.0)).map(
+            lambda sv: sv[0] * 10.0 ** sv[1])
+        example = st.dictionaries(st.integers(0, 7), value, max_size=6).map(ex)
+        return st.lists(example, min_size=1, max_size=30)
+
+    @settings(max_examples=60, deadline=None)
+    @given(stream=streams(), cuts=st.lists(st.integers(1, 7), min_size=1, max_size=12))
+    def test_block_statistics_are_the_scalar_stages(self, stream, cuts):
+        grid = GridLearner(list(KINDS), [0.5], HINGE)
+        scalars = [Learner(LearnerConfig(kind, 0.5), HINGE) for kind in KINDS]
+        start, c = 0, 0
+        while start < len(stream):
+            block = stream[start:start + cuts[c % len(cuts)]]
+            start, c = start + len(block), c + 1
+            b = grid._block(block)
+            for k, learner in enumerate(scalars):
+                stage = learner._stage
+                want_f, want_u, want_s, want_rate = [], [], [], []
+                for x in block:
+                    learner.t += 1
+                    factors, scale = (None, None) if stage.stats is None else \
+                        stage.stats(learner, x.features, stage.squash)
+                    scale = [1.0] * len(x.features) if scale is None else scale
+                    for (i, v), q in zip(x.features, scale):
+                        want_f.append((factors or {}).get(i, 1.0))
+                        want_u.append(v / q if stage.over_scale else v)
+                        want_s.append(q)
+                    want_rate.append(stage.rate(learner.t, learner.N) if x.features else 0.0)
+                got = [b.F[:, k], b.U[:, k], b.S[:, k], b.rates[:, k]]
+                want = [want_f, want_u, want_s, want_rate]
+                assert [[float(v).hex() for v in a] for a in got] == \
+                       [[v.hex() for v in a] for a in want], learner.config.kind
+                assert grid_stats(grid, k) == (learner.t, learner.N, learner.s, learner.sigma)
+            assert b.faults == {}
 
 
 class TestGradientSumOverflow:
@@ -446,6 +496,6 @@ class TestStatisticsOverflow:
                 yhat, lval = learner.observe(x)
                 gy, gl, faults = grid.observe(x)
                 assert (gy.tolist(), gl.tolist(), faults) == ([yhat], [lval], {})
-            assert learner.N == grid.kinds[0].N == 2.25
+            assert learner.N == grid.kinds[0].tracker.N == 2.25
             w = learner.w.get(0, 0.0)
             assert math.isfinite(w) and grid.W[0, 0] == w

@@ -23,7 +23,11 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
   ``--clip-c``, ``--eta-decay`` and ``--thin``, ``sweep`` with ``--clip-c``,
   ``--eta-grid`` and ``--plot-data``, ``train --normalize sqnorm`` on an
   svmlight file, reports to stdout and to ``--report``, a data error, and a
-  file whose prediction overflows under ``train`` and ``sweep``.
+  file whose prediction overflows under ``train`` and ``sweep``;
+* sweeps that read many blocks of examples: all five learners over 1,500
+  lines of the ``train-wide`` generator's sparse file, a squared-loss sweep
+  whose cells overflow inside a block, and one whose sNAG statistics
+  overflow in its second block.
 
 OUT_DIR gets one sorted-keys JSON file per command: its argv (the temporary
 directory written as ``$TMP``), exit code, stderr and report, the report
@@ -127,6 +131,25 @@ def _data_flag_commands(tmp, rng):
                                       "--loss", "hinge", "--eta-grid", "1e300..1e300"])
 
 
+def _block_commands(inputs, tmp, rng):
+    wide = os.path.join(tmp, "wide-1500.svm")
+    inputs.write_wide(wide, 7, dict(inputs.WIDE, lines=1500))
+    yield ("sweep-wide-five-kinds", ["sweep", "--data", wide, "--learners",
+                                     "ng,nag,snag,adagrad,sgd", "--loss", "logistic"])
+    yield ("sweep-squared-faults", ["sweep", "--synth", "figure1:s=1,T=900", "--task",
+                                    "regression", "--loss", "squared", "--learners",
+                                    "ng,nag,snag,adagrad,sgd", "--seed", "3"])
+    lines = []
+    for k in range(600):
+        x = {0: rng.gauss(0.0, 1.0), 1 + k % 7: rng.uniform(0.5, 2.0)}
+        if k in (299, 300):
+            x[9] = 1e154
+        lines.append(f"{1 - 2 * (k % 3 == 0)} " + " ".join(f"{i}:{v!r}" for i, v in sorted(x.items())))
+    overflow = _write(tmp, "snag-overflow.svm", lines)
+    yield ("sweep-snag-overflow-block-2", ["sweep", "--data", overflow, "--learners",
+                                           "ng,snag,sgd", "--loss", "hinge"])
+
+
 def _bench_commands(inputs, tmp, root):
     for workload, variants in (("train-wide", 3), ("sweep-narrow", 16), ("regret-bounds", 16)):
         for variant in range(variants):
@@ -169,6 +192,7 @@ def main(args):
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         commands = [*_regret_commands(), *_file_commands(tmp),
+                    *_block_commands(inputs, tmp, random.Random(16)),
                     *_bench_commands(inputs, tmp, checkout)]
         for label, argv in commands:
             snap = _run(nol.cli.main, argv, tmp)
