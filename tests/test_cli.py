@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nol import cli
+from nol import cli, evaluate
 from nol.cli import _parse_eta_grid, main
 from nol.data import read_svmlight
 from nol.errors import DataFormatError
@@ -603,8 +603,13 @@ class TestStreaming:
             path, "--normalize", normalize, "--thin", "1000000",
             "--report", str(tmp_path / "r.json")))
 
-    def test_sweep_traced_peak_does_not_grow_with_the_file(self, capsys, tmp_path):
-        # the sweep holds one block of examples and its buffers at a time
+    def test_sweep_traced_peak_does_not_grow_with_the_file(self, capsys, tmp_path, monkeypatch):
+        # the sweep holds one block of examples and its buffers at a time.
+        # Blocks of 50 lines make both files whole blocks: a file shorter
+        # than one block also holds smaller per-block buffers, and CPython's
+        # tuple free list, filled before tracing starts, serves most of the
+        # first block's (index, value) pairs untraced
+        monkeypatch.setattr(evaluate, "BLOCK", 50)
         self.assert_peak_is_flat(capsys, tmp_path, lambda path: [
             "sweep", "--data", str(path), "--learners", "ng,nag,snag", "--loss", "logistic",
             "--report", str(tmp_path / "r.json")])
