@@ -231,8 +231,8 @@ def _add_data_flags(p):
 def cmd_train(args) -> dict:
     config = LearnerConfig(kind=args.learner, eta=args.eta, clip_c=args.clip_c,
                            eta_decay=args.eta_decay)
-    report, data, seconds = _fit(args, lambda examples: run_stream(
-        config, get_loss(args.loss), examples, keep_state=True))
+    report, data, seconds = _fit(
+        args, lambda examples: run_stream(config, get_loss(args.loss), examples))
     return _report(
         "run",
         {

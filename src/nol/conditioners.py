@@ -86,8 +86,8 @@ class ComparatorBall:
             total += u if self.q == 1 else u * u
         return total if self.q == 1 else math.sqrt(total)
 
-    def contains(self, w: Mapping[int, float], tol: float = 1e-9) -> bool:
-        return self.norm(w) <= self.C + tol
+    def contains(self, w: Mapping[int, float]) -> bool:
+        return self.norm(w) <= self.C + 1e-9
 
 
 @dataclass

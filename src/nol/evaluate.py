@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Loss, SparseExample, _check_binary_label, _finite, get_loss
+from .core import Loss, SparseExample, _check_binary_label, _finite, get_loss, predict
 from .data import regression_loss_scale
 from .errors import InvalidLabel
 from .learners import GridLearner, Learner, LearnerConfig, progressive
@@ -106,7 +106,7 @@ def multiclass_progressive(config: LearnerConfig, loss: Loss,
         if ex.label not in learners:
             learners[ex.label] = Learner(config, loss)
             classes.append(ex.label)
-        scores = {c: _finite("prediction", learners[c].predict(ex)) for c in classes}
+        scores = {c: _finite("prediction", predict(learners[c].w, ex)) for c in classes}
         pred = max(classes, key=lambda c: scores[c])
         round_train = 0.0
         for c in classes:

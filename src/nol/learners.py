@@ -91,9 +91,6 @@ class Learner:
         self.t = 0
         self._stage = _STAGES[config.kind]
 
-    def predict(self, ex: SparseExample) -> float:
-        return predict(self.w, ex)
-
     def observe(self, ex: SparseExample):
         """Process one example: squash scales, accumulate N, predict, update.
 
@@ -119,7 +116,9 @@ class Learner:
         return _finite("prediction", yhat), _finite("loss", lval, yhat)
 
     def state_dump(self) -> dict:
-        """Flat serialization for warm restarts: (index, w, s, G) plus scalars."""
+        """What ``nol train`` reports: [index, w, s, G] per feature, N and t.
+        Not a restart point: nothing loads it, and snag's sigma is not in it
+        (ROADMAP.md, "Learner state as a file")."""
         w, s, G = self.w, self.s, self.G
         w_at, s_at, G_at = w.get, s.get, G.get
         return {
@@ -663,18 +662,16 @@ class RunReport:
     n_examples: int
     nonzero_weights: int
     normalizer: float
-    state: Optional[dict] = None
+    state: dict
 
 
-def run_stream(config: LearnerConfig, loss: Loss, stream: Iterable[SparseExample],
-               keep_predictions: bool = False, keep_state: bool = False) -> RunReport:
-    """Fold observe over a stream and collect the progressive trace."""
+def run_stream(config: LearnerConfig, loss: Loss, stream: Iterable[SparseExample]) -> RunReport:
+    """Fold observe over a stream: the progressive trace and the final state."""
     learner = Learner(config, loss)
     losses, preds = [], []
     for yhat, lval in progressive(stream, learner.observe):
         losses.append(lval)
-        if keep_predictions:
-            preds.append(yhat)
+        preds.append(yhat)
     n = len(losses)
     return RunReport(
         losses=losses,
@@ -683,5 +680,5 @@ def run_stream(config: LearnerConfig, loss: Loss, stream: Iterable[SparseExample
         n_examples=n,
         nonzero_weights=sum(1 for v in learner.w.values() if v != 0.0),
         normalizer=learner.N,
-        state=learner.state_dump() if keep_state else None,
+        state=learner.state_dump(),
     )

@@ -276,7 +276,8 @@ def _hinge_lp(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float):
     row's basic; that vertex is already optimal when C max|z_tj| <= 1. u is
     read off the row duals. The gap is the primal loss at u minus the dual
     objective recomputed at the clipped a, so it holds whatever the solver's
-    roundoff. Returns (u, loss, certificate).
+    roundoff; the basic solution is refined once first, as C times Za's
+    roundoff enters that objective. Returns (u, loss, certificate).
     """
     T, d = Xu.shape
     m = 2 * d
@@ -304,6 +305,7 @@ def _hinge_lp(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float):
 
     mu, pivots = _bounded_simplex(A, cost, upper, x, at_upper, basis)
     u = _project_ball(mu[d:] - mu[:d], C, 1)
+    x[basis] -= np.linalg.solve(A[:, basis], A @ x)
     a = np.clip(x[:T], 0.0, 1.0)
     dual = float(a.sum() - C * np.abs(Z @ a).max())
     f = float(loss.values(Xu @ u, y).sum())

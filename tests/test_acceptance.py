@@ -78,8 +78,7 @@ class TestAcceptance:
                 if kind in baseline_failures and baseline_failures[kind] > 0:
                     continue  # already demonstrated non-invariance
                 try:
-                    base[kind] = run_stream(LearnerConfig(kind, 0.5), loss,
-                                            stream, keep_predictions=True)
+                    base[kind] = run_stream(LearnerConfig(kind, 0.5), loss, stream)
                 except NumericFault:
                     if kind in baseline_failures:
                         baseline_failures[kind] += 1
@@ -89,8 +88,7 @@ class TestAcceptance:
                 scaled = list(apply_scaling(stream, D))
                 for kind in ("ng", "nag", "snag"):
                     n_pairs += 1
-                    r2 = run_stream(LearnerConfig(kind, 0.5), loss, scaled,
-                                    keep_predictions=True)
+                    r2 = run_stream(LearnerConfig(kind, 0.5), loss, scaled)
                     for a, b in zip(base[kind].predictions, r2.predictions):
                         if abs(a - b) > 1e-9 * max(1.0, abs(a)):
                             invariant_bad += 1
@@ -99,8 +97,7 @@ class TestAcceptance:
                     if baseline_failures[kind] > 0 or kind not in base:
                         continue
                     try:
-                        r2 = run_stream(LearnerConfig(kind, 0.5), loss, scaled,
-                                        keep_predictions=True)
+                        r2 = run_stream(LearnerConfig(kind, 0.5), loss, scaled)
                     except NumericFault:
                         baseline_failures[kind] += 1
                         continue

@@ -143,8 +143,8 @@ class TestEtaDecay:
     def test_gradient_sum_kinds_ignore_it(self, kind, loss_kind):
         loss = get_loss(loss_kind)
         stream = random_instance(6, d=4, T=60, classification=loss_kind != "squared")
-        a, b = (run_stream(LearnerConfig(kind, 0.3, eta_decay=decay), loss, stream,
-                           keep_predictions=True, keep_state=True) for decay in (False, True))
+        a, b = (run_stream(LearnerConfig(kind, 0.3, eta_decay=decay), loss, stream)
+                for decay in (False, True))
         assert (a.losses, a.predictions, a.state) == (b.losses, b.predictions, b.state)
 
 
@@ -159,9 +159,8 @@ class TestInvariants:
         rng = np.random.default_rng(5)
         stream = random_instance(31, d=5, T=300)
         D = self.scale_for(rng, 5)
-        r1 = run_stream(LearnerConfig(kind, 0.5), loss, stream, keep_predictions=True)
-        r2 = run_stream(LearnerConfig(kind, 0.5), loss,
-                        list(apply_scaling(stream, D)), keep_predictions=True)
+        r1 = run_stream(LearnerConfig(kind, 0.5), loss, stream)
+        r2 = run_stream(LearnerConfig(kind, 0.5), loss, list(apply_scaling(stream, D)))
         for a, b in zip(r1.predictions, r2.predictions):
             assert abs(a - b) <= 1e-9 * max(1.0, abs(a))
 
@@ -185,8 +184,8 @@ class TestInvariants:
                                  classification=loss_kind != "squared")
         D = {i: 10.0 ** e for i, e in enumerate(exponents)}
         config = LearnerConfig(kind, 2.0 ** eta_exp)
-        r1 = run_stream(config, loss, stream, keep_predictions=True)
-        r2 = run_stream(config, loss, list(apply_scaling(stream, D)), keep_predictions=True)
+        r1 = run_stream(config, loss, stream)
+        r2 = run_stream(config, loss, list(apply_scaling(stream, D)))
         for a, b in zip(r1.predictions, r2.predictions):
             assert abs(a - b) <= self.LOG_UNIFORM_RTOL * max(1.0, abs(a))
 
@@ -208,9 +207,8 @@ class TestInvariants:
         loss = get_loss("hinge")
         stream = random_instance(31, d=5, T=300)
         D = {i: 16.0 for i in range(5)}
-        r1 = run_stream(LearnerConfig(kind, 0.5), loss, stream, keep_predictions=True)
-        r2 = run_stream(LearnerConfig(kind, 0.5), loss,
-                        list(apply_scaling(stream, D)), keep_predictions=True)
+        r1 = run_stream(LearnerConfig(kind, 0.5), loss, stream)
+        r2 = run_stream(LearnerConfig(kind, 0.5), loss, list(apply_scaling(stream, D)))
         assert any(abs(a - b) > 1e-6 * max(1.0, abs(a))
                    for a, b in zip(r1.predictions, r2.predictions))
 
@@ -263,8 +261,8 @@ class TestInvariants:
             SparseExample(tuple(sorted((perm[i], v) for i, v in e.features)), e.label)
             for e in stream
         ]
-        r1 = run_stream(LearnerConfig(kind, 0.5), loss, stream, keep_predictions=True)
-        r2 = run_stream(LearnerConfig(kind, 0.5), loss, permuted, keep_predictions=True)
+        r1 = run_stream(LearnerConfig(kind, 0.5), loss, stream)
+        r2 = run_stream(LearnerConfig(kind, 0.5), loss, permuted)
         assert r1.predictions == r2.predictions
 
         l1 = Learner(LearnerConfig(kind, 0.5), loss)
