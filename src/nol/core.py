@@ -173,11 +173,18 @@ def get_loss(kind: str) -> Loss:
 
 def predict(w: Mapping[int, float], x: SparseExample) -> float:
     """Dot product of the weights with the sparse support of x; features
-    without a weight count as zero. fsum makes the sum exact, so the result
-    does not depend on the order of the features."""
-    return math.fsum(w[i] * v for i, v in x.features if i in w)
+    without a weight count as zero. The exact sum rounded once, whatever the
+    order: +-inf beyond the float range, nan if the products hold +inf and -inf."""
+    terms = [w[i] * v for i, v in x.features if i in w]
+    try:
+        try:
+            return math.fsum(terms)
+        except OverflowError:   # a partial sum overflowed: add at a 2^-64 scale
+            return math.fsum([t * 2.0 ** -64 for t in terms]) * 2.0 ** 64
+    except ValueError:   # inf - inf
+        return math.nan
 
 
 def clip_prediction(raw: float, c: float) -> float:
-    """Truncate a raw prediction to [-c, c]."""
-    return max(-c, min(c, raw))
+    """Truncate a raw prediction to [-c, c]; nan stays nan, as in np.clip."""
+    return min(max(raw, -c), c)

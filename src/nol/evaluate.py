@@ -10,8 +10,8 @@ confidence intervals on the means.
 
 A non-finite prediction, loss, eval loss, weight or sum is a ``NumericFault``
 naming the example: it ends a progressive run, and it fails only its own cell
-of a sweep. Sweeps are binary or regression; multiclass one-against-all runs
-through ``multiclass_progressive``.
+of a sweep, in the same words; an invalid label ends either. Sweeps are binary
+or regression; multiclass one-against-all runs through ``multiclass_progressive``.
 """
 
 from __future__ import annotations
@@ -93,12 +93,13 @@ def _result(rounds) -> ProgressiveResult:
 
 # ---------------------------------------------------------------------------
 # One-against-all multiclass reduction
-#
-# The reduction used for multiclass 0-1 loss: one binary learner per class
-# sharing the same learning rate, predicting the argmax of the raw scores.
 
 def multiclass_progressive(config: LearnerConfig, loss: Loss,
                            examples: Sequence[SparseExample]) -> ProgressiveResult:
+    """Progressive multiclass 0-1 loss of one binary learner per class, all
+    at the same learning rate, predicting the argmax of the raw scores.
+    Nothing in nol calls it yet: acceptance criterion 9 (Shuttle, 7 classes)
+    needs it, and waits until that dataset is in the repository."""
     learners: Dict[float, Learner] = {}
     classes: List[float] = []
 
@@ -145,11 +146,11 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
     scale, so it needs a re-iterable stream.
 
     A row whose prediction, loss, eval loss or weights turn non-finite
-    becomes an error cell with the NumericFault message, and so do all rows
-    of a kind whose statistics fail; the other rows go on. An error that
-    concerns the whole pass (an invalid label, say) marks every cell, naming
-    the example. Errors raised by the stream itself (a malformed line) end
-    the sweep, which reads up to BLOCK examples ahead of the ones it learns.
+    becomes an error cell with progressive_validation's NumericFault
+    message, and so do all rows of a kind whose statistics fail; the other
+    rows go on. An invalid label (InvalidLabel, naming the example) or an
+    error of the stream itself (a malformed line) ends the sweep, which
+    reads up to BLOCK examples ahead of the ones it learns.
     """
     if not kinds:
         raise ValueError("learner kinds must be nonempty")
@@ -167,27 +168,23 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
     rows = len(learner.etas)
     train, ev = np.zeros(rows), np.zeros(rows)
     errors: List[Optional[str]] = [None] * rows
-    failure: Optional[str] = None
     n = 0
     stream = iter(examples)
     with np.errstate(all="ignore"):
         for block in iter(lambda: list(itertools.islice(stream, BLOCK)), []):
-            if failure is None and learner.loss.classification:
-                try:
-                    for n_bad, ex in enumerate(block, start=n + 1):
+            if learner.loss.classification:
+                for j, ex in enumerate(block, start=n + 1):
+                    try:
                         _check_binary_label(ex.label)
-                except InvalidLabel as e:   # failed cells are reported, not fatal
-                    failure = f"example {n_bad}: {e}"
-            if failure is None:
-                train, ev = _sweep_block(learner, block, n, train, ev, errors,
-                                         loss_scale if task == "regression" else None)
+                    except InvalidLabel as e:
+                        raise InvalidLabel(f"example {j}: {e}") from e
+            train, ev = _sweep_block(learner, block, n, train, ev, errors,
+                                     loss_scale if task == "regression" else None)
             n += len(block)
             del block   # not held while the next one is read
     if n == 0:
         raise ValueError("no examples")
 
-    if failure is not None:
-        errors = [failure] * rows
     train, ev = train / n, ev / n
     cells: List[SweepCell] = []
     for r, (kind, eta) in enumerate(itertools.product(kinds, eta_grid)):

@@ -31,10 +31,10 @@ of the one step w_i -= (eta * rate) * (gp * u_i) / den_i, which both
 learners read, ``Learner`` over its dicts and ``GridLearner`` over all its
 rows at once.
 
-``progressive`` folds a step over a stream and names the example in any
-numeric fault; ``run_stream`` and the scalar evaluations in
-``nol.evaluate`` are built on it. A non-finite prediction, loss, weight,
-gradient sum or snag sum of squares is a ``NumericFault``.
+``progressive`` folds a step over a stream and names the example in a
+numeric fault or an invalid label; ``run_stream`` and ``nol.evaluate``'s
+scalar evaluations are built on it. A non-finite prediction, loss, weight,
+gradient sum or snag sum of squares, or a snag scale of 0, is a ``NumericFault``.
 """
 
 from __future__ import annotations
@@ -177,8 +177,8 @@ def _normalize(g, supp, scale):
 
 
 def _stats_snag(g, supp, squash):
-    """snag: running sum s_i of x_i^2 and sigma_i = sqrt(s_i / t),
-    squash(old sigma, new sigma) on growth."""
+    """snag: running sum s_i of x_i^2 and sigma_i = sqrt(s_i / t), squash(old
+    sigma, new sigma) on growth; a sum of inf or a sigma of 0 faults."""
     s, sigma, t = g.s, g.sigma, g.t
     factors = None
     scale = []
@@ -187,6 +187,8 @@ def _stats_snag(g, supp, squash):
         if si == math.inf:
             raise NumericFault(f"non-finite sum of squares inf at coordinate {i}")
         sig_new = math.sqrt(si / t)
+        if sig_new == 0.0:
+            raise NumericFault(f"zero scale at coordinate {i}")
         sig_old = sigma.get(i, 0.0)
         if sig_new > sig_old and sig_old > 0.0:
             if factors is None:
@@ -258,8 +260,8 @@ def _step(l: Learner, supp, gp, scale):
             G[i] = Gi
             if Gi == 0.0:
                 continue
-            den *= math.sqrt(Gi)
-        wi = w.get(i, 0.0) - lr * g / den
+            den *= math.sqrt(Gi)   # may underflow to 0: then IEEE 754's lr * g / +0
+        wi = w.get(i, 0.0) - (lr * g / den if den else lr * g * math.inf)
         if not math.isfinite(wi):
             raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
         w[i] = wi
@@ -498,8 +500,13 @@ class GridLearner:
             t = np.repeat(np.arange(t0 + 1, t0 + B + 1, dtype=float), np.diff(ends))  # per nonzero
             scale = new = np.sqrt(s / t)
             old, _ = _scan(None, runs, tr.sigma, new)
-            k = np.flatnonzero((s == math.inf) | (new == 0.0))
-            bad = bisect_right(ends, k[0]) - 1 if len(k) else B
+            fails = np.flatnonzero((s == math.inf) | (new == 0.0))
+            bad = B
+            if len(fails):   # the scalar stage's error, at the first failing coordinate
+                k = int(fails[0])
+                bad = bisect_right(ends, k) - 1
+                tr.fault = (f"non-finite sum of squares inf at coordinate {feats[k]}"
+                            if s[k] == math.inf else f"zero scale at coordinate {feats[k]}")
         r = x / scale
         r2 = (r * r).tolist()
         N, Ns = tr.N, []
@@ -507,10 +514,6 @@ class GridLearner:
             N += math.fsum(r2[ends[j]:ends[j + 1]])
             Ns.append(N)
         tr.N = N
-        if bad < B:   # the scalar stage's error: a sum that overflows first, else the division
-            inf = [feats[k] for k in range(ends[bad], ends[bad + 1]) if s[k] == math.inf]
-            tr.fault = (f"non-finite sum of squares inf at coordinate {inf[0]}" if inf
-                        else "float division by zero")
         return t0, scale, old, new, Ns
 
     def _steps(self, block: _Block, checked: bool):
@@ -585,10 +588,11 @@ class GridLearner:
             bad[self._g_ids] |= ~np.isfinite(Gb.sum(axis=1))
         rows = np.flatnonzero(bad & self._live)
         if len(rows):
+            blocks = [("weight", new[rows], rows)]
             if Gb is not None:
                 g = np.flatnonzero(np.isin(self._g_ids, rows))
-                _block_faults(found, "gradient sum", Gb[g], supp, self._g_ids[g])
-            _block_faults(found, "weight", new[rows], supp, rows)
+                blocks.insert(0, ("gradient sum", Gb[g], self._g_ids[g]))
+            _first_faults(found, blocks, supp)
             for r in rows.tolist():
                 if not math.isfinite(yhat[r]):
                     found.setdefault(r, f"non-finite prediction {float(yhat[r])!r}")
@@ -605,27 +609,17 @@ class GridLearner:
         return bool((self._live & ~ok).any())
 
 
-def _block_faults(faults: dict, what: str, block: np.ndarray, supp, rows):
-    """Add to faults, for each row of a (rows, support) block without a
-    fault yet, its first non-finite entry; rows maps the block's rows to
-    grid rows."""
-    for r, k in zip(*np.nonzero(~np.isfinite(block))):
-        row = int(rows[r])
-        faults.setdefault(row, f"non-finite {what} {float(block[r, k])!r} "
-                               f"at coordinate {supp[k][0]}")
-
-
-# the errors of an update that a NumericFault reports: math.fsum raises
-# OverflowError or ValueError on overflowing terms, a zero scale
-# ZeroDivisionError
-_NUMERIC_ERRORS = (NumericFault, ArithmeticError, ValueError)
-
-
-def _fault_reason(e: Exception) -> str:
-    """What a NumericFault says of a numeric error raised by an update."""
-    if isinstance(e, (OverflowError, ValueError)):   # math.fsum over overflowing terms
-        return f"non-finite sum ({e})"
-    return str(e)
+def _first_faults(faults: dict, blocks, supp):
+    """Add to faults, for each row without a fault yet, its first
+    non-finite entry in blocks in the order of the scalar step: coordinate
+    by coordinate, and at one coordinate in the order of blocks. A block is
+    (what it holds, a (rows, support) array, the grid rows of its rows)."""
+    found = sorted((int(rows[r]), k, rank, f"non-finite {what} {float(block[r, k])!r} "
+                                           f"at coordinate {supp[k][0]}")
+                   for rank, (what, block, rows) in enumerate(blocks)
+                   for r, k in zip(*np.nonzero(~np.isfinite(block))))
+    for row, _, _, reason in found:
+        faults.setdefault(row, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +629,9 @@ def progressive(stream: Iterable[SparseExample], step):
     """Yield step(ex) for each example of the stream in turn.
 
     A NumericFault or InvalidLabel that step raises is re-raised naming the
-    example, and so is an overflowing math.fsum or a division by zero in
-    it, as a NumericFault; errors of the stream itself pass through. A
-    stream without examples is a ValueError.
+    example, and so is any ArithmeticError, as a NumericFault (the learners
+    raise none; the regret lab's float code might); errors of the stream
+    itself pass through. A stream without examples is a ValueError.
     """
     n = 0
     for n, ex in enumerate(stream, start=1):
@@ -645,8 +639,8 @@ def progressive(stream: Iterable[SparseExample], step):
             out = step(ex)
         except InvalidLabel as e:
             raise InvalidLabel(f"example {n}: {e}") from e
-        except _NUMERIC_ERRORS as e:
-            raise NumericFault(f"example {n}: {_fault_reason(e)}") from e
+        except (NumericFault, ArithmeticError) as e:
+            raise NumericFault(f"example {n}: {e}") from e
         yield out
     if n == 0:
         raise ValueError("stream yielded no examples")

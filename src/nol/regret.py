@@ -45,7 +45,7 @@ FISTA_MAX_ITER = 10_000
 LP_MAX_PIVOTS = 50_000  # the simplex raises NolError past this many pivots
 LP_BLAND_AFTER = 50     # pivots in a row without progress before Bland's rule
 LP_REFACTOR_EVERY = 100  # pivots between re-inversions of the simplex basis
-LP_PIVOT_TOL = 1e-11    # smaller column entries are not pivots; smaller steps no progress
+LP_PIVOT_TOL = 1e-11    # smaller pivots, reduced costs and steps count as zero
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +213,6 @@ def _bounded_simplex(A: np.ndarray, cost: np.ndarray, upper: np.ndarray,
     a row make no progress, which rules out cycling. Updates x, at_upper and
     basis in place; returns (row duals, pivots).
     """
-    tol = 1e-11 * max(1.0, float(np.abs(cost).max()))
     Binv = np.linalg.inv(A[:, basis])
     stalled = pivots = 0
     while True:
@@ -221,8 +220,8 @@ def _bounded_simplex(A: np.ndarray, cost: np.ndarray, upper: np.ndarray,
         gain = np.where(at_upper, rc, -rc)
         gain[basis] = 0.0
         bland = stalled >= LP_BLAND_AFTER
-        q = int(np.argmax(gain > tol) if bland else np.argmax(gain))
-        if gain[q] <= tol:
+        q = int(np.argmax(gain > LP_PIVOT_TOL) if bland else np.argmax(gain))
+        if gain[q] <= LP_PIVOT_TOL:
             break
         if pivots == LP_MAX_PIVOTS:
             raise NolError(f"LP oracle: no optimum after {pivots} pivots")

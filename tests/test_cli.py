@@ -178,15 +178,13 @@ class TestSweep:
         assert [c["error"] for c in rep["cells"]] == \
                ["example 1: non-finite gradient sum inf at coordinate 0"] * 6
 
-    def test_invalid_label_fails_every_cell_naming_the_example(self, capsys, tmp_path):
+    def test_invalid_label_is_data_error_naming_the_example(self, capsys, tmp_path):
         # nol train exits 2 on this file with the same words
         path = tmp_path / "d.txt"
         path.write_text("1 0:1\n2 0:1\n")
-        rep = run_report(capsys, ["sweep", "--data", str(path), "--learners", "nag",
-                                  "--loss", "hinge", "--eta-grid", "1..1"])
-        assert [c["error"] for c in rep["cells"]] == \
-               ["example 2: classification label must be -1 or +1, got 2.0"]
-        assert rep["best"] == {}
+        assert run_cli(capsys, ["sweep", "--data", str(path), "--learners", "nag",
+                                "--loss", "hinge", "--eta-grid", "1..1"]) == \
+               (2, "", "data error: example 2: classification label must be -1 or +1, got 2.0\n")
 
     def test_unknown_learner_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, [
@@ -427,6 +425,33 @@ class TestExitCodes:
             "--eta-grid", "1e300..1e300"])
         assert [c["error"] for c in rep["cells"]] == [reason]
 
+    @pytest.mark.parametrize("lines,kind,extra,code,reason", [
+        (["1 0:1e154 1:1e154"] * 2, "sgd", [], 3, "example 2: non-finite prediction inf"),
+        (["1 0:1e154 1:1e154"] * 2, "sgd", ["--clip-c", "1"], 0, None),
+        (["1 0:1e-300"] * 3, "snag", [], 3, "example 1: zero scale at coordinate 0"),
+        (["1 0:1", "2 0:1"], "nag", [], 2,
+         "example 2: classification label must be -1 or +1, got 2.0"),
+    ], ids=["sum-overflows", "sum-overflows-clipped", "snag-zero-scale", "invalid-label"])
+    def test_train_and_sweep_fail_alike(self, capsys, tmp_path, lines, kind, extra, code,
+                                        reason):
+        # a numeric fault ends train (exit 3) and fails the sweep's cell with
+        # the same words; a data error ends both (exit 2)
+        path = tmp_path / "d.txt"
+        path.write_text("".join(line + "\n" for line in lines))
+        flags = ["--data", str(path), "--loss", "hinge", *extra]
+        train = run_cli(capsys, ["train", *flags, "--learner", kind, "--eta", "1"])
+        sweep = run_cli(capsys, ["sweep", *flags, "--learners", kind, "--eta-grid", "1..1"])
+        if code == 2:
+            assert train == sweep == (2, "", f"data error: {reason}\n")
+            return
+        fault = "" if reason is None else f"numeric fault: {reason}\n"
+        assert (train[0], train[2]) == (code, fault)
+        assert sweep[0] == 0, sweep[2]
+        [cell] = strict_json(sweep[1])["cells"]
+        assert cell["error"] == reason
+        if reason is None:
+            assert cell["training_loss"] == strict_json(train[1])["average_loss"]
+
     def test_overflowing_update_names_example_coordinate_and_value(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("1 0:1e300\n-1 0:1e300\n")
@@ -438,7 +463,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text,reason", [
         ("1 0:1.5e154 1:1.5e154\n" * 2, "non-finite prediction inf"),
-        ("1 0:1e154 1:1e154\n" * 2, "non-finite sum (intermediate overflow in fsum)"),
+        ("1 0:1e154 1:1e154\n" * 2, "non-finite prediction inf"),
     ], ids=["product-overflows", "sum-overflows"])
     def test_overflowing_prediction_is_numeric_fault(self, capsys, tmp_path, text, reason):
         path = tmp_path / "d.txt"
@@ -547,7 +572,7 @@ class TestExitCodes:
         assert run_cli(capsys, argv) == (2, "", "data error: dataset is empty\n")
 
     def test_sweep_malformed_line_after_every_cell_failed_is_data_error(self, capsys, tmp_path):
-        # the label on line 1 fails every cell; the sweep still reads on to line 4
+        # the sweep reads line 4 with the block before it checks line 1's label
         path = tmp_path / "d.txt"
         path.write_text("2 0:1\n1 0:1\n-1 1:2\n1 0:oops\n-1 0:1\n")
         code, out, err = run_cli(capsys, [

@@ -1,9 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from nol.core import SparseExample, get_loss, predict
+from nol.core import SparseExample, clip_prediction, get_loss, predict
 from nol.errors import InvalidLabel, NumericFault
 from nol.learners import Learner, LearnerConfig, run_stream
 
@@ -50,6 +51,32 @@ class TestPredict:
         learner.w[0] = float("nan")
         with pytest.raises(NumericFault, match=r"^non-finite prediction nan$"):
             learner.observe(ex)
+
+    @pytest.mark.parametrize("products,want", [
+        ((1e308, 1e308, -1e308), 1e308),     # math.fsum raises in two of the orders
+        ((1e308, 1e308), math.inf),
+        ((-1e308, -1e308, 1e308, -1e308), -math.inf),
+        ((math.inf, 1e308, 1e308), math.inf),
+        ((math.inf, -math.inf, 1.0), math.nan),
+        ((math.inf, -math.inf, 1e308, 1e308), math.nan),
+    ], ids=["partial-sum-overflows", "sum-overflows", "negative-sum-overflows",
+            "inf-and-overflow", "both-infs", "both-infs-and-overflow"])
+    def test_overflowing_sums_do_not_depend_on_the_order(self, products, want):
+        for order in itertools.permutations(range(len(products))):
+            x = SparseExample(tuple((i, 1.0) for i in range(len(products))), 1.0)
+            got = predict({i: products[k] for i, k in enumerate(order)}, x)
+            assert got == want or (math.isnan(got) and math.isnan(want)), (order, got)
+
+    def test_overflow_path_keeps_the_exact_sum(self):
+        # a partial sum overflows, and the exact sum is 1 + 2^-52
+        products = (1e308, 1e308, -1e308, -1e308, 1.0, 2.0 ** -53, 2.0 ** -53)
+        x = SparseExample(tuple((i, 1.0) for i in range(len(products))), 1.0)
+        assert predict(dict(enumerate(products)), x) == 1.0 + 2.0 ** -52
+
+    def test_clip_keeps_nan(self):
+        assert math.isnan(clip_prediction(math.nan, 1.0))
+        assert clip_prediction(math.inf, 2.0) == 2.0 and clip_prediction(-math.inf, 2.0) == -2.0
+        assert clip_prediction(0.5, 2.0) == 0.5
 
     def test_linearity_in_values(self):
         import random

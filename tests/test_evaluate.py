@@ -1,12 +1,17 @@
+import contextlib
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from nol.core import SparseExample, get_loss
+from nol import learners
+from nol.core import SparseExample, get_loss, predict
 from nol.data import synth_figure1, synth_scaled
-from nol.errors import NolError, NumericFault
+from nol.errors import InvalidLabel, NolError, NumericFault
 from nol import evaluate
 from nol.evaluate import (
     ComparisonReport,
@@ -18,7 +23,7 @@ from nol.evaluate import (
     significance,
     sweep,
 )
-from nol.learners import KINDS, LearnerConfig
+from nol.learners import KINDS, Learner, LearnerConfig
 
 
 def ex(feats, y=1.0):
@@ -252,12 +257,13 @@ class TestSweepMatchesScalar:
         with pytest.raises(NumericFault, match=f"^{re.escape(reason)}$"):
             progressive_validation(LearnerConfig("sgd", 1.0), HINGE, stream, "regression")
 
-    def test_invalid_label_fails_every_cell_of_the_kind(self):
+    def test_invalid_label_ends_the_sweep_naming_the_example(self):
         stream = [ex({0: 1.0}, 1.0), ex({0: 2.0}, 2.0)]
-        rep = sweep(["nag"], "hinge", stream, [0.5, 1.0])
-        assert [c.error for c in rep.cells] == \
-               ["example 2: classification label must be -1 or +1, got 2.0"] * 2
-        assert rep.best == {}
+        reason = "^example 2: classification label must be -1 or \\+1, got 2\\.0$"
+        with pytest.raises(InvalidLabel, match=reason):
+            sweep(["nag"], "hinge", stream, [0.5, 1.0])
+        with pytest.raises(InvalidLabel, match=reason):
+            progressive_validation(LearnerConfig("nag", 0.5), HINGE, stream)
 
 
 def _cell_bits(rep):
@@ -315,11 +321,15 @@ class TestSweepBlocks:
                      {("snag", eta): f"example 4: {SUM_OVERFLOW}" for eta in (0.5, 1.0)},
                      id="snag-overflow-at-boundary"),
         pytest.param(lambda: _boundaries(False), {}, id="empty-supports-at-boundary"),
-        pytest.param(lambda: _boundaries(True),
-                     {(kind, eta): BAD_LABEL for kind in KINDS for eta in (0.25, 1.0, 4.0)},
-                     id="invalid-label-at-boundary"),
+        pytest.param(lambda: _boundaries(True), BAD_LABEL, id="invalid-label-at-boundary"),
     ])
     def test_cells_do_not_depend_on_the_block_size(self, monkeypatch, case, errors):
+        if isinstance(errors, str):   # the error that ends the sweep
+            for block in (1, 3, evaluate.BLOCK):
+                monkeypatch.setattr(evaluate, "BLOCK", block)
+                with pytest.raises(InvalidLabel, match=f"^{re.escape(errors)}$"):
+                    sweep(**case())
+            return
         got = {}
         for block in (1, 3, evaluate.BLOCK):
             monkeypatch.setattr(evaluate, "BLOCK", block)
@@ -329,6 +339,62 @@ class TestSweepBlocks:
         failed = {(c.kind, c.eta): c.error for c in rep.cells if c.error is not None}
         assert failed.keys() == errors.keys()
         assert all(failed[cell].startswith(errors[cell]) for cell in errors), failed
+
+
+def _sums_can_differ(kind, eta, loss, stream, clip_c):
+    """Whether a run predicts, up to its fault, from products w_i x_i that a
+    sweep's BLAS product can add up otherwise than math.fsum, beyond a
+    rounding: products that overflow to both +inf and -inf, whose fsum is
+    nan while BLAS, with fused multiply-adds, can give +-inf or a finite
+    sum; or products that cancel to below 1e-12 of the largest, where the
+    rounding of one product can flip the sign of the sum."""
+    seen = []
+
+    def recording(w, x):
+        seen.append([w[i] * v for i, v in x.features if i in w])
+        return predict(w, x)
+
+    learner = Learner(LearnerConfig(kind, eta, clip_c), loss)
+    with mock.patch.object(learners, "predict", recording):
+        with contextlib.suppress(NumericFault):
+            for x in stream:
+                learner.observe(x)
+    return any((math.inf in p and -math.inf in p)
+               or (p and abs(math.fsum(p)) < 1e-12 * max(map(abs, p))) for p in seen)
+
+
+class TestFailureContract:
+    """A sweep cell fails with the words that progressive_validation raises
+    for its kind and eta, or not at all, when it does not."""
+
+    @staticmethod
+    def streams():
+        # magnitudes log-uniform over 1e-300 .. 1e300: sums and squares
+        # overflow, and snag's squares underflow to a zero scale
+        value = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)).map(
+            lambda sv: sv[0] * 10.0 ** sv[1])
+        example = st.builds(ex, st.dictionaries(st.integers(0, 3), value, max_size=3),
+                            st.sampled_from([-1.0, 1.0]))
+        return st.lists(example, min_size=1, max_size=8)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=streams(), loss_kind=st.sampled_from(["squared", "hinge", "logistic"]),
+           clip_c=st.sampled_from([None, 1.0]))
+    def test_cells_fail_as_progressive_validation(self, stream, loss_kind, clip_c):
+        task = "regression" if loss_kind == "squared" else "classification"
+        assume(task == "classification" or len({x.label for x in stream}) > 1)
+        loss = get_loss(loss_kind)
+        rep = sweep(list(KINDS), loss_kind, stream, [1e-6, 0.01, 1.0, 64.0, 1e100], task, clip_c)
+        for cell in rep.cells:
+            if _sums_can_differ(cell.kind, cell.eta, loss, stream, clip_c):
+                continue
+            try:
+                progressive_validation(LearnerConfig(cell.kind, cell.eta, clip_c), loss,
+                                       stream, task)
+                want = None
+            except NumericFault as e:
+                want = str(e)
+            assert cell.error == want, cell
 
 
 class TestOneShotRegression:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -466,6 +467,31 @@ class TestGradientSumOverflow:
         assert not grid.G.any() and not grid.W.any()
 
 
+class TestStepFaults:
+    """The grid reports the fault that the scalar step raises first."""
+
+    @staticmethod
+    def both(kind, eta, stream, reason):
+        learner = Learner(LearnerConfig(kind, eta), SQ)
+        with pytest.raises(NumericFault, match=f"^{re.escape(reason)}$"):
+            for x in stream:
+                learner.observe(x)
+        grid = GridLearner([kind], [eta], SQ)
+        with np.errstate(all="ignore"):
+            assert grid.observe_block(stream)[2] == {0: (len(stream) - 1, reason)}
+
+    def test_underflowing_denominator_is_a_weight_fault(self):
+        # G = (2e-162)^2 rounds to the least subnormal, and 1e-162 * sqrt(G)
+        # to 0: the step is IEEE 754's division by +0, not a ZeroDivisionError
+        self.both("nag", 1.0, [ex({0: 1e-162})], "non-finite weight inf at coordinate 0")
+
+    def test_coordinates_fault_in_support_order(self):
+        # on example 2 the weight of coordinate 0 and the gradient sums of
+        # coordinates 1 and 3 overflow; the scalar step meets the weight first
+        stream = [ex({3: 1.5e80}, -1.0), ex({0: 1e-235, 1: 1e78, 3: -2.5e105}, -1.0)]
+        self.both("nag", 1e100, stream, "non-finite weight -inf at coordinate 0")
+
+
 class TestStatisticsOverflow:
     def test_snag_sum_of_squares(self):
         learner = Learner(LearnerConfig("snag", 1e-300), get_loss("logistic"))
@@ -473,6 +499,24 @@ class TestStatisticsOverflow:
         with pytest.raises(NumericFault,
                            match=r"^non-finite sum of squares inf at coordinate 0$"):
             learner.observe(ex({0: 1e154}))
+
+    @pytest.mark.parametrize("feats,reason", [
+        ({0: 1.0, 3: 1e-300}, "zero scale at coordinate 3"),
+        ({0: 1.0, 3: 1e-300, 5: 1e154}, "zero scale at coordinate 3"),
+        ({0: 1.0, 5: 1e154, 7: 1e-300}, "non-finite sum of squares inf at coordinate 5"),
+    ])
+    def test_snag_names_the_first_failing_coordinate(self, feats, reason):
+        # on example 2, s_5 overflows and a new 1e-300 gives sigma 0, so
+        # (x / sigma)^2 has no value; the scalar stage and the grid report
+        # the first of them in support order
+        stream = [ex({5: 1e154, 6: 1.0}), ex(feats)]
+        learner = Learner(LearnerConfig("snag", 1.0), HINGE)
+        learner.observe(stream[0])
+        with pytest.raises(NumericFault, match=f"^{reason}$"):
+            learner.observe(stream[1])
+        grid = GridLearner(["snag", "sgd"], [1.0], HINGE)
+        with np.errstate(all="ignore"):
+            assert grid.observe_block(stream)[2] == {0: (1, reason)}
 
     @pytest.mark.parametrize("kind", ["ng", "nag"])
     def test_normalizer(self, kind):

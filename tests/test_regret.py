@@ -147,17 +147,20 @@ class TestBestInHindsight:
             assert res.status == 0
             assert fc == pytest.approx(-res.fun, rel=1e-12)
 
-    @pytest.mark.parametrize("C", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("C", [1e-6, 1.0, 1e6, 1e8])
     def test_hinge_certificate_at_any_radius(self, C):
         # at C = 1e6 the optimum is interior and the gap is C ||Za||_inf, C
         # times the roundoff left in Za: up to 1.9e-9 relative on these
-        # seeds without the refinement of the basic solution, 3.3e-11 with it
+        # seeds without the refinement of the basic solution, 3.3e-11 with it.
+        # At C = 1e8 it is f - sum(a) that grows with C: 1.1e-5 relative
+        # when the simplex priced at 1e-11 * C, 3.3e-9 pricing at 1e-11
+        bound = 1e-8 if C == 1e8 else FISTA_GAP_TOL
         loss = get_loss("hinge")
         for seed in range(20):
             stream = random_instance(seed, d=3, T=200)
             ball = ComparatorBall(EnclosingBox.from_stream(stream), C=C, q=1)
             _, fc, cert = best_in_hindsight(stream, loss, ball)
-            assert 0.0 <= cert.gap <= FISTA_GAP_TOL * max(1.0, abs(fc))
+            assert 0.0 <= cert.gap <= bound * max(1.0, abs(fc))
             assert theorem1_check(stream, loss, C).slack >= 0.0
 
     def test_hinge_lp_bland_rule_reaches_the_same_optimum(self, monkeypatch):

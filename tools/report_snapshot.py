@@ -27,7 +27,11 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
 * sweeps that read many blocks of examples: all five learners over 1,500
   lines of the ``train-wide`` generator's sparse file, a squared-loss sweep
   whose cells overflow inside a block, and one whose sNAG statistics
-  overflow in its second block.
+  overflow in its second block;
+* the failure contract: ``nol train`` and ``nol sweep`` on a file whose
+  dot product overflows only in its sum (with and without ``--clip-c``),
+  one whose sNAG scale is zero and one with an invalid label, and
+  ``nol regret --check thm1 --loss hinge -C 1e8``.
 
 OUT_DIR gets one sorted-keys JSON file per command: its argv (the temporary
 directory written as ``$TMP``), exit code, stderr and report, the report
@@ -150,6 +154,20 @@ def _block_commands(inputs, tmp, rng):
                                            "ng,snag,sgd", "--loss", "hinge"])
 
 
+def _contract_commands(tmp):
+    cases = (("sum-overflow", ["1 0:1e154 1:1e154"] * 2, "sgd", "hinge", []),
+             ("sum-overflow-clip", ["1 0:1e154 1:1e154"] * 2, "sgd", "hinge", ["--clip-c", "1"]),
+             ("snag-zero-scale", ["1 0:1e-300"] * 3, "snag", "hinge", []),
+             ("invalid-label", ["1 0:1", "2 0:1"], "nag", "hinge", []))
+    for name, lines, kind, loss, extra in cases:
+        path = _write(tmp, name + ".svm", lines)
+        yield (f"train-{name}", ["train", "--data", path, "--learner", kind, "--loss", loss,
+                                 "--eta", "1", *extra])
+        yield (f"sweep-{name}", ["sweep", "--data", path, "--learners", kind, "--loss", loss,
+                                 "--eta-grid", "1..1", *extra])
+    yield ("regret-thm1-hinge-C1e8", ["regret", "--check", "thm1", "--loss", "hinge", "-C", "1e8"])
+
+
 def _bench_commands(inputs, tmp, root):
     for workload, variants in (("train-wide", 3), ("sweep-narrow", 16), ("regret-bounds", 16)):
         for variant in range(variants):
@@ -193,6 +211,7 @@ def main(args):
     with tempfile.TemporaryDirectory() as tmp:
         commands = [*_regret_commands(), *_file_commands(tmp),
                     *_block_commands(inputs, tmp, random.Random(16)),
+                    *_contract_commands(tmp),
                     *_bench_commands(inputs, tmp, checkout)]
         for label, argv in commands:
             snap = _run(nol.cli.main, argv, tmp)
