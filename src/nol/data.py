@@ -225,21 +225,6 @@ def prenormalize(examples: Iterable[SparseExample], mode: str):
     return scale, Normalized(scale, examples)
 
 
-def regression_loss_scale(labels: Iterable[float]) -> float:
-    """(max - min)^2 of the labels: the worst possible squared loss, used to
-    normalize reported regression losses into [0, 1]."""
-    labels = list(labels)
-    if not labels:
-        raise DataFormatError("no labels")
-    lo, hi = min(labels), max(labels)
-    if lo == hi:
-        raise DataFormatError("constant labels: regression loss scale undefined")
-    scale = (hi - lo) * (hi - lo)
-    if scale == math.inf:
-        raise DataFormatError(f"labels from {lo!r} to {hi!r}: regression loss scale overflows")
-    return scale
-
-
 # ---------------------------------------------------------------------------
 # Synthetic generators
 

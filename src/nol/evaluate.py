@@ -24,8 +24,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .core import Loss, SparseExample, _check_binary_label, _finite, get_loss, predict
-from .data import regression_loss_scale
-from .errors import InvalidLabel
+from .errors import DataFormatError, InvalidLabel
 from .learners import GridLearner, Learner, LearnerConfig, progressive
 
 BLOCK = 256   # examples per GridLearner.observe_block in a sweep
@@ -69,26 +68,43 @@ def progressive_validation(config: LearnerConfig, loss: Loss,
         d = yhat - ex.label
         return lval, _finite("eval loss", d * d / loss_scale, yhat)
 
-    return _result(progressive(examples, step))
+    return _result(examples, step)
 
 
 def _regression_scale(examples: Iterable[SparseExample]) -> float:
-    """The labels' (max - min)^2, read in a pass of its own over examples."""
+    """The labels' (max - min)^2, the worst possible squared loss, read in a
+    pass of its own over examples: it scales regression eval losses into [0, 1]."""
     if iter(examples) is examples:
         raise TypeError("a regression run reads the stream twice, the labels for the loss "
                         "scale and then the examples, so it needs a re-iterable stream "
                         "(a list, say), not a one-shot iterator")
-    return regression_loss_scale(ex.label for ex in examples)
+    labels = [ex.label for ex in examples]
+    if not labels:
+        raise DataFormatError("no labels")
+    lo, hi = min(labels), max(labels)
+    if lo == hi:
+        raise DataFormatError("constant labels: regression loss scale undefined")
+    scale = (hi - lo) * (hi - lo)
+    if scale == math.inf:
+        raise DataFormatError(f"labels from {lo!r} to {hi!r}: regression loss scale overflows")
+    return scale
 
 
-def _result(rounds) -> ProgressiveResult:
-    """The ProgressiveResult of (training loss, eval loss) rounds."""
-    train, ev = [], []
-    for lval, e in rounds:
+def _result(examples, step) -> ProgressiveResult:
+    """The ProgressiveResult of step's (training loss, eval loss) on each
+    example; a running sum beyond the float range is a NumericFault."""
+    train, ev, sums = [], [], [0.0, 0.0]
+
+    def summed(ex):
+        lval, e = step(ex)
+        sums[:] = _finite("loss sum", sums[0] + lval), _finite("eval loss sum", sums[1] + e)
+        return lval, e
+
+    for lval, e in progressive(examples, summed):
         train.append(lval)
         ev.append(e)
     n = len(train)
-    return ProgressiveResult(train, ev, sum(train) / n, sum(ev) / n, n)
+    return ProgressiveResult(train, ev, sums[0] / n, sums[1] / n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +131,7 @@ def multiclass_progressive(config: LearnerConfig, loss: Loss,
             round_train += learners[c].observe(binary)[1]
         return round_train, 0.0 if pred == ex.label else 1.0
 
-    return _result(progressive(examples, step))
+    return _result(examples, step)
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +161,12 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
     Regression reads the labels in a pass of their own first, for the loss
     scale, so it needs a re-iterable stream.
 
-    A row whose prediction, loss, eval loss or weights turn non-finite
-    becomes an error cell with progressive_validation's NumericFault
-    message, and so do all rows of a kind whose statistics fail; the other
-    rows go on. An invalid label (InvalidLabel, naming the example) or an
-    error of the stream itself (a malformed line) ends the sweep, which
-    reads up to BLOCK examples ahead of the ones it learns.
+    A row whose prediction, loss, eval loss, weights or loss sums turn
+    non-finite becomes an error cell with progressive_validation's
+    NumericFault message, and so do all rows of a kind whose statistics
+    fail; the other rows go on. An invalid label (InvalidLabel, naming the
+    example) or an error of the stream itself (a malformed line) ends the
+    sweep, which reads up to BLOCK examples ahead of the ones it learns.
     """
     if not kinds:
         raise ValueError("learner kinds must be nonempty")
@@ -217,22 +233,21 @@ def _sweep_block(learner: GridLearner, block: List[SparseExample], n: int,
     else:
         D = Y - labels
         E = D * D / loss_scale
-        unset = np.array([e is None for e in errors])
-        for j, r in zip(*np.nonzero(~np.isfinite(E) & unset)):
+    # the running sums, added one example at a time as progressive_validation adds them
+    train_sums = np.add.accumulate(np.vstack([train, L]))[1:]
+    ev_sums = np.add.accumulate(np.vstack([ev, E]))[1:]
+    unset = np.array([e is None for e in errors])
+    # in the order progressive_validation meets them at one example, after the learner's
+    for what, values in (("eval loss", E), ("loss sum", train_sums), ("eval loss sum", ev_sums)):
+        for j, r in zip(*np.nonzero(~np.isfinite(values) & unset)):
             j, r = int(j), int(r)
-            if j < faults.get(r, (len(block),))[0]:   # else the learner's came first
-                faults[r] = (j, f"non-finite eval loss {float(E[j, r])!r} "
-                                f"at prediction {float(Y[j, r])!r}")
+            if j < faults.get(r, (len(block),))[0]:
+                at = f" at prediction {float(Y[j, r])!r}" if what == "eval loss" else ""
+                faults[r] = (j, f"non-finite {what} {float(values[j, r])!r}{at}")
     for r, (j, reason) in faults.items():
         if errors[r] is None:
             errors[r] = f"example {n + j + 1}: {reason}"
-    return _add_in_order(train, L), _add_in_order(ev, E)
-
-
-def _add_in_order(total: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """total + terms[0] + terms[1] + ... per column, added in that order, as
-    one example at a time would add them."""
-    return np.add.accumulate(np.vstack([total, terms]))[-1].copy()
+    return train_sums[-1].copy(), ev_sums[-1].copy()
 
 
 def plot_csv_rows(report: ComparisonReport) -> List[str]:

@@ -34,7 +34,8 @@ rows at once.
 ``progressive`` folds a step over a stream and names the example in a
 numeric fault or an invalid label; ``run_stream`` and ``nol.evaluate``'s
 scalar evaluations are built on it. A non-finite prediction, loss, weight,
-gradient sum or snag sum of squares, or a snag scale of 0, is a ``NumericFault``.
+gradient sum, snag sum of squares or loss sum, or a snag scale of 0, is a
+``NumericFault``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import Loss, SparseExample, _check_binary_label, _finite, clip_prediction, predict
+from .core import Loss, SparseExample, _finite, clip_prediction, predict
 from .errors import InvalidLabel, NumericFault
 
 
@@ -99,14 +100,9 @@ class Learner:
         """
         self.t += 1
         supp = ex.features
-        stage = self._stage
-        factors, scale = (None, None) if stage.stats is None else stage.stats(self, supp, stage.squash)
-        w = self.w
-        if factors is not None:
-            for i, f in factors.items():
-                if i in w:
-                    w[i] *= f
-        yhat = predict(w, ex)
+        stats = self._stage.stats
+        scale = None if stats is None else stats(self, supp)
+        yhat = predict(self.w, ex)
         clip_c = self.config.clip_c
         if clip_c is not None:
             yhat = clip_prediction(yhat, clip_c)
@@ -134,11 +130,13 @@ class Learner:
 # ---------------------------------------------------------------------------
 # The update rules, one row of _STAGES per kind
 #
-# A stats stage updates the stream statistics of a Learner (s, sigma, N and
-# t) and returns (feature -> squash factor, or None when nothing squashes;
-# the per-coordinate scale of the step); a GridLearner computes the same
-# statistics a block of examples at a time. Both learners then step every
-# coordinate of the support by
+# A stats stage updates the stream statistics of a Learner (s, sigma and N;
+# observe counts t) and returns the per-coordinate scale of the step. Where
+# a feature's scale grows from a nonzero old one, the stage squashes the
+# feature's weight, if it has one, by the kind's factor of the old and the
+# new scale. A GridLearner computes the same statistics and factors a block
+# of examples at a time. Both learners then step every coordinate of the
+# support by
 #
 #     w_i -= (eta * rate) * (gp * u_i) / den_i
 #
@@ -150,22 +148,19 @@ class Learner:
 # learner up to the summation order of the prediction and, on logistic
 # loss, numpy's exp and log1p, which can round otherwise than libm's.
 
-def _track_max(g, supp, squash):
-    """ng/nag: running max |x_i|, squash(old max, new max) on growth."""
-    s = g.s
-    factors = None
+def _track_max(g, supp):
+    """ng/nag: running max |x_i|, w_i times squash(old max, new max) on growth."""
+    s, w, squash = g.s, g.w, g._stage.squash
     scale = []
     for i, v in supp:
         av = abs(v)
         si = s.get(i, 0.0)
         if av > si:
-            if si > 0.0:
-                if factors is None:
-                    factors = {}
-                factors[i] = squash(si, av)
+            if si > 0.0 and i in w:
+                w[i] *= squash(si, av)
             s[i] = si = av
         scale.append(si)
-    return factors, _normalize(g, supp, scale)
+    return _normalize(g, supp, scale)
 
 
 def _normalize(g, supp, scale):
@@ -176,11 +171,10 @@ def _normalize(g, supp, scale):
     return scale
 
 
-def _stats_snag(g, supp, squash):
-    """snag: running sum s_i of x_i^2 and sigma_i = sqrt(s_i / t), squash(old
-    sigma, new sigma) on growth; a sum of inf or a sigma of 0 faults."""
-    s, sigma, t = g.s, g.sigma, g.t
-    factors = None
+def _stats_snag(g, supp):
+    """snag: running sum s_i of x_i^2 and sigma_i = sqrt(s_i / t), w_i times
+    squash(old sigma, new sigma) on growth; a sum of inf or a sigma of 0 faults."""
+    s, sigma, t, w, squash = g.s, g.sigma, g.t, g.w, g._stage.squash
     scale = []
     for i, v in supp:
         si = s[i] = s.get(i, 0.0) + v * v
@@ -190,13 +184,11 @@ def _stats_snag(g, supp, squash):
         if sig_new == 0.0:
             raise NumericFault(f"zero scale at coordinate {i}")
         sig_old = sigma.get(i, 0.0)
-        if sig_new > sig_old and sig_old > 0.0:
-            if factors is None:
-                factors = {}
-            factors[i] = squash(sig_old, sig_new)
+        if sig_new > sig_old and sig_old > 0.0 and i in w:
+            w[i] *= squash(sig_old, sig_new)
         sigma[i] = sig_new
         scale.append(sig_new)
-    return factors, _normalize(g, supp, scale)
+    return _normalize(g, supp, scale)
 
 
 # the squash factors of old and new scale, on floats or numpy arrays alike
@@ -302,7 +294,6 @@ _Block = namedtuple("_Block", "examples x ends seen local whole F U S rates faul
 
 
 class _GridKind(NamedTuple):
-    kind: str
     rows: slice       # its rows of W
     stage: _Stage
     tracker: _Tracker
@@ -373,7 +364,7 @@ class GridLearner:
         for k, kind in enumerate(kinds):
             stage = _STAGES[kind]
             tracker = trackers.setdefault(stage.stats, _Tracker(stage.stats))
-            self.kinds.append(_GridKind(kind, slice(k * n, (k + 1) * n), stage, tracker))
+            self.kinds.append(_GridKind(slice(k * n, (k + 1) * n), stage, tracker))
         self._trackers = list(trackers.values())
         self.loss = loss
         self.clip_c = clip_c
@@ -382,34 +373,26 @@ class GridLearner:
         # feature index -> column of W and G, in order of first appearance
         self.columns: dict = {}
         self.W = np.zeros((len(self.etas), 0))
-        # G holds the rows of the kinds that keep gradient sums: G row j is
-        # W row _g_ids[j], and W[_g_rows] selects them, by a slice (so a
-        # view) when they are contiguous
+        # G holds the rows of the kinds that keep gradient sums, none if no
+        # kind does: G row j is W row _g_ids[j], and W[_g_rows] selects
+        # them, by a slice (so a view) when they are contiguous
         g = self._g_ids = np.array([r for k in self.kinds if k.stage.sums
                                     for r in range(k.rows.start, k.rows.stop)], dtype=np.intp)
         contiguous = len(g) > 0 and g[-1] - g[0] == len(g) - 1
         self._g_rows = slice(g[0], g[-1] + 1) if contiguous else g
-        self.G = np.zeros((len(g), 0)) if len(g) else None
+        self.G = np.zeros((len(g), 0))
         self._grow(16)
 
     def _grow(self, capacity: int):
         """Widen W, G and the trackers' columns to capacity."""
         def wide(a):
             return np.concatenate([a, np.zeros(a.shape[:-1] + (capacity - a.shape[-1],))], axis=-1)
-        self.W = wide(self.W)
-        if self.G is not None:
-            self.G = wide(self.G)
+        self.W, self.G = wide(self.W), wide(self.G)
         for tr in self._trackers:
             if tr.s is not None:
                 tr.s = wide(tr.s)
             if tr.sigma is not None:
                 tr.sigma = wide(tr.sigma)
-
-    def observe(self, ex: SparseExample):
-        """Learner.observe for every row at once: observe_block of the one
-        example, its faults a dict row -> reason."""
-        Y, L, faults = self.observe_block([ex])
-        return Y[0], L[0], {r: reason for r, (_, reason) in faults.items()}
 
     def observe_block(self, examples: Sequence[SparseExample]):
         """Learner.observe for every row at once, example after example.
@@ -421,19 +404,16 @@ class GridLearner:
         Non-finite values persist in the block's weights, gradient sums and
         the returned arrays, so they are looked for once, at the end; a
         block that holds one is stepped again from W and G, checking each
-        example.
+        example. Labels are the caller's to check, as in
+        ``Loss.values_and_derivatives``.
         """
-        if self.loss.classification:
-            for ex in examples:
-                _check_binary_label(ex.label)
         block = self._block(examples)
         with np.errstate(all="ignore"):
             Y, L, faults, WT, GT = self._steps(block, checked=bool(block.faults))
             if not block.faults and self._nonfinite(Y, L, WT, GT):
                 Y, L, faults, WT, GT = self._steps(block, checked=True)
         self.W[:, block.seen] = WT.T
-        if GT is not None:
-            self.G[:, block.seen] = GT.T
+        self.G[:, block.seen] = GT.T
         return Y, L, faults
 
     def _block(self, examples) -> _Block:
@@ -528,7 +508,7 @@ class GridLearner:
                                           block.F, block.U, block.S)
         lrs = (block.rates[:, :, None] * self.etas.reshape(K, n)).reshape(-1, R)
         WT = self.W[:, block.seen].T   # C-ordered: (column, row)
-        GT = None if self.G is None else self.G[:, block.seen].T
+        GT = self.G[:, block.seen].T
         Y, L = np.empty((len(block.examples), R)), np.empty((len(block.examples), R))
         faults = {}
         for j, ex in enumerate(block.examples):
@@ -545,34 +525,30 @@ class GridLearner:
                 np.clip(yhat, -clip_c, clip_c, out=yhat)
             lval, gp = self.loss.values_and_derivatives(yhat, ex.label)
             L[j] = lval
-            Gb = None
             if m and gp.any():
                 grad = (gp.reshape(K, n) * U[a:b, :, None]).reshape(m, R)
                 step = grad * lrs[j]
                 den = np.repeat(S[a:b], n, axis=1)
-                if GT is not None:
-                    g = grad[:, g_rows]
-                    Gb = GT[c] + g * g
-                    GT[c] = Gb
-                    den[:, g_rows] *= np.sqrt(Gb)
-                    if not Gb.all():   # a zero gradient sum makes no step
-                        q, r = np.nonzero(Gb == 0.0)
-                        r = g_ids[r]
-                        step[q, r], den[q, r] = 0.0, 1.0
+                g = grad[:, g_rows]
+                Gb = GT[c] + g * g
+                GT[c] = Gb
+                den[:, g_rows] *= np.sqrt(Gb)
+                if not Gb.all():   # a zero gradient sum makes no step
+                    q, r = np.nonzero(Gb == 0.0)
+                    r = g_ids[r]
+                    step[q, r], den[q, r] = 0.0, 1.0
                 step /= den
                 Wx = Wx - step
             WT[c] = Wx
             if checked:
-                rows = self._check(j, ex.features, Wx.T, None if Gb is None else Gb.T,
-                                   yhat, lval, block.faults)
+                rows = self._check(j, ex.features, Wx.T, GT[c].T, yhat, lval, block.faults)
                 if rows:
                     faults.update((r, (j, reason)) for r, reason in rows.items())
                     rows = list(rows)
                     self._live[rows] = False
                     self.W[rows] = WT[:, rows] = 0.0
-                    if GT is not None:
-                        g = np.isin(g_ids, rows)
-                        self.G[g] = GT[:, g] = 0.0
+                    g = np.isin(g_ids, rows)
+                    self.G[g] = GT[:, g] = 0.0
         return Y, L, faults, WT, GT
 
     def _check(self, j, supp, new, Gb, yhat, lval, stat_faults) -> dict:
@@ -584,15 +560,12 @@ class GridLearner:
                 found.update(dict.fromkeys(range(rows.start, rows.stop), reason))
         # a cheap test first, a sum per row: inf and nan propagate
         bad = ~np.isfinite(new.sum(axis=1) + yhat + lval)
-        if Gb is not None:
-            bad[self._g_ids] |= ~np.isfinite(Gb.sum(axis=1))
+        bad[self._g_ids] |= ~np.isfinite(Gb.sum(axis=1))
         rows = np.flatnonzero(bad & self._live)
         if len(rows):
-            blocks = [("weight", new[rows], rows)]
-            if Gb is not None:
-                g = np.flatnonzero(np.isin(self._g_ids, rows))
-                blocks.insert(0, ("gradient sum", Gb[g], self._g_ids[g]))
-            _first_faults(found, blocks, supp)
+            g = np.flatnonzero(np.isin(self._g_ids, rows))
+            _first_faults(found, [("gradient sum", Gb[g], self._g_ids[g]),
+                                  ("weight", new[rows], rows)], supp)
             for r in rows.tolist():
                 if not math.isfinite(yhat[r]):
                     found.setdefault(r, f"non-finite prediction {float(yhat[r])!r}")
@@ -604,8 +577,7 @@ class GridLearner:
     def _nonfinite(self, Y, L, WT, GT) -> bool:
         """Whether a live row holds a non-finite value after the block."""
         ok = np.isfinite(Y).all(axis=0) & np.isfinite(L).all(axis=0) & np.isfinite(WT).all(axis=0)
-        if GT is not None:
-            ok[self._g_ids] &= np.isfinite(GT).all(axis=0)
+        ok[self._g_ids] &= np.isfinite(GT).all(axis=0)
         return bool((self._live & ~ok).any())
 
 
@@ -660,17 +632,24 @@ class RunReport:
 
 
 def run_stream(config: LearnerConfig, loss: Loss, stream: Iterable[SparseExample]) -> RunReport:
-    """Fold observe over a stream: the progressive trace and the final state."""
+    """Fold observe over a stream: the progressive trace and the final state.
+    A loss sum beyond the float range is a NumericFault."""
     learner = Learner(config, loss)
-    losses, preds = [], []
-    for yhat, lval in progressive(stream, learner.observe):
+    losses, preds, total = [], [], [0.0]
+
+    def step(ex):
+        yhat, lval = learner.observe(ex)
+        total[0] = _finite("loss sum", total[0] + lval)
+        return yhat, lval
+
+    for yhat, lval in progressive(stream, step):
         losses.append(lval)
         preds.append(yhat)
     n = len(losses)
     return RunReport(
         losses=losses,
         predictions=preds,
-        average_loss=sum(losses) / n,
+        average_loss=total[0] / n,
         n_examples=n,
         nonzero_weights=sum(1 for v in learner.w.values() if v != 0.0),
         normalizer=learner.N,

@@ -41,7 +41,7 @@ def strict_json(text):
 def run_report(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 0, err
-    report = json.loads(out)
+    report = strict_json(out)
     jsonschema.validate(report, SCHEMA)
     return report
 
@@ -75,7 +75,7 @@ class TestTrain:
         code, out, err = run_cli(capsys, self.BASE + ["--report", str(path)])
         assert code == 0
         assert out == ""
-        rep = json.loads(path.read_text())
+        rep = strict_json(path.read_text())
         jsonschema.validate(rep, SCHEMA)
 
     @pytest.mark.parametrize("clip", ["0", "-1"])
@@ -545,6 +545,27 @@ class TestExitCodes:
             "--task", "regression",
         ]) == (2, "", "data error: labels from -1.0 to 1e+200: regression loss scale overflows\n")
 
+    def test_overflowing_loss_sum_is_numeric_fault(self, capsys, tmp_path):
+        # each loss, 1.3e154 squared, is finite; their sum is not
+        path = tmp_path / "d.txt"
+        path.write_text("1.3e154 0:1\n1.3e154 0:1\n")
+        assert run_cli(capsys, [
+            "train", "--data", str(path), "--learner", "sgd", "--loss", "squared",
+            "--eta", "0", "--task", "regression",
+        ]) == (3, "", "numeric fault: example 2: non-finite loss sum inf\n")
+
+    def test_overflowing_loss_sum_fails_its_cell(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1.3e154 0:1\n1.2e154 0:1\n")
+        code, out, err = run_cli(capsys, [
+            "sweep", "--data", str(path), "--learners", "sgd", "--loss", "squared",
+            "--eta-grid", "1e-300..1e-300", "--task", "regression"])
+        assert code == 0, err
+        rep = strict_json(out)
+        jsonschema.validate(rep, SCHEMA)
+        assert [(c["error"], c["loss"], c["training_loss"]) for c in rep["cells"]] == \
+               [("example 2: non-finite loss sum inf", None, None)]
+
     @pytest.mark.parametrize("check", ["lemma1", "thm1", "thm2"])
     def test_overflowing_conditioned_run_is_numeric_fault(self, capsys, check):
         code, out, err = run_cli(capsys, ["regret", "--check", check, "--loss", "squared",
@@ -743,7 +764,7 @@ class TestReportFormat:
         assert quiet == ""
         assert path.read_bytes() == out.encode()
         assert out.endswith("\n") and out.count("\n") == 1
-        assert out[:-1] == json.dumps(json.loads(out), sort_keys=True)
+        assert out[:-1] == json.dumps(strict_json(out), sort_keys=True)
 
 
 class TestFuzz:

@@ -13,7 +13,6 @@ from nol.data import (
     prenormalize,
     read_delimited,
     read_svmlight,
-    regression_loss_scale,
     serialize_svmlight,
     synth_figure1,
     synth_scaled,
@@ -236,23 +235,6 @@ class TestPrenormalize:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             compute_normalizer([], "l2")
-
-
-class TestRegressionLossScale:
-    def test_span_squared(self):
-        assert regression_loss_scale([1.0, 4.0, 2.0]) == 9.0
-
-    def test_constant_labels_rejected(self):
-        with pytest.raises(DataFormatError):
-            regression_loss_scale([2.0, 2.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataFormatError):
-            regression_loss_scale([])
-
-    def test_overflowing_span_rejected(self):
-        with pytest.raises(DataFormatError, match="regression loss scale overflows"):
-            regression_loss_scale([1e200, -1.0])
 
 
 class TestSynthFigure1:

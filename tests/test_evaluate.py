@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nol import learners
 from nol.core import SparseExample, get_loss, predict
 from nol.data import synth_figure1, synth_scaled
-from nol.errors import InvalidLabel, NolError, NumericFault
+from nol.errors import DataFormatError, InvalidLabel, NolError, NumericFault
 from nol import evaluate
 from nol.evaluate import (
     ComparisonReport,
@@ -257,6 +257,21 @@ class TestSweepMatchesScalar:
         with pytest.raises(NumericFault, match=f"^{re.escape(reason)}$"):
             progressive_validation(LearnerConfig("sgd", 1.0), HINGE, stream, "regression")
 
+    @pytest.mark.parametrize("loss,eta,stream,reason", [
+        # each squared loss is finite, their sum is not
+        ("squared", 1e-300, [ex({0: 1.0}, 1.3e154), ex({0: 1.0}, 1.2e154)],
+         "example 2: non-finite loss sum inf"),
+        # from example 2 on, a prediction of -1e154 scores eval losses of
+        # 2.5e307, the eighth of which takes their sum past the float range
+        ("hinge", 1.0, [ex({0: 1e154}, -1.0), ex({0: 1.0}, 1.0)] + [ex({0: 1.0}, -1.0)] * 8,
+         "example 9: non-finite eval loss sum inf"),
+    ])
+    def test_overflowing_loss_sum_fails_its_cell(self, loss, eta, stream, reason):
+        rep = sweep(["sgd"], loss, stream, [eta], task="regression")
+        assert [(c.error, c.eval_loss, c.training_loss) for c in rep.cells] == [(reason, None, None)]
+        with pytest.raises(NumericFault, match=f"^{re.escape(reason)}$"):
+            progressive_validation(LearnerConfig("sgd", eta), get_loss(loss), stream, "regression")
+
     def test_invalid_label_ends_the_sweep_naming_the_example(self):
         stream = [ex({0: 1.0}, 1.0), ex({0: 2.0}, 2.0)]
         reason = "^example 2: classification label must be -1 or \\+1, got 2\\.0$"
@@ -409,6 +424,28 @@ class TestOneShotRegression:
         stream = synth_figure1(1.0, 20, seed=1)
         with pytest.raises(TypeError, match="reads the stream twice"):
             progressive_validation(LearnerConfig("sgd", 0.5), SQ, iter(stream), "regression")
+
+
+def regression_loss_scale(labels):
+    """The regression loss scale of examples with these labels."""
+    return evaluate._regression_scale([SparseExample((), y) for y in labels])
+
+
+class TestRegressionLossScale:
+    def test_span_squared(self):
+        assert regression_loss_scale([1.0, 4.0, 2.0]) == 9.0
+
+    def test_constant_labels_rejected(self):
+        with pytest.raises(DataFormatError):
+            regression_loss_scale([2.0, 2.0])
+
+    def test_empty_rejected(self):
+        with pytest.raises(DataFormatError):
+            regression_loss_scale([])
+
+    def test_overflowing_span_rejected(self):
+        with pytest.raises(DataFormatError, match="regression loss scale overflows"):
+            regression_loss_scale([1e200, -1.0])
 
 
 class TestKLInterval:

@@ -20,6 +20,12 @@ def ex(feats, y=1.0):
     return SparseExample(tuple(sorted(feats.items())), y)
 
 
+def observe(grid, x):
+    """observe_block of one example: (predictions, losses, row -> reason)."""
+    Y, L, faults = grid.observe_block([x])
+    return Y[0], L[0], {r: reason for r, (_, reason) in faults.items()}
+
+
 def grid_stats(grid, k=0):
     """(t, N, s, sigma) of a grid's k-th kind as a Learner keeps them: s and
     sigma as dicts feature -> value, read through the column map."""
@@ -104,6 +110,12 @@ class TestRunStream:
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError):
             run_stream(LearnerConfig("sgd", 0.1), SQ, [])
+
+    def test_loss_sum_overflow_is_a_fault(self):
+        # each loss, 1.3e154 squared, is finite; their sum is not
+        stream = [ex({0: 1.0}, 1.3e154)] * 3
+        with pytest.raises(NumericFault, match=r"^example 2: non-finite loss sum inf$"):
+            run_stream(LearnerConfig("sgd", 0.0), SQ, stream)
 
     def test_numeric_fault_names_example(self):
         # enormous eta diverges the squared loss quickly
@@ -295,7 +307,7 @@ class TestGridLearner:
         grid = GridLearner([kind], etas, loss)
         scalars = [Learner(LearnerConfig(kind, eta), loss) for eta in etas]
         for x in stream:
-            yhat, lval, faults = grid.observe(x)
+            yhat, lval, faults = observe(grid, x)
             assert faults == {}
             for r, learner in enumerate(scalars):
                 want_yhat, want_lval = learner.observe(x)
@@ -318,10 +330,10 @@ class TestGridLearner:
         learner = Learner(LearnerConfig(kind, eta), loss)
         grid = GridLearner([kind], [eta], loss)
         assert learner.observe(x)[0] == 0.0
-        assert grid.observe(x)[2] == {}
+        assert observe(grid, x)[2] == {}
         for i, c in grid.columns.items():
             assert grid.W[0, c].hex() == learner.w.get(i, 0.0).hex()
-            if grid.G is not None:
+            if len(grid.G):
                 assert grid.G[0, c].hex() == learner.G.get(i, 0.0).hex()
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -331,7 +343,7 @@ class TestGridLearner:
         grid = GridLearner([kind], [0.5], HINGE)
         learner = Learner(LearnerConfig(kind, 0.5), HINGE)
         for x in stream:
-            yhat, lval, faults = grid.observe(x)
+            yhat, lval, faults = observe(grid, x)
             assert faults == {}
             want_yhat, want_lval = learner.observe(x)
             assert yhat[0] == pytest.approx(want_yhat, rel=1e-12)
@@ -342,7 +354,7 @@ class TestGridLearner:
     def test_columns_grow_past_capacity(self):
         grid = GridLearner(["nag"], [0.5, 1.0], SQ)
         for i in range(40):
-            grid.observe(ex({i: 1.0, 1000 + i: -2.0}))
+            observe(grid, ex({i: 1.0, 1000 + i: -2.0}))
         assert len(grid.columns) == 80 and grid.W.shape == (2, 128) == grid.G.shape
 
 
@@ -365,10 +377,10 @@ class TestStackedGrid:
         faulted = set()
         with np.errstate(all="ignore"):
             for x in stream:
-                yhat, lval, faults = stacked.observe(x)
+                yhat, lval, faults = observe(stacked, x)
                 want_faults = {}
                 for k, single in enumerate(singles):
-                    y1, l1, f1 = single.observe(x)
+                    y1, l1, f1 = observe(single, x)
                     np.testing.assert_array_equal(yhat[k * n:(k + 1) * n], y1)
                     np.testing.assert_array_equal(lval[k * n:(k + 1) * n], l1)
                     want_faults.update({k * n + r: why for r, why in f1.items()})
@@ -377,7 +389,7 @@ class TestStackedGrid:
         g = 0
         for k, single in enumerate(singles):
             np.testing.assert_array_equal(stacked.W[k * n:(k + 1) * n], single.W)
-            if single.G is not None:
+            if len(single.G):
                 np.testing.assert_array_equal(stacked.G[g:g + n], single.G)
                 g += n
         assert g == len(stacked.G)
@@ -396,8 +408,8 @@ class TestStackedGrid:
         faults = []
         with np.errstate(all="ignore"):
             for x in stream:
-                faults.append(stacked.observe(x)[2])
-                assert others.observe(x)[2] == {}
+                faults.append(observe(stacked, x)[2])
+                assert observe(others, x)[2] == {}
         reason = "non-finite sum of squares inf at coordinate 0"
         assert faults[1] == {2: reason, 3: reason}
         assert all(f == {} for i, f in enumerate(faults) if i != 1)
@@ -433,11 +445,13 @@ class TestBlockStatistics:
                 want_f, want_u, want_s, want_rate = [], [], [], []
                 for x in block:
                     learner.t += 1
-                    factors, scale = (None, None) if stage.stats is None else \
-                        stage.stats(learner, x.features, stage.squash)
+                    # a unit weight on every feature the grid has seen: the
+                    # weight the stage leaves is its squash factor
+                    learner.w = dict.fromkeys(grid.columns, 1.0)
+                    scale = None if stage.stats is None else stage.stats(learner, x.features)
                     scale = [1.0] * len(x.features) if scale is None else scale
                     for (i, v), q in zip(x.features, scale):
-                        want_f.append((factors or {}).get(i, 1.0))
+                        want_f.append(learner.w[i])
                         want_u.append(v / q if stage.over_scale else v)
                         want_s.append(q)
                     want_rate.append(stage.rate(learner.t, learner.N) if x.features else 0.0)
@@ -462,7 +476,7 @@ class TestGradientSumOverflow:
     def test_grid_rows_fault_and_reset(self, kind):
         grid = GridLearner([kind], [0.5, 1.0], SQ)
         with np.errstate(all="ignore"):
-            _, _, faults = grid.observe(ex({0: 1e10}, 1e150))
+            _, _, faults = observe(grid, ex({0: 1e10}, 1e150))
         assert faults == {r: "non-finite gradient sum inf at coordinate 0" for r in (0, 1)}
         assert not grid.G.any() and not grid.W.any()
 
@@ -531,12 +545,12 @@ class TestStatisticsOverflow:
                                    match=r"^non-finite gradient sum inf at coordinate 0$"):
                     learner.observe(ex({0: v}))
                 with np.errstate(all="ignore"):
-                    assert grid.observe(ex({0: v}))[2] == \
+                    assert observe(grid, ex({0: v}))[2] == \
                            {0: "non-finite gradient sum inf at coordinate 0"}
                 continue
             for x in (ex({0: v}), ex({0: 2 * v}), ex({0: -v}, -1.0)):
                 yhat, lval = learner.observe(x)
-                gy, gl, faults = grid.observe(x)
+                gy, gl, faults = observe(grid, x)
                 assert (gy.tolist(), gl.tolist(), faults) == ([yhat], [lval], {})
             assert learner.N == grid.kinds[0].tracker.N == 2.25
             w = learner.w.get(0, 0.0)

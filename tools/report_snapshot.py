@@ -31,7 +31,16 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
 * the failure contract: ``nol train`` and ``nol sweep`` on a file whose
   dot product overflows only in its sum (with and without ``--clip-c``),
   one whose sNAG scale is zero and one with an invalid label, and
-  ``nol regret --check thm1 --loss hinge -C 1e8``.
+  ``nol regret --check thm1 --loss hinge -C 1e8``;
+* every error message of the data and the learners: svmlight lines with a
+  malformed token, a negative, a repeated index, a non-finite value, a bad
+  and a non-finite label; bytes that are not UTF-8, a ``--data`` path that
+  cannot be read, a CSV line with a field too many, constant regression
+  labels; ``nol train`` overflowing nag's gradient sum, sgd's weight and
+  sNAG's sum of squares; a ``--report`` path that cannot be written; a
+  sweep whose gradient-sum rows are not contiguous (snag, ng, nag); and a
+  ``nol train`` and a ``nol sweep`` whose losses are finite but whose loss
+  sum overflows.
 
 OUT_DIR gets one sorted-keys JSON file per command: its argv (the temporary
 directory written as ``$TMP``), exit code, stderr and report, the report
@@ -168,6 +177,49 @@ def _contract_commands(tmp):
     yield ("regret-thm1-hinge-C1e8", ["regret", "--check", "thm1", "--loss", "hinge", "-C", "1e8"])
 
 
+def _error_commands(tmp):
+    train = ["--learner", "sgd", "--loss", "hinge", "--eta", "1"]
+    for name, line in (("malformed-token", "1 0:x"), ("negative-index", "1 -1:1"),
+                       ("repeated-index", "1 0:1 0:2"), ("non-finite-value", "1 0:inf"),
+                       ("bad-label", "y 0:1"), ("non-finite-label", "nan 0:1")):
+        path = _write(tmp, name + ".svm", ["1 0:1", line])
+        yield f"train-svmlight-{name}", ["train", "--data", path, *train]
+    path = os.path.join(tmp, "latin1.svm")
+    with open(path, "wb") as fh:
+        fh.write(b"1 0:1\n-1 0:\xff\n")
+    yield "train-non-utf8", ["train", "--data", path, *train]
+    yield "train-unreadable-data", ["train", "--data", os.path.join(tmp, "missing.svm"), *train]
+    csv = _write(tmp, "fields.csv", ["a,y", "1,1", "2,3,-1"])
+    yield "train-csv-field-count", ["train", "--data", csv, "--format", "csv", *train]
+    const = _write(tmp, "constant.svm", ["2 0:1", "2 0:3"])
+    yield ("sweep-constant-regression-labels",
+           ["sweep", "--data", const, "--task", "regression", "--loss", "squared",
+            "--learners", "sgd", "--eta-grid", "1..1"])
+    for name, lines, kind, loss, eta in (
+            ("nag-gradient-sum", ["1e150 0:1e10"], "nag", "squared", "1"),
+            ("sgd-weight", ["1 0:1e200"], "sgd", "hinge", "1e300"),
+            ("snag-sum-of-squares", ["1 0:1e154"] * 2, "snag", "logistic", "1e-300")):
+        path = _write(tmp, name + ".svm", lines)
+        yield (f"train-overflow-{name}",
+               ["train", "--data", path, "--learner", kind, "--loss", loss, "--eta", eta,
+                *(["--task", "regression"] if loss == "squared" else [])])
+    yield ("train-unwritable-report",
+           ["train", "--synth", "figure1:T=10", *train,
+            "--report", os.path.join(tmp, "missing-dir", "r.json")])
+    yield ("sweep-sums-not-contiguous",
+           ["sweep", "--synth", "scaled:d=5,T=300", "--learners", "snag,ng,nag",
+            "--loss", "squared", "--task", "regression", "--eta-grid", "0.01..64"])
+    # each loss is finite, only their sum overflows
+    big = _write(tmp, "loss-sum-train.svm", ["1.3e154 0:1"] * 2)
+    yield ("train-loss-sum-overflow",
+           ["train", "--data", big, "--learner", "sgd", "--loss", "squared", "--eta", "0",
+            "--task", "regression"])
+    big = _write(tmp, "loss-sum-sweep.svm", ["1.3e154 0:1", "1.2e154 0:1"])
+    yield ("sweep-loss-sum-overflow",
+           ["sweep", "--data", big, "--learners", "sgd", "--loss", "squared",
+            "--eta-grid", "1e-300..1e-300", "--task", "regression"])
+
+
 def _bench_commands(inputs, tmp, root):
     for workload, variants in (("train-wide", 3), ("sweep-narrow", 16), ("regret-bounds", 16)):
         for variant in range(variants):
@@ -211,7 +263,7 @@ def main(args):
     with tempfile.TemporaryDirectory() as tmp:
         commands = [*_regret_commands(), *_file_commands(tmp),
                     *_block_commands(inputs, tmp, random.Random(16)),
-                    *_contract_commands(tmp),
+                    *_contract_commands(tmp), *_error_commands(tmp),
                     *_bench_commands(inputs, tmp, checkout)]
         for label, argv in commands:
             snap = _run(nol.cli.main, argv, tmp)
