@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nol import learners
@@ -395,6 +395,12 @@ class TestFailureContract:
     @settings(max_examples=150, deadline=None)
     @given(stream=streams(), loss_kind=st.sampled_from(["squared", "hinge", "logistic"]),
            clip_c=st.sampled_from([None, 1.0]))
+    # the BLAS product and math.fsum round these faulting predictions apart
+    @example(stream=[ex({0: -1.0}, -1.0), ex({0: -1.0, 1: 1.0}, 1.0),
+                     ex({0: -1.0, 1: -100.0}, -1.0)], loss_kind="squared", clip_c=None)
+    @example(stream=[ex({0: -1.0, 3: -1e35}, -1.0), ex({1: -100.0, 2: -1e8}, -1.0),
+                     ex({1: -1.0, 2: -1.0, 3: 1e54}, -1.0), ex({0: -1.0, 1: -1.0}, 1.0)],
+             loss_kind="squared", clip_c=None)
     def test_cells_fail_as_progressive_validation(self, stream, loss_kind, clip_c):
         task = "regression" if loss_kind == "squared" else "classification"
         assume(task == "classification" or len({x.label for x in stream}) > 1)

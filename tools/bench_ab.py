@@ -13,7 +13,10 @@ side's median and quartiles; the change's wins (ties count for neither, and
 in at least nine tenths of the pairs, and medians further apart, in the
 better direction, than the parent's quartile distance); and how much worse
 the change's median is than the parent's, as a share of the parent's,
-against the metric's bound. Last, each side's failed commands.
+against the metric's bound. Then each side's failed commands. The last
+line is one JSON object that holds the same comparison: per metric, each
+side's values, median and quartiles, the wins, gain, worse_by and bound;
+and each side's failed commands.
 """
 
 import argparse
@@ -51,6 +54,24 @@ def compare(parent, change, better, bound):
     }
 
 
+def comparison(workload, metrics, values, failed):
+    """The JSON object of a whole comparison: metrics are BENCHMARK.json's
+    end-to-end entries, values[side][name] each side's series, failed[side]
+    its failed commands."""
+    out = {"workload": workload, "pairs": len(values["parent"][metrics[0]["name"]]),
+           "metrics": {}, "failed": dict(failed)}
+    for m in metrics:
+        name = m["name"]
+        r = compare(values["parent"][name], values["change"][name], m["better"], m["bound"])
+        out["metrics"][name] = {
+            **{side: {"values": values[side][name], "median": r[side][0],
+                      "quartiles": [r[side][1], r[side][2]]} for side in ("parent", "change")},
+            "better": m["better"], "wins": r["wins"], "gain": r["gain"],
+            "worse_by": r["worse_by"], "bound": m["bound"], "regressed": r["regressed"],
+        }
+    return out
+
+
 def run_bench(checkout, workload, seed, seconds):
     """The last stdout line of bench/run.py in checkout, as parsed JSON."""
     out = subprocess.run(
@@ -83,17 +104,17 @@ def main(argv=None):
             print(f"pair {k} seed {seed} {side}: " + " ".join(
                 f"{name}={series[-1]:.6g}" for name, series in values[side].items()),
                 flush=True)
+    result = comparison(args.workload, spec["end_to_end"], values, failed)
     print(f"\n{args.workload}, {args.pairs} pairs: median [quartiles]")
     print(f"{'metric':12s} {'parent':>30s} {'change':>30s}  wins  gain  worse_by  bound")
-    for m in spec["end_to_end"]:
-        r = compare(values["parent"][m["name"]], values["change"][m["name"]],
-                    m["better"], m["bound"])
-        cells = ["{:.4g} [{:.4g}, {:.4g}]".format(*r[side]) for side in sides]
-        print(f"{m['name']:12s} {cells[0]:>30s} {cells[1]:>30s}  {r['wins']:2d}/{r['pairs']:<2d}"
-              f"  {'yes' if r['gain'] else 'no':4s}  {r['worse_by']:+8.3f}  {m['bound']}"
+    for name, r in result["metrics"].items():
+        cells = ["{:.4g} [{:.4g}, {:.4g}]".format(r[side]["median"], *r[side]["quartiles"])
+                 for side in sides]
+        print(f"{name:12s} {cells[0]:>30s} {cells[1]:>30s}  {r['wins']:2d}/{args.pairs:<2d}"
+              f"  {'yes' if r['gain'] else 'no':4s}  {r['worse_by']:+8.3f}  {r['bound']}"
               f"{'  REGRESSED' if r['regressed'] else ''}")
     print(f"failed commands: parent {failed['parent']}, change {failed['change']}")
-
+    print(json.dumps(result, sort_keys=True))
 
 if __name__ == "__main__":
     main()

@@ -40,13 +40,20 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
   sNAG's sum of squares; a ``--report`` path that cannot be written; a
   sweep whose gradient-sum rows are not contiguous (snag, ng, nag); and a
   ``nol train`` and a ``nol sweep`` whose losses are finite but whose loss
-  sum overflows.
+  sum overflows;
+* regret reports whose numbers leave the float range (``lemma1`` and
+  ``thm2`` on squared loss at ``-C 1e152``), a hinge LP that runs out of
+  pivots (``thm1`` at ``-C 1e20``), a ``--seed`` of -1 for each command,
+  and a regression sweep whose loss scale underflows to 0;
+* ``nol.data.prenormalize`` of a one-shot iterator, in both modes.
 
 OUT_DIR gets one sorted-keys JSON file per command: its argv (the temporary
 directory written as ``$TMP``), exit code, stderr and report, the report
 without its ``timing``, and the text of the ``--plot-data`` file when the
-command names one. Two checkouts that give the same results give
-snapshots that ``diff -r`` finds equal.
+command names one. An exception that escapes ``main`` is recorded as its
+type and message instead of the exit code. A library call gets its
+description and its result or exception. Two checkouts that give the same
+results give snapshots that ``diff -r`` finds equal.
 """
 
 import contextlib
@@ -220,6 +227,41 @@ def _error_commands(tmp):
             "--eta-grid", "1e-300..1e-300", "--task", "regression"])
 
 
+def _repro_commands(tmp):
+    for check in ("lemma1", "thm2"):
+        yield (f"regret-{check}-squared-C1e152",
+               ["regret", "--check", check, "--loss", "squared", "-C", "1e152", "--instances", "3"])
+    yield ("regret-thm1-hinge-C1e20",
+           ["regret", "--check", "thm1", "--loss", "hinge", "-C", "1e20", "--instances", "1"])
+    yield "regret-seed-negative", ["regret", "--check", "thm1", "--seed", "-1", "--instances", "1"]
+    train = ["--learner", "sgd", "--loss", "hinge", "--eta", "1", "--seed", "-1"]
+    yield "train-synth-seed-negative", ["train", "--synth", "figure1:T=10", *train]
+    yield ("sweep-synth-seed-negative",
+           ["sweep", "--synth", "figure1:T=10", "--learners", "sgd", "--loss", "hinge",
+            "--seed", "-1"])
+    path = _write(tmp, "seed.svm", ["1 0:1", "-1 0:2"])
+    yield "train-data-seed-negative", ["train", "--data", path, *train]
+    path = _write(tmp, "scale-underflow.svm", ["0 0:1", "1e-200 0:1"])
+    yield ("sweep-regression-scale-underflow",
+           ["sweep", "--data", path, "--learners", "sgd", "--eta-grid", "1..1", "--loss",
+            "squared", "--task", "regression"])
+
+
+def _call_snapshots():
+    """(label, description, call) of the library calls snapshotted."""
+    from nol.core import SparseExample
+    from nol.data import prenormalize
+
+    examples = [SparseExample(((0, 2.0), (1, -4.0)), 1.0), SparseExample(((0, -1.0),), -1.0)]
+    for mode in ("maxnorm", "sqnorm"):
+        def call(mode=mode):
+            scale, view = prenormalize(iter(examples), mode)
+            return {"scale": sorted(scale.items()),
+                    "examples": [[list(ex.features), ex.label] for ex in view]}
+        yield (f"prenormalize-one-shot-{mode}",
+               f"prenormalize(iter(examples), {mode!r}) over {examples!r}", call)
+
+
 def _bench_commands(inputs, tmp, root):
     for workload, variants in (("train-wide", 3), ("sweep-narrow", 16), ("regret-bounds", 16)):
         for variant in range(variants):
@@ -228,10 +270,17 @@ def _bench_commands(inputs, tmp, root):
                 yield f"{workload}-{variant}-{label.replace(':', '-')}", argv
 
 
+def _escaped(e):
+    return f"{type(e).__name__}: {e}"
+
+
 def _run(main, argv, tmp):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except Exception as e:   # recorded, so that a traceback shows in the diff
+            code = {"exception": _escaped(e)}
     text = out.getvalue()
     if "--report" in argv:
         path = argv[argv.index("--report") + 1]
@@ -263,14 +312,23 @@ def main(args):
     with tempfile.TemporaryDirectory() as tmp:
         commands = [*_regret_commands(), *_file_commands(tmp),
                     *_block_commands(inputs, tmp, random.Random(16)),
-                    *_contract_commands(tmp), *_error_commands(tmp),
+                    *_contract_commands(tmp), *_error_commands(tmp), *_repro_commands(tmp),
                     *_bench_commands(inputs, tmp, checkout)]
-        for label, argv in commands:
-            snap = _run(nol.cli.main, argv, tmp)
+
+        def write(label, snap):
             with open(os.path.join(out_dir, label + ".json"), "w") as fh:
                 json.dump(snap, fh, sort_keys=True, indent=1)
                 fh.write("\n")
-    print(f"{len(commands)} reports in {out_dir}", file=sys.stderr)
+
+        for label, argv in commands:
+            write(label, _run(nol.cli.main, argv, tmp))
+        calls = list(_call_snapshots())
+        for label, description, call in calls:
+            try:
+                write(label, {"call": description, "result": call()})
+            except Exception as e:
+                write(label, {"call": description, "exception": _escaped(e)})
+    print(f"{len(commands) + len(calls)} reports in {out_dir}", file=sys.stderr)
 
 
 if __name__ == "__main__":
