@@ -1,10 +1,11 @@
 """Command-line entry point: train, sweep, regret.
 
-Reports are schema-versioned JSON, one line with sorted keys, written to
-stdout or --report; plot data is plain CSV. Exit codes: 0 success, 1 usage
-error (an output path that cannot be written included), 2 data error (an
-unreadable --data path included), 3 numeric fault. Nothing but the report
-is written to stdout.
+Reports are schema-versioned strict JSON, one line with sorted keys,
+written to stdout or --report; plot data is plain CSV. Exit codes: 0
+success, 1 usage error (an output path that cannot be written included), 2
+data error (an unreadable --data path included), 3 numeric fault (a report
+number that is not finite included). Nothing but the report is written to
+stdout.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import time
 from typing import List, Optional
 
 from . import data as data_io
-from .core import LOSS_KINDS, get_loss
+from .core import LOSS_KINDS, _nonfinite_reason, get_loss
 from .errors import DataFormatError, InvalidLabel, NumericFault
 from .evaluate import plot_csv_rows, sweep
 from .learners import KINDS, LearnerConfig, run_stream
@@ -168,13 +169,31 @@ def _write(flag: str, path: str, text: str):
 
 
 def _emit(report: dict, path: Optional[str]):
+    """Write the report as strict JSON: a number that is not finite is a
+    NumericFault naming its field."""
     # one line: json.dumps takes the C encoder only without indent, and only
     # as a one-shot dumps (json.dump to a file streams through the Python one)
-    text = json.dumps(report, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        field, value = next((p, v) for p, v in _numbers(report) if not math.isfinite(v))
+        raise NumericFault(f"report field {field}: {_nonfinite_reason('value', value)}") from None
     if path:
         _write("--report", path, text)
     else:
         sys.stdout.write(text)
+
+
+def _numbers(value, path=""):
+    """(path, number) of each float in a report, in key order."""
+    if isinstance(value, float):
+        yield path, value
+    elif isinstance(value, dict):
+        for k in sorted(value):
+            yield from _numbers(value[k], f"{path}.{k}" if path else k)
+    elif isinstance(value, (list, tuple)):
+        for k, v in enumerate(value):
+            yield from _numbers(v, f"{path}[{k}]")
 
 
 def _learner_kinds(text: str) -> List[str]:
@@ -204,6 +223,7 @@ def _checked(convert, test, what):
 _finite_positive = _checked(float, lambda v: 0 < v < math.inf, "finite and strictly positive")
 _finite_nonnegative = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+_nonnegative_int = _checked(int, lambda v: v >= 0, "a nonnegative integer")
 _open_unit = _checked(float, lambda v: 0 < v < 1, "in (0, 1)")
 
 
@@ -224,7 +244,7 @@ def _add_data_flags(p):
     p.add_argument("--task", choices=["classification", "regression"],
                    default="classification")
     p.add_argument("--normalize", choices=["none", "maxnorm", "sqnorm"], default="none")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--report", help="write the JSON report here instead of stdout")
 
 
@@ -393,7 +413,7 @@ def build_parser() -> _Parser:
     p_regret.add_argument("--check", required=True,
                           choices=["lemma1", "thm1", "thm2", "cor1"])
     p_regret.add_argument("--instances", type=_positive_int, default=10)
-    p_regret.add_argument("--seed", type=int, default=0)
+    p_regret.add_argument("--seed", type=_nonnegative_int, default=0)
     p_regret.add_argument("-C", type=_finite_positive, default=1.0, dest="C")
     p_regret.add_argument("--loss", default="squared", choices=LOSS_KINDS)
     p_regret.add_argument("--d", type=_positive_int, default=3)

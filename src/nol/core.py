@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -69,12 +69,26 @@ def _check_binary_label(y: float):
         raise InvalidLabel(f"classification label must be -1 or +1, got {y!r}")
 
 
-def _finite(what: str, value: float, yhat: Optional[float] = None) -> float:
+def _nonfinite_reason(what: str, value: float, coordinate: Optional[int] = None):
+    """The words of every fault over a value that is not finite, the same
+    for a float and a numpy scalar."""
+    at = "" if coordinate is None else f" at coordinate {coordinate}"
+    return f"non-finite {what} {float(value)!r}{at}"
+
+
+def _finite(what: str, value: float) -> float:
     """value, or a NumericFault if it is not finite."""
     if not math.isfinite(value):
-        at = "" if yhat is None else f" at prediction {yhat!r}"
-        raise NumericFault(f"non-finite {what} {value!r}{at}")
+        raise NumericFault(_nonfinite_reason(what, value))
     return value
+
+
+def _two_passes(examples: Iterable, reader: str, first: str) -> None:
+    """A TypeError if examples is a one-shot iterator: reader reads first
+    its statistics and then the examples, and the second pass would be empty."""
+    if isinstance(examples, Iterator):
+        raise TypeError(f"{reader} reads the stream twice, {first} and then the examples, "
+                        "so it needs a re-iterable stream (a list, say), not a one-shot iterator")
 
 
 class Loss:

@@ -15,7 +15,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-from .core import SparseExample, _validated_example
+from .conditioners import EnclosingBox
+from .core import SparseExample, _two_passes, _validated_example
 from .errors import DataFormatError
 
 
@@ -164,23 +165,21 @@ def compute_normalizer(examples: Iterable[SparseExample], mode: str) -> Dict[int
     """The divisor of each feature: maxnorm its max |x_i|, sqnorm the root
     of its uncentered second moment over all rows (zeros included).
 
-    One pass over examples for maxnorm and two for sqnorm, so examples must
-    be iterable again (a list, or a file read afresh on each iteration)."""
+    One pass over examples for maxnorm and two for sqnorm, and the caller
+    then divides the examples, so examples must be iterable again (a list,
+    or a file read afresh on each iteration): a one-shot iterator is a
+    TypeError."""
     if mode not in ("maxnorm", "sqnorm"):
         raise ValueError(f"unknown normalization mode {mode!r}")
-    n = 0
-    stats: Dict[int, float] = {}
-    for n, ex in enumerate(examples, start=1):
-        for i, v in ex.features:
-            av = abs(v)
-            if av > stats.get(i, 0.0):
-                stats[i] = av
+    _two_passes(examples, "pre-normalization", "the statistics")
+    stats = EnclosingBox.from_stream(examples).m
     if mode == "sqnorm":
         # squares of values scaled by the feature's max neither overflow nor
         # underflow to zero (the max itself contributes 1)
+        n = 0
         sums: Dict[int, float] = {}
         try:
-            for ex in examples:
+            for n, ex in enumerate(examples, start=1):
                 for i, v in ex.features:
                     r = v / stats[i]
                     sums[i] = sums.get(i, 0.0) + r * r

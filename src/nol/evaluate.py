@@ -23,7 +23,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import Loss, SparseExample, _check_binary_label, _finite, get_loss, predict
+from .core import (Loss, SparseExample, _check_binary_label, _finite, _nonfinite_reason,
+                   _two_passes, get_loss, predict)
 from .errors import DataFormatError, InvalidLabel
 from .learners import GridLearner, Learner, LearnerConfig, progressive
 
@@ -56,28 +57,30 @@ def progressive_validation(config: LearnerConfig, loss: Loss,
     loss; ties (yhat == 0) count as errors. Regression divides squared loss
     by the worst-possible-loss scale (max - min)^2 of the labels.
     """
-    if task == "regression":
-        loss_scale = _regression_scale(examples)
+    loss_scale = _regression_scale(examples) if task == "regression" else None
     learner = Learner(config, loss)
 
     def step(ex):
         yhat, lval = learner.observe(ex)
-        if task == "classification":
-            pred_label = 1.0 if yhat > 0 else (-1.0 if yhat < 0 else 0.0)
-            return lval, 0.0 if pred_label == ex.label else 1.0
-        d = yhat - ex.label
-        return lval, _finite("eval loss", d * d / loss_scale, yhat)
+        return lval, _finite("eval loss", float(_eval_loss(yhat, ex.label, loss_scale)))
 
     return _result(examples, step)
+
+
+def _eval_loss(yhat, y, loss_scale: Optional[float]):
+    """The eval loss of predictions yhat against labels y, floats or numpy
+    arrays alike: 0-1 loss on sign(yhat), a tie (yhat == 0) counting as an
+    error, or, with a loss scale, the squared error divided by it."""
+    if loss_scale is None:
+        return np.sign(yhat) != y
+    d = yhat - y
+    return d * d / loss_scale
 
 
 def _regression_scale(examples: Iterable[SparseExample]) -> float:
     """The labels' (max - min)^2, the worst possible squared loss, read in a
     pass of its own over examples: it scales regression eval losses into [0, 1]."""
-    if iter(examples) is examples:
-        raise TypeError("a regression run reads the stream twice, the labels for the loss "
-                        "scale and then the examples, so it needs a re-iterable stream "
-                        "(a list, say), not a one-shot iterator")
+    _two_passes(examples, "a regression run", "the labels for the loss scale")
     labels = [ex.label for ex in examples]
     if not labels:
         raise DataFormatError("no labels")
@@ -87,24 +90,16 @@ def _regression_scale(examples: Iterable[SparseExample]) -> float:
     scale = (hi - lo) * (hi - lo)
     if scale == math.inf:
         raise DataFormatError(f"labels from {lo!r} to {hi!r}: regression loss scale overflows")
+    if scale == 0.0:
+        raise DataFormatError(f"labels from {lo!r} to {hi!r}: regression loss scale underflows")
     return scale
 
 
 def _result(examples, step) -> ProgressiveResult:
-    """The ProgressiveResult of step's (training loss, eval loss) on each
-    example; a running sum beyond the float range is a NumericFault."""
-    train, ev, sums = [], [], [0.0, 0.0]
-
-    def summed(ex):
-        lval, e = step(ex)
-        sums[:] = _finite("loss sum", sums[0] + lval), _finite("eval loss sum", sums[1] + e)
-        return lval, e
-
-    for lval, e in progressive(examples, summed):
-        train.append(lval)
-        ev.append(e)
+    """The ProgressiveResult of step's (training loss, eval loss) on each example."""
+    (train, ev), (train_sum, ev_sum) = progressive(examples, step)
     n = len(train)
-    return ProgressiveResult(train, ev, sums[0] / n, sums[1] / n, n)
+    return ProgressiveResult(train, ev, train_sum / n, ev_sum / n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +172,7 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
         raise ValueError("eta grid must be nonempty")
     if any(b <= a for a, b in zip(eta_grid, eta_grid[1:])):
         raise ValueError("eta grid must be strictly increasing")
-    if task == "regression":
-        loss_scale = _regression_scale(examples)
-
+    loss_scale = _regression_scale(examples) if task == "regression" else None
     learner = GridLearner(kinds, eta_grid, get_loss(loss), clip_c)
     rows = len(learner.etas)
     train, ev = np.zeros(rows), np.zeros(rows)
@@ -194,8 +187,7 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
                         _check_binary_label(ex.label)
                     except InvalidLabel as e:
                         raise InvalidLabel(f"example {j}: {e}") from e
-            train, ev = _sweep_block(learner, block, n, train, ev, errors,
-                                     loss_scale if task == "regression" else None)
+            train, ev = _sweep_block(learner, block, n, train, ev, errors, loss_scale)
             n += len(block)
             del block   # not held while the next one is read
     if n == 0:
@@ -224,15 +216,10 @@ def _sweep_block(learner: GridLearner, block: List[SparseExample], n: int,
                  loss_scale: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
     """Advance a sweep over the block of examples n + 1, n + 2, ...: returns
     the rows' running training and eval loss sums, and sets the error of
-    each row that faults first on this block. Classification scores 0-1
-    loss, regression squared loss over loss_scale."""
+    each row that faults first on this block. loss_scale is
+    ``_eval_loss``'s."""
     Y, L, faults = learner.observe_block(block)
-    labels = np.array([ex.label for ex in block])[:, None]
-    if loss_scale is None:
-        E = np.sign(Y) != labels
-    else:
-        D = Y - labels
-        E = D * D / loss_scale
+    E = _eval_loss(Y, np.array([ex.label for ex in block])[:, None], loss_scale)
     # the running sums, added one example at a time as progressive_validation adds them
     train_sums = np.add.accumulate(np.vstack([train, L]))[1:]
     ev_sums = np.add.accumulate(np.vstack([ev, E]))[1:]
@@ -242,8 +229,7 @@ def _sweep_block(learner: GridLearner, block: List[SparseExample], n: int,
         for j, r in zip(*np.nonzero(~np.isfinite(values) & unset)):
             j, r = int(j), int(r)
             if j < faults.get(r, (len(block),))[0]:
-                at = f" at prediction {float(Y[j, r])!r}" if what == "eval loss" else ""
-                faults[r] = (j, f"non-finite {what} {float(values[j, r])!r}{at}")
+                faults[r] = (j, _nonfinite_reason(what, values[j, r]))
     for r, (j, reason) in faults.items():
         if errors[r] is None:
             errors[r] = f"example {n + j + 1}: {reason}"

@@ -31,11 +31,12 @@ of the one step w_i -= (eta * rate) * (gp * u_i) / den_i, which both
 learners read, ``Learner`` over its dicts and ``GridLearner`` over all its
 rows at once.
 
-``progressive`` folds a step over a stream and names the example in a
-numeric fault or an invalid label; ``run_stream`` and ``nol.evaluate``'s
-scalar evaluations are built on it. A non-finite prediction, loss, weight,
-gradient sum, snag sum of squares or loss sum, or a snag scale of 0, is a
-``NumericFault``.
+``progressive`` folds a step over a stream, keeping each loss's list and
+running sum, and names the example in a numeric fault or an invalid label;
+``run_stream``, ``nol.evaluate``'s scalar evaluations and
+``nol.regret.conditioned_run`` are built on it. A non-finite prediction,
+loss, weight, gradient sum, snag sum of squares or loss sum, or a snag
+scale of 0, is a ``NumericFault``.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import Loss, SparseExample, _finite, clip_prediction, predict
+from .core import Loss, SparseExample, _finite, _nonfinite_reason, clip_prediction, predict
 from .errors import InvalidLabel, NumericFault
 
 
@@ -109,7 +110,7 @@ class Learner:
         lval, gp = self.loss.value_and_derivative(yhat, ex.label)
         if supp and gp != 0.0:
             _step(self, supp, gp, scale)
-        return _finite("prediction", yhat), _finite("loss", lval, yhat)
+        return _finite("prediction", yhat), _finite("loss", lval)
 
     def state_dump(self) -> dict:
         """What ``nol train`` reports: [index, w, s, G] per feature, N and t.
@@ -179,7 +180,7 @@ def _stats_snag(g, supp):
     for i, v in supp:
         si = s[i] = s.get(i, 0.0) + v * v
         if si == math.inf:
-            raise NumericFault(f"non-finite sum of squares inf at coordinate {i}")
+            raise NumericFault(_nonfinite_reason("sum of squares", si, i))
         sig_new = math.sqrt(si / t)
         if sig_new == 0.0:
             raise NumericFault(f"zero scale at coordinate {i}")
@@ -248,14 +249,14 @@ def _step(l: Learner, supp, gp, scale):
         if sums:
             Gi = G.get(i, 0.0) + g * g
             if not math.isfinite(Gi):
-                raise NumericFault(f"non-finite gradient sum {Gi!r} at coordinate {i}")
+                raise NumericFault(_nonfinite_reason("gradient sum", Gi, i))
             G[i] = Gi
             if Gi == 0.0:
                 continue
             den *= math.sqrt(Gi)   # may underflow to 0: then IEEE 754's lr * g / +0
         wi = w.get(i, 0.0) - (lr * g / den if den else lr * g * math.inf)
         if not math.isfinite(wi):
-            raise NumericFault(f"non-finite weight {wi!r} at coordinate {i}")
+            raise NumericFault(_nonfinite_reason("weight", wi, i))
         w[i] = wi
 
 
@@ -485,7 +486,7 @@ class GridLearner:
             if len(fails):   # the scalar stage's error, at the first failing coordinate
                 k = int(fails[0])
                 bad = bisect_right(ends, k) - 1
-                tr.fault = (f"non-finite sum of squares inf at coordinate {feats[k]}"
+                tr.fault = (_nonfinite_reason("sum of squares", s[k], feats[k])
                             if s[k] == math.inf else f"zero scale at coordinate {feats[k]}")
         r = x / scale
         r2 = (r * r).tolist()
@@ -568,10 +569,9 @@ class GridLearner:
                                   ("weight", new[rows], rows)], supp)
             for r in rows.tolist():
                 if not math.isfinite(yhat[r]):
-                    found.setdefault(r, f"non-finite prediction {float(yhat[r])!r}")
+                    found.setdefault(r, _nonfinite_reason("prediction", yhat[r]))
                 elif not math.isfinite(lval[r]):
-                    found.setdefault(r, f"non-finite loss {float(lval[r])!r} "
-                                        f"at prediction {float(yhat[r])!r}")
+                    found.setdefault(r, _nonfinite_reason("loss", lval[r]))
         return {r: reason for r, reason in found.items() if self._live[r]}
 
     def _nonfinite(self, Y, L, WT, GT) -> bool:
@@ -586,8 +586,7 @@ def _first_faults(faults: dict, blocks, supp):
     non-finite entry in blocks in the order of the scalar step: coordinate
     by coordinate, and at one coordinate in the order of blocks. A block is
     (what it holds, a (rows, support) array, the grid rows of its rows)."""
-    found = sorted((int(rows[r]), k, rank, f"non-finite {what} {float(block[r, k])!r} "
-                                           f"at coordinate {supp[k][0]}")
+    found = sorted((int(rows[r]), k, rank, _nonfinite_reason(what, block[r, k], supp[k][0]))
                    for rank, (what, block, rows) in enumerate(blocks)
                    for r, k in zip(*np.nonzero(~np.isfinite(block))))
     for row, _, _, reason in found:
@@ -597,25 +596,32 @@ def _first_faults(faults: dict, blocks, supp):
 # ---------------------------------------------------------------------------
 # The progressive fold
 
-def progressive(stream: Iterable[SparseExample], step):
-    """Yield step(ex) for each example of the stream in turn.
+_SUMS = ("loss sum", "eval loss sum")
 
-    A NumericFault or InvalidLabel that step raises is re-raised naming the
-    example, and so is any ArithmeticError, as a NumericFault (the learners
-    raise none; the regret lab's float code might); errors of the stream
-    itself pass through. A stream without examples is a ValueError.
+
+def progressive(stream: Iterable[SparseExample], step):
+    """Fold step over the stream: step(ex) returns the example's losses, the
+    training loss and, in a validation, the eval loss. Returns each loss's
+    list and running sum. A sum beyond the float range is a NumericFault, and
+    so is an ArithmeticError of step's (the regret lab's float code might
+    raise one); it and an InvalidLabel are re-raised naming the example.
+    Errors of the stream pass through; an empty one is a ValueError.
     """
+    lists, sums = ([], []), [0.0, 0.0]
     n = 0
     for n, ex in enumerate(stream, start=1):
         try:
-            out = step(ex)
+            losses = step(ex)
+            for k, v in enumerate(losses):
+                sums[k] = _finite(_SUMS[k], sums[k] + v)
+                lists[k].append(v)
         except InvalidLabel as e:
             raise InvalidLabel(f"example {n}: {e}") from e
         except (NumericFault, ArithmeticError) as e:
             raise NumericFault(f"example {n}: {e}") from e
-        yield out
     if n == 0:
         raise ValueError("stream yielded no examples")
+    return lists[:len(losses)], sums[:len(losses)]
 
 
 @dataclass
@@ -635,21 +641,19 @@ def run_stream(config: LearnerConfig, loss: Loss, stream: Iterable[SparseExample
     """Fold observe over a stream: the progressive trace and the final state.
     A loss sum beyond the float range is a NumericFault."""
     learner = Learner(config, loss)
-    losses, preds, total = [], [], [0.0]
+    preds = []
 
     def step(ex):
         yhat, lval = learner.observe(ex)
-        total[0] = _finite("loss sum", total[0] + lval)
-        return yhat, lval
-
-    for yhat, lval in progressive(stream, step):
-        losses.append(lval)
         preds.append(yhat)
+        return (lval,)
+
+    (losses,), (total,) = progressive(stream, step)
     n = len(losses)
     return RunReport(
         losses=losses,
         predictions=preds,
-        average_loss=total[0] / n,
+        average_loss=total / n,
         n_examples=n,
         nonzero_weights=sum(1 for v in learner.w.values() if v != 0.0),
         normalizer=learner.N,

@@ -36,13 +36,13 @@ from .conditioners import (
     project,
 )
 from .core import Loss, SparseExample, _finite, predict
-from .errors import NolError
+from .errors import NolError, NumericFault
 from .learners import progressive
 
 SLACK_TOL = 1e-6        # bound-check tolerance, after adding the oracle's certified gap
 FISTA_GAP_TOL = 1e-9    # FISTA stops at a Frank-Wolfe gap <= this * max(1, |f|)
 FISTA_MAX_ITER = 10_000
-LP_MAX_PIVOTS = 50_000  # the simplex raises NolError past this many pivots
+LP_MAX_PIVOTS = 50_000  # the simplex raises NumericFault past this many pivots
 LP_BLAND_AFTER = 50     # pivots in a row without progress before Bland's rule
 LP_REFACTOR_EVERY = 100  # pivots between re-inversions of the simplex basis
 LP_PIVOT_TOL = 1e-11    # smaller pivots, reduced costs and steps count as zero
@@ -96,7 +96,8 @@ class LedgerRound:
 
 @dataclass
 class RegretLedger:
-    """Everything the bound evaluators need from one conditioned run."""
+    """Everything the bound evaluators need from one conditioned run;
+    total_loss is the progressive fold's loss sum."""
 
     C: float
     projected: bool
@@ -104,10 +105,7 @@ class RegretLedger:
     sum_g2: Dict[int, float] = field(default_factory=dict)
     box: EnclosingBox = field(default_factory=EnclosingBox)
     first_abs: Dict[int, float] = field(default_factory=dict)
-
-    @property
-    def total_loss(self) -> float:
-        return sum(r.loss for r in self.rounds)
+    total_loss: float = 0.0
 
     def comparator_loss(self, loss: Loss, w: Dict[int, float]) -> float:
         total = 0.0
@@ -145,19 +143,20 @@ def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
             ledger.first_abs.setdefault(i, abs(v))
         yhat = predict(w, ex)
         lval, gp = loss.value_and_derivative(yhat, ex.label)
-        _finite("loss", lval, _finite("prediction", yhat))
+        _finite("prediction", yhat)
+        _finite("loss", lval)
         g = {i: gp * v for i, v in ex.features}
         A = cond.step(g, ex)
-        played = LedgerRound(ex, lval, gp, A, dict(w))
+        ledger.rounds.append(LedgerRound(ex, lval, gp, A, dict(w)))
         for i, gi in g.items():
             Ai = A.get(i, 0.0)
             if Ai > 0.0 and gi != 0.0:
                 w[i] = w.get(i, 0.0) - gi / Ai
         if projection:
             w = project(w, A, ball)
-        return played
+        return (lval,)
 
-    ledger.rounds.extend(progressive(examples, play))
+    _, (ledger.total_loss,) = progressive(examples, play)
     return ledger
 
 
@@ -224,7 +223,7 @@ def _bounded_simplex(A: np.ndarray, cost: np.ndarray, upper: np.ndarray,
         if gain[q] <= LP_PIVOT_TOL:
             break
         if pivots == LP_MAX_PIVOTS:
-            raise NolError(f"LP oracle: no optimum after {pivots} pivots")
+            raise NumericFault(f"LP oracle: no optimum after {pivots} pivots")
         pivots += 1
         step = -1.0 if at_upper[q] else 1.0
         alpha = Binv @ A[:, q]
@@ -245,7 +244,7 @@ def _bounded_simplex(A: np.ndarray, cost: np.ndarray, upper: np.ndarray,
             x[q] = 0.0 if at_upper[q] else theta
             at_upper[q] = not at_upper[q]
         elif theta == np.inf:
-            raise NolError("LP oracle: unbounded")
+            raise NumericFault("LP oracle: unbounded")
         else:                            # basis[r] leaves at the bound it reached
             x[basis] += rate * theta
             x[q] += step * theta

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nol import cli, evaluate
+from nol import cli, evaluate, regret
 from nol.cli import _parse_eta_grid, main
 from nol.data import read_svmlight
 from nol.errors import DataFormatError
@@ -157,12 +157,14 @@ class TestSweep:
         rep = strict_json(out)
         jsonschema.validate(rep, SCHEMA)
         failed = [c for c in rep["cells"] if c["error"] is not None]
-        assert {(c["learner"], c["eta"]) for c in failed} == {
-            ("ng", 16.0), ("ng", 32.0), ("ng", 64.0), ("sgd", 32.0), ("sgd", 64.0)}
+        assert {(c["learner"], c["eta"]): c["error"] for c in failed} == {
+            ("ng", 16.0): "example 148: non-finite loss inf",
+            ("ng", 32.0): "example 117: non-finite loss inf",
+            ("ng", 64.0): "example 98: non-finite loss inf",
+            ("sgd", 32.0): "example 135: non-finite loss inf",
+            ("sgd", 64.0): "example 108: non-finite loss inf"}
         for c in failed:
             assert c["loss"] is None and c["training_loss"] is None
-            assert c["error"].startswith("example ")
-            assert ": non-finite loss inf at prediction " in c["error"]
         assert rep["best"]["ng"]["loss"] is not None
 
     def test_overflowing_gradient_sum_fails_its_cells(self, capsys, tmp_path):
@@ -320,11 +322,18 @@ class TestExitCodes:
         (["regret", "--check", "cor1", "--nu", "nan"], "--nu"),
         *[(["sweep", "--synth", "figure1:T=10", "--learners", kinds, "--loss", "hinge"],
            "--learners") for kinds in ("", ",", "ng,ng")],
+        (["regret", "--check", "thm1", "--seed", "-1"], "--seed"),
+        (TestTrain.BASE + ["--seed", "-1"], "--seed"),
+        (TestSweep.BASE + ["--seed", "-1"], "--seed"),
+        (["train", "--data", "d.svm", "--learner", "sgd", "--loss", "hinge", "--eta", "1",
+          "--seed", "-1"], "--seed"),
     ], ids=["eta-nan", "eta-negative", "synth-s0", "C-nan", "C-inf", "C-negative",
             "T0", "d0", "instances0", "cor1-instances0", "train-clip-inf", "sweep-clip-inf",
             "thin-negative", "thin0",
             "delta0", "delta-inf", "delta-nan", "delta1", "nu1", "nu0", "nu-nan",
-            "learners-empty", "learners-comma", "learners-repeated"])
+            "learners-empty", "learners-comma", "learners-repeated",
+            "regret-seed-negative", "train-seed-negative", "sweep-seed-negative",
+            "data-seed-negative"])
     def test_bad_argument_value_is_one_line_usage_error(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, argv)
         assert code == 1
@@ -509,7 +518,7 @@ class TestExitCodes:
             "sweep", "--data", str(path), "--task", "regression", "--loss", "hinge",
             "--learners", "sgd", "--eta-grid", "1..1"])
         assert [c["error"] for c in rep["cells"]] == \
-               ["example 2: non-finite eval loss inf at prediction 1e+156"]
+               ["example 2: non-finite eval loss inf"]
         assert rep["best"] == {}
 
     def test_train_and_sweep_check_the_clipped_prediction(self, capsys, tmp_path):
@@ -545,6 +554,14 @@ class TestExitCodes:
             "--task", "regression",
         ]) == (2, "", "data error: labels from -1.0 to 1e+200: regression loss scale overflows\n")
 
+    def test_underflowing_regression_loss_scale_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("0 0:1\n1e-200 0:1\n")
+        assert run_cli(capsys, [
+            "sweep", "--data", str(path), "--learners", "sgd", "--eta-grid", "1..1",
+            "--loss", "squared", "--task", "regression",
+        ]) == (2, "", "data error: labels from 0.0 to 1e-200: regression loss scale underflows\n")
+
     def test_overflowing_loss_sum_is_numeric_fault(self, capsys, tmp_path):
         # each loss, 1.3e154 squared, is finite; their sum is not
         path = tmp_path / "d.txt"
@@ -571,8 +588,27 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, ["regret", "--check", check, "--loss", "squared",
                                           "-C", "1e300", "--instances", "1", "--T", "12"])
         assert (code, out) == (3, "")
-        assert err.startswith("numeric fault: example 2: non-finite loss inf at prediction ")
-        assert err.count("\n") == 1
+        assert err == "numeric fault: example 2: non-finite loss inf\n"
+
+    def test_overflowing_regret_loss_sum_is_numeric_fault(self, capsys):
+        assert run_cli(capsys, ["regret", "--check", "lemma1", "--loss", "squared",
+                                "-C", "1e152", "--instances", "3"]) == \
+               (3, "", "numeric fault: example 162: non-finite loss sum inf\n")
+
+    def test_report_that_is_not_strict_json_is_numeric_fault(self, capsys, tmp_path):
+        # the bounds and slacks overflow; the report would hold Infinity
+        path = tmp_path / "r.json"
+        reason = "numeric fault: report field reports[2].bound_value: non-finite value inf\n"
+        for report in ([], ["--report", str(path)]):
+            assert run_cli(capsys, ["regret", "--check", "thm2", "--loss", "squared",
+                                    "-C", "1e152", "--instances", "3", *report]) == (3, "", reason)
+        assert not path.exists()
+
+    def test_lp_without_optimum_is_numeric_fault(self, capsys, monkeypatch):
+        monkeypatch.setattr(regret, "LP_MAX_PIVOTS", 5)
+        assert run_cli(capsys, ["regret", "--check", "thm1", "--loss", "hinge",
+                                "-C", "1e20", "--instances", "1"]) == \
+               (3, "", "numeric fault: LP oracle: no optimum after 5 pivots\n")
 
     @pytest.mark.parametrize("loss", ["hinge", "logistic"])
     def test_invalid_label_is_data_error_naming_the_example(self, capsys, tmp_path, loss):

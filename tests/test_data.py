@@ -236,6 +236,12 @@ class TestPrenormalize:
         with pytest.raises(ValueError):
             compute_normalizer([], "l2")
 
+    @pytest.mark.parametrize("mode", ["maxnorm", "sqnorm"])
+    def test_one_shot_stream_rejected(self, mode):
+        # the statistics pass would leave nothing for the examples
+        with pytest.raises(TypeError, match="^pre-normalization reads the stream twice"):
+            prenormalize(iter([ex({0: 2.0}), ex({0: -4.0})]), mode)
+
 
 class TestSynthFigure1:
     def test_shape_and_labels(self):
