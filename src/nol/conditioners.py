@@ -161,18 +161,14 @@ def _project_weighted_l1(u: Dict[int, float], d: Dict[int, float], C: float) -> 
     items.sort(reverse=True)
     cum_a = 0.0
     cum_theta = 0.0
-    lam = 0.0
     n = len(items)
     for k, (b, i, a, theta) in enumerate(items):
         cum_a += a
         cum_theta += theta
-        lam_k = (cum_a - C) / cum_theta
-        next_b = items[k + 1][0] if k + 1 < n else -math.inf
-        if lam_k >= next_b and lam_k <= b:
-            lam = lam_k
-            break
-    else:
         lam = (cum_a - C) / cum_theta
+        next_b = items[k + 1][0] if k + 1 < n else -math.inf
+        if lam >= next_b and lam <= b:
+            break
     out = {}
     for i, ui in u.items():
         mag = abs(ui) - lam / (2.0 * d[i])

@@ -268,17 +268,28 @@ def synth_scaled(d: int, T: int, seed: int = 0, log10_scale_lo: float = -3.0,
     return out
 
 
+_SYNTH_KEYS = {"figure1": ("s", "T"), "scaled": ("d", "T", "lo", "hi")}
+
+
 def parse_synth_spec(spec: str):
     """CLI generator specs, e.g. "figure1:s=1,T=1000" or
-    "scaled:d=5,T=2000,lo=-3,hi=3"."""
+    "scaled:d=5,T=2000,lo=-3,hi=3"; a key the generator does not take, or
+    one given twice, is an error."""
     name, _, args_s = spec.partition(":")
+    if name not in _SYNTH_KEYS:
+        raise DataFormatError(f"unknown synth generator {name!r}")
     args = {}
     if args_s:
         for part in args_s.split(","):
             k, _, v = part.partition("=")
             if not _:
                 raise DataFormatError(f"bad synth spec fragment {part!r}")
-            args[k.strip()] = v.strip()
+            k = k.strip()
+            if k in args or k not in _SYNTH_KEYS[name]:
+                raise DataFormatError(
+                    f"bad synth spec {spec!r}: {'repeated' if k in args else 'unknown'} key "
+                    f"{k!r}; {name} takes {', '.join(_SYNTH_KEYS[name])}")
+            args[k] = v.strip()
     try:
         if name == "figure1":
             s = float(args.get("s", 1.0))
@@ -286,15 +297,13 @@ def parse_synth_spec(spec: str):
             if not 0 < s < math.inf:
                 raise ValueError("scale s must be finite and strictly positive")
             return lambda seed: synth_figure1(s=s, T=T, seed=seed)
-        if name == "scaled":
-            d = int(args.get("d", 5))
-            T = int(args.get("T", 1000))
-            lo = float(args.get("lo", -3.0))
-            hi = float(args.get("hi", 3.0))
-            if d < 0 or not (math.isfinite(lo) and math.isfinite(hi)):
-                raise ValueError("d must be >= 0 and lo, hi finite")
-            return lambda seed: synth_scaled(
-                d=d, T=T, seed=seed, log10_scale_lo=lo, log10_scale_hi=hi)
+        d = int(args.get("d", 5))   # name == "scaled"
+        T = int(args.get("T", 1000))
+        lo = float(args.get("lo", -3.0))
+        hi = float(args.get("hi", 3.0))
+        if d < 0 or not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("d must be >= 0 and lo, hi finite")
+        return lambda seed: synth_scaled(
+            d=d, T=T, seed=seed, log10_scale_lo=lo, log10_scale_hi=hi)
     except ValueError as e:
         raise DataFormatError(f"bad synth spec {spec!r}: {e}")
-    raise DataFormatError(f"unknown synth generator {name!r}")

@@ -411,7 +411,7 @@ class GridLearner:
         block = self._block(examples)
         with np.errstate(all="ignore"):
             Y, L, faults, WT, GT = self._steps(block, checked=bool(block.faults))
-            if not block.faults and self._nonfinite(Y, L, WT, GT):
+            if not block.faults and len(self._nonfinite_rows(Y, L, WT, GT)):
                 Y, L, faults, WT, GT = self._steps(block, checked=True)
         self.W[:, block.seen] = WT.T
         self.G[:, block.seen] = GT.T
@@ -542,7 +542,7 @@ class GridLearner:
                 Wx = Wx - step
             WT[c] = Wx
             if checked:
-                rows = self._check(j, ex.features, Wx.T, GT[c].T, yhat, lval, block.faults)
+                rows = self._check(j, ex.features, Wx, GT[c], yhat, lval, block.faults)
                 if rows:
                     faults.update((r, (j, reason)) for r, reason in rows.items())
                     rows = list(rows)
@@ -552,45 +552,39 @@ class GridLearner:
                     self.G[g] = GT[:, g] = 0.0
         return Y, L, faults, WT, GT
 
-    def _check(self, j, supp, new, Gb, yhat, lval, stat_faults) -> dict:
-        """The live rows that example j turned non-finite: row -> reason."""
+    def _check(self, j, supp, Wx, Gx, yhat, lval, stat_faults) -> dict:
+        """The live rows that example j turned non-finite: row -> the first
+        fault that Learner.observe meets, in its kind's statistics, then
+        coordinate by coordinate in the gradient sum and the weight, then in
+        the prediction and the loss. Wx and Gx are (support, rows)."""
         found = {}
         for k, (at, reason) in stat_faults.items():
             if at == j:
                 rows = self.kinds[k].rows
                 found.update(dict.fromkeys(range(rows.start, rows.stop), reason))
-        # a cheap test first, a sum per row: inf and nan propagate
-        bad = ~np.isfinite(new.sum(axis=1) + yhat + lval)
-        bad[self._g_ids] |= ~np.isfinite(Gb.sum(axis=1))
-        rows = np.flatnonzero(bad & self._live)
-        if len(rows):
-            g = np.flatnonzero(np.isin(self._g_ids, rows))
-            _first_faults(found, [("gradient sum", Gb[g], self._g_ids[g]),
-                                  ("weight", new[rows], rows)], supp)
-            for r in rows.tolist():
-                if not math.isfinite(yhat[r]):
-                    found.setdefault(r, _nonfinite_reason("prediction", yhat[r]))
-                elif not math.isfinite(lval[r]):
-                    found.setdefault(r, _nonfinite_reason("loss", lval[r]))
+        for r in self._nonfinite_rows(yhat[None], lval[None], Wx, Gx).tolist():
+            if r in found:
+                continue
+            g = np.flatnonzero(self._g_ids == r)
+            cols = [Gx[:, g[0]], Wx[:, r]] if len(g) else [Wx[:, r]]
+            what = ("gradient sum", "weight")[-len(cols):]
+            values = np.column_stack(cols)
+            bad = np.flatnonzero(~np.isfinite(values))   # row-major: coordinate by coordinate
+            if len(bad):
+                k, c = divmod(int(bad[0]), len(cols))
+                found[r] = _nonfinite_reason(what[c], values[k, c], supp[k][0])
+            elif not math.isfinite(yhat[r]):
+                found[r] = _nonfinite_reason("prediction", yhat[r])
+            else:
+                found[r] = _nonfinite_reason("loss", lval[r])
         return {r: reason for r, reason in found.items() if self._live[r]}
 
-    def _nonfinite(self, Y, L, WT, GT) -> bool:
-        """Whether a live row holds a non-finite value after the block."""
+    def _nonfinite_rows(self, Y, L, WT, GT):
+        """The live rows that hold a non-finite value: in Y, L or WT, each
+        (..., rows), or in GT, (..., the rows of G)."""
         ok = np.isfinite(Y).all(axis=0) & np.isfinite(L).all(axis=0) & np.isfinite(WT).all(axis=0)
         ok[self._g_ids] &= np.isfinite(GT).all(axis=0)
-        return bool((self._live & ~ok).any())
-
-
-def _first_faults(faults: dict, blocks, supp):
-    """Add to faults, for each row without a fault yet, its first
-    non-finite entry in blocks in the order of the scalar step: coordinate
-    by coordinate, and at one coordinate in the order of blocks. A block is
-    (what it holds, a (rows, support) array, the grid rows of its rows)."""
-    found = sorted((int(rows[r]), k, rank, _nonfinite_reason(what, block[r, k], supp[k][0]))
-                   for rank, (what, block, rows) in enumerate(blocks)
-                   for r, k in zip(*np.nonzero(~np.isfinite(block))))
-    for row, _, _, reason in found:
-        faults.setdefault(row, reason)
+        return np.flatnonzero(self._live & ~ok)
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ The pieces:
   fixed positive diagonal rescaling of feature space;
 * conditioned runs (``conditioned_run``) executing w_{t+1} = w_t - A_t^{-1} g_t
   with the transductive or streaming conditioner, optional per-step projection
-  onto the comparator ball, and a full per-round ledger;
-* a certified regret oracle (``best_in_hindsight``): an exact LP for hinge
-  loss and restarted FISTA for the smooth losses, each bounding its own
-  suboptimality (the tests cross-check it against a refined grid search);
-  both project onto the L1 ball with ``nol.conditioners``' solver;
+  onto the comparator ball, and a ledger (rounds only without projection);
+* a certified regret oracle over the L1 ball (``best_in_hindsight``): an
+  exact LP for hinge loss and restarted FISTA for the smooth losses, each
+  bounding its own suboptimality (the tests cross-check it against a refined
+  grid search); both project onto the ball with ``nol.conditioners``' solver;
 * numeric evaluators for the telescoping inequality (``lemma1_check``), the
   two-pass bound (``theorem1_check``), the one-pass bound (``theorem2_check``)
   and the warmup quantile bound over random permutations
@@ -88,7 +88,6 @@ def random_instance(seed: int, d: int = 3, T: int = 200,
 @dataclass
 class LedgerRound:
     x: SparseExample
-    loss: float
     gprime: float
     A: Dict[int, float]
     w: Dict[int, float]  # weights *before* this round's update
@@ -97,10 +96,10 @@ class LedgerRound:
 @dataclass
 class RegretLedger:
     """Everything the bound evaluators need from one conditioned run;
-    total_loss is the progressive fold's loss sum."""
+    total_loss is the progressive fold's loss sum, and rounds are recorded
+    only for a run without projection, the one lemma1_check reads."""
 
     C: float
-    projected: bool
     rounds: List[LedgerRound] = field(default_factory=list)
     sum_g2: Dict[int, float] = field(default_factory=dict)
     box: EnclosingBox = field(default_factory=EnclosingBox)
@@ -133,7 +132,7 @@ def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
         raise ValueError(f"unknown conditioner recipe {recipe!r}")
     box = EnclosingBox.from_stream(examples) if recipe == "transductive" else EnclosingBox()
     cond = DiagonalConditioner(C, box=box)
-    ledger = RegretLedger(C, projection, sum_g2=cond.sum_g2, box=box)
+    ledger = RegretLedger(C, sum_g2=cond.sum_g2, box=box)
     ball = ComparatorBall(box, C, q)
     w: Dict[int, float] = {}
 
@@ -147,7 +146,8 @@ def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
         _finite("loss", lval)
         g = {i: gp * v for i, v in ex.features}
         A = cond.step(g, ex)
-        ledger.rounds.append(LedgerRound(ex, lval, gp, A, dict(w)))
+        if not projection:
+            ledger.rounds.append(LedgerRound(ex, gp, A, dict(w)))
         for i, gi in g.items():
             Ai = A.get(i, 0.0)
             if Ai > 0.0 and gi != 0.0:
@@ -179,16 +179,13 @@ def _dense_in_ball_coords(examples, ball: ComparatorBall):
     return coords, Xu, y
 
 
-def _project_ball(u: np.ndarray, C: float, q: int) -> np.ndarray:
-    """Euclidean projection of u onto the q-norm ball of radius C: the
-    conditioners' L1 solver at unit weights (a plain dict loop beats numpy
-    at the oracle's few coordinates), or the rescaling for q = 2."""
-    if q == 1:
-        v = dict(enumerate(u.tolist()))
-        v = _project_weighted_l1(v, dict.fromkeys(v, 1.0), C)
-        return np.fromiter(v.values(), float, len(v))
-    norm = np.linalg.norm(u)
-    return u if norm <= C else u * (C / norm)
+def _project_ball(u: np.ndarray, C: float) -> np.ndarray:
+    """Euclidean projection of u onto the L1 ball of radius C: the
+    conditioners' solver at unit weights (a plain dict loop beats numpy at
+    the oracle's few coordinates)."""
+    v = dict(enumerate(u.tolist()))
+    v = _project_weighted_l1(v, dict.fromkeys(v, 1.0), C)
+    return np.fromiter(v.values(), float, len(v))
 
 
 class OracleCertificate(NamedTuple):
@@ -302,7 +299,7 @@ def _hinge_lp(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float):
     basis = np.array([T] + [T + 1 + i for i in range(m) if i != tight])
 
     mu, pivots = _bounded_simplex(A, cost, upper, x, at_upper, basis)
-    u = _project_ball(mu[d:] - mu[:d], C, 1)
+    u = _project_ball(mu[d:] - mu[:d], C)
     x[basis] -= np.linalg.solve(A[:, basis], A @ x)
     a = np.clip(x[:T], 0.0, 1.0)
     dual = float(a.sum() - C * np.abs(Z @ a).max())
@@ -310,26 +307,25 @@ def _hinge_lp(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float):
     return u, f, OracleCertificate("lp", max(0.0, f - dual), pivots)
 
 
-def _fista(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float, q: int):
+def _fista(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float):
     """Accelerated projected gradient (Beck & Teboulle) for squared and
     logistic loss, step 1/L with L from the Frobenius norm of Xu, momentum
     restarted whenever it points against the last step (O'Donoghue & Candes).
-    Stops on the Frank-Wolfe gap g.u + C ||g||_* (the dual norm of the ball's
-    q-norm), an upper bound on f(u) - min f. Returns (u, loss, certificate).
+    Stops on the Frank-Wolfe gap g.u + C ||g||_inf (the dual norm of the
+    L1 ball's), an upper bound on f(u) - min f. Returns (u, loss, certificate).
     """
     L = float((Xu * Xu).sum()) * (0.25 if loss.kind == "logistic" else 2.0)
-    dual_ord = np.inf if q == 1 else 2
     u = v = np.zeros(Xu.shape[1])
     t = 1.0
     for k in range(FISTA_MAX_ITER + 1):
         lvals, dl = loss.values_and_derivatives(Xu @ u, y)
         f = float(lvals.sum())
         g = Xu.T @ dl
-        gap = max(0.0, float(g @ u) + C * float(np.linalg.norm(g, dual_ord)))
+        gap = max(0.0, float(g @ u) + C * float(np.abs(g).max()))
         if gap <= FISTA_GAP_TOL * max(1.0, abs(f)) or k == FISTA_MAX_ITER:
             break
         gv = g if v is u else Xu.T @ loss.values_and_derivatives(Xu @ v, y)[1]
-        u_new = _project_ball(v - gv / L, C, q)
+        u_new = _project_ball(v - gv / L, C)
         if (v - u_new) @ (u_new - u) > 0.0:  # momentum against the step: restart
             t, v = 1.0, u_new
         else:
@@ -342,20 +338,20 @@ def _fista(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float, q: int):
 
 def best_in_hindsight(examples: Sequence[SparseExample], loss: Loss,
                       ball: ComparatorBall):
-    """Minimizer of the total loss over the comparator ball: an exact LP for
-    hinge loss (L1 ball only) and FISTA for squared and logistic loss. The
+    """Minimizer of the total loss over the comparator ball, an L1 ball: an
+    exact LP for hinge loss and FISTA for squared and logistic loss. The
     certificate's gap bounds how far the returned loss is above the minimum.
     Returns (w* as dict, total loss at w*, OracleCertificate).
     """
+    if ball.q != 1:
+        raise NolError("the hindsight oracle minimizes over the L1 ball only")
     coords, Xu, y = _dense_in_ball_coords(examples, ball)
     if not coords:
         raise NolError("empty comparator ball: no coordinate ever observed nonzero")
     if loss.kind == "hinge":
-        if ball.q != 1:
-            raise NolError("the hinge-loss oracle is an LP over the L1 ball only")
         u_best, f_best, cert = _hinge_lp(loss, Xu, y, ball.C)
     else:
-        u_best, f_best, cert = _fista(loss, Xu, y, ball.C, ball.q)
+        u_best, f_best, cert = _fista(loss, Xu, y, ball.C)
     # w_i = u_i / m_i  (u lives in the S^{-1/2} coordinates)
     w_star = {i: float(u_best[j]) / ball.box.m[i] for j, i in enumerate(coords)}
     return w_star, f_best, cert
@@ -385,11 +381,9 @@ def lemma1_check(ledger: RegretLedger, loss: Loss, w: Dict[int, float]) -> Bound
     conditioner first acts, which is the telescoping that the conditioned
     update satisfies round by round.
     """
-    if ledger.projected:
-        raise NolError("lemma1_check requires a no-projection ledger")
     rounds = ledger.rounds
     if not rounds:
-        raise NolError("empty ledger")
+        raise NolError("lemma1_check requires a no-projection ledger")
 
     regret = ledger.total_loss - ledger.comparator_loss(loss, w)
 
@@ -521,8 +515,8 @@ def corollary1_montecarlo(examples: Sequence[SparseExample], d: int, delta: floa
     for _ in range(n_permutations):
         perm = rng.permutation(T)
         prefix = M[perm[: min(tau, T)]].max(axis=0)
-        with np.errstate(divide="ignore"):
-            deltas = np.where(prefix > 0.0, total_max / np.maximum(prefix, eps), np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deltas = np.where(prefix > 0.0, total_max / prefix, np.inf)
         if np.any(deltas[active] > bound + eps):
             violations += 1
     frac = violations / n_permutations

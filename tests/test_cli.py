@@ -341,6 +341,15 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert f"argument {flag}:" in err
 
+    @pytest.mark.parametrize("spec", ["figure1:t=10", "figure1:T=10,bogus=1",
+                                      "figure1:T=10,T=20"])
+    def test_synth_key_the_generator_does_not_take_is_usage_error(self, capsys, spec):
+        code, out, err = run_cli(capsys, ["train", "--synth", spec, "--learner", "ng",
+                                          "--loss", "hinge", "--eta", "1"])
+        assert (code, out) == (1, "")
+        assert err.count("\n") == 1
+        assert f"argument --synth: bad synth spec {spec!r}: " in err
+
     def test_import_loads_no_scipy(self):
         probe = "import sys, nol.cli; print('scipy' in sys.modules)"
         done = subprocess.run([sys.executable, "-c", probe], capture_output=True,

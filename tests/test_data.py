@@ -56,6 +56,11 @@ class TestSvmlight:
             parse_svmlight_line(bad, line_number=7)
         assert str(excinfo.value) == f"line 7: {message}"
 
+    def test_finite_values_whose_sum_overflows_are_kept(self):
+        # the whole-line sum is inf, so the token-by-token path parses the line
+        e = parse_svmlight_line("1 0:1e308 1:1e308")
+        assert e.features == ((0, 1e308), (1, 1e308))
+
     def test_round_trip(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
@@ -161,6 +166,10 @@ class TestDelimited:
     def test_non_finite_value_rejected(self):
         with pytest.raises(DataFormatError, match="^line 2: non-finite value 'inf'$"):
             list(read_delimited(["a,y", "inf,1"]))
+
+    def test_empty_cell_drops_the_feature(self):
+        got = list(read_delimited(["a,b,y", ",2,1", " ,,-1"]))
+        assert got == [ex({1: 2.0}, 1.0), ex({}, -1.0)]
 
 
 class TestPrenormalize:
@@ -309,3 +318,15 @@ class TestSynthSpec:
     def test_bad_specs(self, bad):
         with pytest.raises(DataFormatError):
             parse_synth_spec(bad)
+
+    BAD_KEYS = [("figure1:t=10", "unknown key 't'; figure1 takes s, T"),
+                ("figure1:T=10,bogus=1", "unknown key 'bogus'; figure1 takes s, T"),
+                ("figure1:T=10,T=20", "repeated key 'T'; figure1 takes s, T"),
+                ("scaled:d=2,s=1", "unknown key 's'; scaled takes d, T, lo, hi"),
+                ("scaled: lo=1,lo =2", "repeated key 'lo'; scaled takes d, T, lo, hi")]
+
+    @pytest.mark.parametrize("spec,words", BAD_KEYS, ids=[spec for spec, _ in BAD_KEYS])
+    def test_key_the_generator_does_not_take(self, spec, words):
+        with pytest.raises(DataFormatError) as excinfo:
+            parse_synth_spec(spec)
+        assert str(excinfo.value) == f"bad synth spec {spec!r}: {words}"

@@ -66,7 +66,7 @@ class TestProjectBall:
             if rng.random() < 0.25:   # a point already in the ball
                 u *= rng.uniform(0.0, 1.0) * C / np.abs(u).sum()
             inside += int(np.abs(u).sum() <= C)
-            got = regret._project_ball(u, C, 1)
+            got = regret._project_ball(u, C)
             assert np.array_equal(got, _batch_project_l1(u[None], C)[0]), (u, C)
         assert inside >= 50
 
@@ -99,16 +99,15 @@ class TestBestInHindsight:
         _, fc, _ = best_in_hindsight(stream, loss, ball)
         assert abs(fg - fc) <= 1e-8 * max(1.0, abs(fg))
 
-    @pytest.mark.parametrize("loss_kind,q,C", [
-        *[pytest.param(k, q, 1.0, id=f"{k}-{q}") for k, q in [
-            ("hinge", 1), ("squared", 1), ("squared", 2), ("logistic", 1), ("logistic", 2)]],
-        *[pytest.param("hinge", 1, C, id=f"hinge-1-C{C}") for C in HINGE_CS]])
-    def test_certificate(self, loss_kind, q, C):
+    @pytest.mark.parametrize("loss_kind,C", [
+        *[pytest.param(k, 1.0, id=f"{k}-1") for k in ("hinge", "squared", "logistic")],
+        *[pytest.param("hinge", C, id=f"hinge-1-C{C}") for C in HINGE_CS]])
+    def test_certificate(self, loss_kind, C):
         loss = get_loss(loss_kind)
         for seed in range(8):
             stream = random_instance(700 + seed, d=2, T=80,
                                      classification=loss_kind != "squared")
-            ball = ComparatorBall(EnclosingBox.from_stream(stream), C=C, q=q)
+            ball = ComparatorBall(EnclosingBox.from_stream(stream), C=C, q=1)
             w, fc, cert = best_in_hindsight(stream, loss, ball)
             assert cert.method == ("lp" if loss_kind == "hinge" else "fista")
             if cert.method == "fista":
@@ -201,11 +200,17 @@ class TestBestInHindsight:
         with pytest.raises(NolError, match="after 3 pivots"):
             best_in_hindsight(stream, get_loss("hinge"), ball)
 
-    def test_hinge_l2_ball_rejected(self):
+    @pytest.mark.parametrize("loss_kind", ["hinge", "squared", "logistic"])
+    def test_l2_ball_rejected(self, loss_kind):
         stream = random_instance(7, d=2, T=20)
         ball = ComparatorBall(EnclosingBox.from_stream(stream), C=1.0, q=2)
-        with pytest.raises(NolError):
-            best_in_hindsight(stream, get_loss("hinge"), ball)
+        with pytest.raises(NolError, match="L1 ball only"):
+            best_in_hindsight(stream, get_loss(loss_kind), ball)
+
+    def test_l2_ball_rejected_before_any_work(self):
+        ball = ComparatorBall(EnclosingBox(), C=1.0, q=2)   # empty, too
+        with pytest.raises(NolError, match="L1 ball only"):
+            best_in_hindsight([ex({0: 1.0})], SQ, ball)
 
     def test_empty_ball_rejected(self):
         ball = ComparatorBall(EnclosingBox(), C=1.0, q=1)
@@ -341,6 +346,15 @@ class TestTheorem1:
         assert bound == pytest.approx(2.0 * SQRT2 * 2.5, rel=1e-12)
         assert bound == pytest.approx(7.0710678, rel=1e-6)
 
+    def test_bound_value_of_a_worked_stream(self):
+        # hinge, C = 1, box m_0 = 2. Round 1: yhat = 0, g = -2, A = 2 sqrt 2,
+        # w_0 = 1/sqrt 2, projected to |w_0| m_0 = 1: w_0 = 1/2. Round 2:
+        # yhat = 1/2 < 1, g = -1. So sum g^2 = 5, S_00 = 1/4 and the bound is
+        # 2 sqrt 2 * sqrt(5/4) = sqrt 10
+        rep = theorem1_check([ex({0: 2.0}, 1.0), ex({0: 1.0}, 1.0)], get_loss("hinge"), C=1.0)
+        assert rep.components["lemma2_bound"] == pytest.approx(math.sqrt(5.0) / 2.0, rel=1e-12)
+        assert rep.bound_value == pytest.approx(math.sqrt(10.0), rel=1e-12)
+
     def test_zero_gradient_run(self):
         # squared loss with all labels 0: the zero predictor is perfect,
         # no gradient ever fires, bound and regret are both degenerate
@@ -401,6 +415,20 @@ class TestCorollary1:
             corollary1_tau(10, 0.0, 0.5)
         with pytest.raises(ValueError):
             corollary1_tau(10, 0.1, 1.5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_violation_fraction_is_scale_free(self, seed):
+        # Delta_i and its bound are ratios of one feature's magnitudes, so no
+        # floor may stand under the magnitudes: uniform scalings far below
+        # 1e-12 and per-coordinate ones over 1e+-300 give the same fraction
+        stream = random_instance(seed, d=10, T=400)
+        want = corollary1_montecarlo(stream, 10, 0.1, 0.5)["violation_fraction"]
+        rng = np.random.default_rng(seed)
+        scalings = [dict.fromkeys(range(10), s) for s in (1e-13, 1e-20, 2.0 ** -1000, 1e20)]
+        scalings.append(dict(enumerate(10.0 ** rng.uniform(-300.0, 300.0, 10))))
+        for D in scalings:
+            mc = corollary1_montecarlo(list(apply_scaling(stream, D)), 10, 0.1, 0.5)
+            assert mc["violation_fraction"] == want, D
 
     def test_montecarlo_bound(self):
         stream = random_instance(5, d=10, T=300)

@@ -44,8 +44,11 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
 * regret reports whose numbers leave the float range (``lemma1`` and
   ``thm2`` on squared loss at ``-C 1e152``), a hinge LP that runs out of
   pivots (``thm1`` at ``-C 1e20``), a ``--seed`` of -1 for each command,
-  and a regression sweep whose loss scale underflows to 0;
-* ``nol.data.prenormalize`` of a one-shot iterator, in both modes.
+  a regression sweep whose loss scale underflows to 0, and ``nol train`` on
+  ``--synth`` specs with a key the generator does not take or a repeated
+  key;
+* ``nol.data.prenormalize`` of a one-shot iterator, in both modes, and
+  ``nol.regret.corollary1_montecarlo`` on features scaled by 1e-13.
 
 OUT_DIR gets one sorted-keys JSON file per command: its argv (the temporary
 directory written as ``$TMP``), exit code, stderr and report, the report
@@ -245,12 +248,17 @@ def _repro_commands(tmp):
     yield ("sweep-regression-scale-underflow",
            ["sweep", "--data", path, "--learners", "sgd", "--eta-grid", "1..1", "--loss",
             "squared", "--task", "regression"])
+    for name, spec in (("lowercase-key", "figure1:t=10"), ("unknown-key", "figure1:T=10,bogus=1"),
+                       ("repeated-key", "figure1:T=10,T=20")):
+        yield (f"train-synth-{name}", ["train", "--synth", spec, "--learner", "ng",
+                                       "--loss", "hinge", "--eta", "1"])
 
 
 def _call_snapshots():
     """(label, description, call) of the library calls snapshotted."""
     from nol.core import SparseExample
     from nol.data import prenormalize
+    from nol.regret import apply_scaling, corollary1_montecarlo, random_instance
 
     examples = [SparseExample(((0, 2.0), (1, -4.0)), 1.0), SparseExample(((0, -1.0),), -1.0)]
     for mode in ("maxnorm", "sqnorm"):
@@ -260,6 +268,12 @@ def _call_snapshots():
                     "examples": [[list(ex.features), ex.label] for ex in view]}
         yield (f"prenormalize-one-shot-{mode}",
                f"prenormalize(iter(examples), {mode!r}) over {examples!r}", call)
+    for scale in (1.0, 1e-13):
+        def call(scale=scale):
+            stream = apply_scaling(random_instance(0, d=10, T=400), dict.fromkeys(range(10), scale))
+            return corollary1_montecarlo(list(stream), 10, 0.1, 0.5)
+        yield (f"cor1-scaled-{scale}", "corollary1_montecarlo(random_instance(0, d=10, T=400) "
+               f"scaled by {scale}, 10, 0.1, 0.5)", call)
 
 
 def _bench_commands(inputs, tmp, root):
