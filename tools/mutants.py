@@ -10,13 +10,13 @@ edit: its exact old text in its file, which must occur there exactly once
 the code has to update the row), is replaced by the new text. Then
 ``python -m pytest -x -q -p no:cacheprovider`` runs the row's selection in
 the copy, with the copy's ``src`` first on ``PYTHONPATH`` and no bytecode
-written. The row is
-killed when the selection fails (pytest exit 1), survived when it passes
-(exit 0), and an error otherwise.
+written. The row is killed when the selection fails (pytest exit 1),
+survived when it passes (exit 0), and an error otherwise.
 
 One line per row as it ends; the last stdout line is one JSON object: per
-row its name, file, claim, outcome and seconds, then killed, total and
-seconds. The method is mutation analysis: DeMillo, Lipton & Sayward, "Hints
+row its name, file, claim, outcome, pytest's summary line and seconds,
+then killed, total and seconds. The exit code is 0 when every row is
+killed. The method is mutation analysis: DeMillo, Lipton & Sayward, "Hints
 on test data selection", IEEE Computer 11(4), 1978.
 """
 
