@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
 from .core import SparseExample
+from .errors import NumericFault
 
 SQRT2 = math.sqrt(2.0)
 
@@ -98,7 +99,8 @@ class DiagonalConditioner:
     the box, a no-op for the transductive box, which already holds every
     example's max. A_t is returned as a dict over the coordinates with
     nonzero gradient mass, at the step size eta = sqrt(2) that the
-    Theorem 1 and 2 bounds are written for."""
+    Theorem 1 and 2 bounds are written for. A nonzero gradient whose entry
+    underflows to 0 is a NumericFault: the update divides by it."""
 
     C: float
     box: EnclosingBox = field(default_factory=EnclosingBox)
@@ -113,11 +115,11 @@ class DiagonalConditioner:
                 self.sum_g2[i] = self.sum_g2.get(i, 0.0) + gi * gi
         inv_ceta = 1.0 / (self.C * SQRT2)
         m = self.box.m
-        return {
-            i: inv_ceta * math.sqrt(s) * m[i]
-            for i, s in self.sum_g2.items()
-            if i in m
-        }
+        A = {i: inv_ceta * math.sqrt(s) * m[i] for i, s in self.sum_g2.items() if i in m}
+        for i, gi in g.items():
+            if gi != 0.0 and A[i] == 0.0:
+                raise NumericFault(f"conditioner entry underflows to 0 at coordinate {i}")
+        return A
 
 
 def hindsight_conditioner(sum_g2: Mapping[int, float], box: EnclosingBox,

@@ -149,9 +149,8 @@ def conditioned_run(examples: Sequence[SparseExample], loss: Loss, C: float,
         if not projection:
             ledger.rounds.append(LedgerRound(ex, gp, A, dict(w)))
         for i, gi in g.items():
-            Ai = A.get(i, 0.0)
-            if Ai > 0.0 and gi != 0.0:
-                w[i] = w.get(i, 0.0) - gi / Ai
+            if gi != 0.0:
+                w[i] = w.get(i, 0.0) - gi / A[i]
         if projection:
             w = project(w, A, ball)
         return (lval,)
@@ -404,11 +403,8 @@ def lemma1_check(ledger: RegretLedger, loss: Loss, w: Dict[int, float]) -> Bound
     for r in rounds:
         for i, v in r.x.features:
             gi = r.gprime * v
-            Ai = r.A.get(i, 0.0)
-            if Ai > 0.0:
-                grad_sum += gi * gi / Ai
-            elif gi != 0.0:
-                raise NolError(f"missing conditioner entry for active coordinate {i}")
+            if gi != 0.0:
+                grad_sum += gi * gi / r.A[i]
 
     bound = first_term + increment_sum + grad_sum
     slack = bound - 2.0 * regret

@@ -164,7 +164,7 @@ class TestAcceptance:
 
         for k in range(100):
             d = int(rng.integers(1, 6))
-            T = int(rng.integers(20, 300))
+            T = int(rng.integers(20, 500))
             stream = random_instance(1000 + k, d=d, T=T, classification=False)
             ledger = conditioned_run(stream, sq, C=1.0, recipe="streaming",
                                      projection=False)
@@ -223,6 +223,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         worst_gap = 0.0
         worst_drift = 0.0
+        worst_excess = 0.0
         for q in (1, 2):
             rng = np.random.default_rng(31 if q == 1 else 32)
             for _ in range(100):
@@ -233,6 +234,7 @@ class TestAcceptance:
                 ball = ComparatorBall(EnclosingBox(m), C, q)
                 w = {i: float(rng.uniform(-3, 3)) for i in range(d)}
                 p = project(w, A, ball)
+                worst_excess = max(worst_excess, ball.norm(p) - C)
 
                 dist = sum(A[i] * (p.get(i, 0.0) - w[i]) ** 2 for i in range(d))
                 u0 = np.array([w[i] * m[i] for i in range(d)])
@@ -244,11 +246,11 @@ class TestAcceptance:
                 worst_drift = max(worst_drift,
                                   max(abs(p2[i] - p[i]) for i in range(d)))
         elapsed = time.perf_counter() - t0
-        ok = worst_gap <= 1e-6 and worst_drift <= 1e-9
+        ok = worst_gap <= 1e-6 and worst_drift <= 1e-9 and worst_excess <= 1e-9
         report(5, "projection oracle equivalence", ok,
                f"200 instances, worst oracle gap {worst_gap:.2e} (<= 1e-6), "
-               f"worst idempotence drift {worst_drift:.2e} (<= 1e-9); "
-               f"{elapsed:.1f}s")
+               f"worst idempotence drift {worst_drift:.2e} (<= 1e-9), "
+               f"worst norm past C {worst_excess:.2e} (<= 1e-9); {elapsed:.1f}s")
 
     def test_criterion_6_hindsight_optimality(self):
         t0 = time.perf_counter()

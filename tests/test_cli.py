@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from nol import cli, evaluate, regret
 from nol.cli import _parse_eta_grid, main
+from nol.core import SparseExample
 from nol.data import read_svmlight
 from nol.errors import DataFormatError
 
@@ -704,6 +706,23 @@ class TestStreaming:
         self.assert_peak_is_flat(capsys, tmp_path, lambda path: [
             "sweep", "--data", str(path), "--learners", "ng,nag,snag", "--loss", "logistic",
             "--report", str(tmp_path / "r.json")])
+
+    def test_sweep_drops_a_block_before_reading_the_next(self, monkeypatch):
+        # one held block does not grow the traced peak with the file: no list
+        # but the test's own may hold a block's examples once the next is read
+        monkeypatch.setattr(evaluate, "BLOCK", 4)
+        examples = [SparseExample(((0, 1.0 + k),), 1.0 - 2 * (k % 2)) for k in range(12)]
+        holders = []
+
+        def stream():
+            for k, x in enumerate(examples):
+                if k and k % 4 == 0:   # the first example of the next block
+                    holders.extend(r for r in gc.get_referrers(examples[k - 4])
+                                   if isinstance(r, list) and r is not examples)
+                yield x
+
+        evaluate.sweep(["ng", "nag"], "hinge", stream())
+        assert holders == []
 
     BREAKS = "1 0:1\r\n-1 1:2\r1 0:3\x0c-1 0:0.5 2:4\u2028# note\n\n1 1:-5\x0b-1 0:2\n"
 

@@ -106,6 +106,10 @@ class TestLosses:
         assert l == pytest.approx(math.log(2.0), rel=1e-12)
         assert g == pytest.approx(-0.5, rel=1e-12)
 
+    def test_unknown_loss(self):
+        with pytest.raises(ValueError, match="unknown loss 'cubic'"):
+            get_loss("cubic")
+
     @pytest.mark.parametrize("kind", ["hinge", "logistic"])
     def test_classification_label_checked(self, kind):
         with pytest.raises(InvalidLabel):

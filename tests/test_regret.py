@@ -6,7 +6,7 @@ import pytest
 from nol import regret
 from nol.conditioners import ComparatorBall, EnclosingBox, SQRT2
 from nol.core import SparseExample, get_loss
-from nol.errors import NolError
+from nol.errors import NolError, NumericFault
 from nol.regret import (
     FISTA_GAP_TOL,
     _dense_in_ball_coords,
@@ -218,6 +218,26 @@ class TestBestInHindsight:
             best_in_hindsight([ex({0: 1.0})], SQ, ball)
 
 
+class TestConditionedRun:
+    def test_unknown_recipe(self):
+        with pytest.raises(ValueError, match="unknown conditioner recipe 'hindsight'"):
+            conditioned_run([ex({0: 1.0})], SQ, C=1.0, recipe="hindsight")
+
+    # scaled by 1e-200, every squared gradient underflows to 0, and so does
+    # the conditioner's entry, which the update divides by
+    @pytest.mark.parametrize("check", [
+        theorem1_check, theorem2_check,
+        lambda stream, loss, C: lemma1_check(
+            conditioned_run(stream, loss, C, projection=False), loss, {})],
+        ids=["thm1", "thm2", "lemma1"])
+    def test_underflowing_conditioner_is_numeric_fault(self, check):
+        stream = list(apply_scaling(random_instance(0, d=3, T=200),
+                                    dict.fromkeys(range(3), 1e-200)))
+        with pytest.raises(NumericFault,
+                           match="^example 1: conditioner entry underflows to 0 at coordinate 0$"):
+            check(stream, get_loss("hinge"), 1.0)
+
+
 class TestEmpiricalRegret:
     def test_zero_learning_rate_instance(self):
         # always-predict-0 on ten copies of (x=1, y=1) with squared loss
@@ -272,23 +292,6 @@ class TestLemma1:
                                  projection=True)
         with pytest.raises(NolError):
             lemma1_check(ledger, SQ, {})
-
-    def test_property_suite(self):
-        rng = np.random.default_rng(123)
-        for k in range(100):
-            d = int(rng.integers(1, 6))
-            T = int(rng.integers(20, 500))
-            stream = random_instance(1000 + k, d=d, T=T, classification=False)
-            ledger = conditioned_run(stream, SQ, C=1.0, recipe="streaming",
-                                     projection=False)
-            ball = ComparatorBall(ledger.box, C=1.0, q=1)
-            coords = sorted(ball.box.m)
-            u = rng.uniform(-1, 1, size=len(coords))
-            u *= 1.0 / max(1.0, np.abs(u).sum())
-            w = {i: u[j] / ball.box.m[i] for j, i in enumerate(coords)}
-            for comparator in ({}, w):
-                rep = lemma1_check(ledger, SQ, comparator)
-                assert rep.slack >= -1e-6
 
     @staticmethod
     def definition(ledger, w):
@@ -363,14 +366,6 @@ class TestTheorem1:
         assert rep.bound_value == 0.0
         assert rep.empirical_regret <= 1e-9
 
-    def test_property_suite_small(self):
-        for k in range(5):
-            loss = get_loss("hinge" if k % 2 == 0 else "squared")
-            stream = random_instance(300 + k, d=3, T=150,
-                                     classification=loss.kind == "hinge")
-            rep = theorem1_check(stream, loss, C=1.0)
-            assert rep.passed
-
 
 class TestTheorem2:
     def test_constant_scale_reduces_to_factor_2sqrt2(self):
@@ -395,14 +390,6 @@ class TestTheorem2:
         comp = theorem2_components(ledger)
         assert comp[0] == pytest.approx(2.5 * 17.0 / (2.0 * SQRT2), rel=1e-9)
         assert comp[0] == pytest.approx(15.026, abs=1e-3)
-
-    def test_property_suite_small(self):
-        for k in range(5):
-            loss = get_loss("hinge" if k % 2 == 0 else "squared")
-            stream = random_instance(400 + k, d=3, T=150,
-                                     classification=loss.kind == "hinge")
-            rep = theorem2_check(stream, loss, C=1.0)
-            assert rep.passed
 
 
 class TestCorollary1:

@@ -74,6 +74,45 @@ TABLE = (
            "mag = abs(ui) - lam / d[i]",
            (ACCEPTANCE + "test_criterion_5_projection_oracle",),
            "criterion 5: the weighted L1 projection matches the grid oracle"),
+    Mutant("l2-projection-keeps-points-within-2C", "src/nol/conditioners.py",
+           "if math.sqrt(sum(v * v for v in u.values())) <= C:",
+           "if math.sqrt(sum(v * v for v in u.values())) <= 2.0 * C:",
+           (ACCEPTANCE + "test_criterion_5_projection_oracle",),
+           "criterion 5: the weighted L2 projection is feasible and matches the grid oracle"),
+    # the other criteria, each against a defect that a unit test of the same
+    # check on other draws also catches
+    Mutant("nag-step-without-scale", "src/nol/learners.py",
+           "den *= math.sqrt(Gi)", "den = math.sqrt(Gi)",
+           (ACCEPTANCE + "test_criterion_1_scale_invariance",),
+           "criterion 1: nag's and snag's step divides by scale_i sqrt(G_i)"),
+    Mutant("sgd-runs-ng", "src/nol/learners.py",
+           '"sgd": _Stage(None, None, _rate_one, False, False),',
+           '"sgd": _Stage(_track_max, _squash_ng, _rate_ng, False, True),',
+           (ACCEPTANCE + "test_criterion_1_scale_invariance",),
+           "criterion 1: the sgd baseline is not scale invariant"),
+    Mutant("cor1-warmup-halved", "src/nol/regret.py",
+           "prefix = M[perm[: min(tau, T)]].max(axis=0)",
+           "prefix = M[perm[: min(tau, T) // 2]].max(axis=0)",
+           (ACCEPTANCE + "test_criterion_4_quantile_bound",),
+           "criterion 4: Corollary 1's warm-up of tau examples bounds every Delta_i"),
+    Mutant("hindsight-conditioner-without-C", "src/nol/conditioners.py",
+           "out[i] = math.sqrt(s / box.s_ii(i)) / C", "out[i] = math.sqrt(s / box.s_ii(i))",
+           (ACCEPTANCE + "test_criterion_6_hindsight_optimality",),
+           "criterion 6: no +-10% perturbation of the hindsight conditioner improves it"),
+    Mutant("squared-derivative-halved", "src/nol/core.py",
+           "return d * d, 2.0 * d", "return d * d, d",
+           (ACCEPTANCE + "test_criterion_7_gradient_checks",),
+           "criterion 7: the squared loss's derivative matches finite differences"),
+    Mutant("hinge-derivative-from-margin-0", "src/nol/core.py",
+           "return max(0.0, 1.0 - m), (-y if m < 1.0 else 0.0)",
+           "return max(0.0, 1.0 - m), (-y if m < 0.0 else 0.0)",
+           (ACCEPTANCE + "test_criterion_7_gradient_checks",),
+           "criterion 7: the hinge loss's derivative matches finite differences"),
+    Mutant("logistic-derivative-branches-swapped", "src/nol/core.py",
+           "-y * ((e if m >= 0.0 else 1.0) / (1.0 + e))",
+           "-y * ((1.0 if m >= 0.0 else e) / (1.0 + e))",
+           (ACCEPTANCE + "test_criterion_7_gradient_checks",),
+           "criterion 7: the logistic loss's derivative matches finite differences"),
     # the learners' numerics
     Mutant("nag-rate-x(1+1e-6)", "src/nol/learners.py",
            "def _rate_nag(t, N):\n    return math.sqrt(t / N)",
@@ -94,11 +133,52 @@ TABLE = (
            "            pass",
            ("tests/test_learners.py",),
            "the grid's block statistics equal the scalar stages'"),
+    Mutant("step-division-reassociated", "src/nol/learners.py",
+           "(lr * g / den if den else lr * g * math.inf)",
+           "(lr * (g / den) if den else lr * g * math.inf)",
+           ("tests/test_learners.py::TestGridLearner::test_first_step_is_the_grid_step",),
+           "Learner's step is the grid's, in the same order of operations"),
+    Mutant("step-plain-division", "src/nol/learners.py",
+           "(lr * g / den if den else lr * g * math.inf)", "lr * g / den",
+           ("tests/test_learners.py::TestStepFaults",),
+           "a step whose denominator underflows to 0 is a weight fault, as the grid's"),
+    Mutant("eta-decay-on-every-kind", "src/nol/learners.py",
+           "if cfg.eta_decay and not stage.sums else", "if cfg.eta_decay else",
+           ("tests/test_learners.py::TestEtaDecay",),
+           "eta_decay leaves the kinds with gradient sums as they are"),
+    Mutant("eta-decay-sqrt-t-plus-1", "src/nol/learners.py",
+           "math.sqrt(l.t)", "math.sqrt(l.t + 1)",
+           ("tests/test_learners.py::TestEtaDecay",),
+           "eta_decay's second step takes eta / sqrt 2"),
+    Mutant("no-squash", "src/nol/learners.py",
+           "w[i] *= squash(si, av)", "pass",
+           ("tests/test_learners.py::TestInvariants::test_squash_conservation",),
+           "a growing max squashes the weight: w_i s_i^power is conserved"),
+    Mutant("snag-without-zero-scale-check", "src/nol/learners.py",
+           "if sig_new == 0.0:", "if False:",
+           ("tests/test_learners.py::TestStatisticsOverflow",),
+           "a snag scale of 0 is a fault naming its coordinate"),
+    Mutant("grid-ignores-snag-fault", "src/nol/learners.py",
+           "if len(fails):", "if False:",
+           ("tests/test_learners.py::TestStackedGrid",),
+           "a snag statistics fault in the grid fails the snag rows only"),
+    Mutant("predict-overflow-path-raises", "src/nol/core.py",
+           "return math.fsum([t * 2.0 ** -64 for t in terms]) * 2.0 ** 64", "raise",
+           ("tests/test_core.py::TestPredict",),
+           "a partial sum that overflows leaves predict the exact sum, whatever the order"),
     # the hindsight oracle
     Mutant("fista-without-restart", "src/nol/regret.py",
            "if (v - u_new) @ (u_new - u) > 0.0:", "if False:",
            ("tests/test_regret.py::TestBestInHindsight",),
            "FISTA's gradient restart keeps its steps within the certificate test's cap"),
+    Mutant("lp-u-flipped", "src/nol/regret.py",
+           "mu[d:] - mu[:d]", "mu[:d] - mu[d:]",
+           ("tests/test_regret.py::TestBestInHindsight",),
+           "the hinge LP reads u off its row duals with the right sign"),
+    Mutant("conditioner-underflow-unchecked", "src/nol/conditioners.py",
+           "if gi != 0.0 and A[i] == 0.0:", "if False:",
+           ("tests/test_regret.py::TestConditionedRun",),
+           "a conditioner entry that underflows to 0 faults, naming its coordinate"),
     Mutant("oracle-accepts-l2-ball", "src/nol/regret.py",
            "    if ball.q != 1:\n        raise NolError(", "    if ball.q > 2:\n        raise NolError(",
            ("tests/test_regret.py::TestBestInHindsight",),
@@ -118,6 +198,20 @@ TABLE = (
            "cols = [Wx[:, r], Gx[:, g[0]]] if len(g) else [Wx[:, r]]",
            ("tests/test_evaluate.py",),
            "a sweep cell fails in progressive_validation's words, gradient sum before weight"),
+    # the sweep
+    Mutant("sweep-cell-names-the-wrong-example", "src/nol/evaluate.py",
+           "n + j + 1", "n + j",
+           ("tests/test_evaluate.py::TestSweepMatchesScalar",),
+           "a failed sweep cell names the example progressive_validation names"),
+    Mutant("sweep-loss-sum-reassociated", "src/nol/evaluate.py",
+           "train_sums = np.add.accumulate(np.vstack([train, L]))[1:]",
+           "train_sums = train + np.add.accumulate(L)",
+           ("tests/test_evaluate.py::TestSweepBlocks",),
+           "the sweep adds losses one example at a time: cells do not depend on the block size"),
+    Mutant("sweep-holds-a-block", "src/nol/evaluate.py",
+           "            del block   # not held while the next one is read\n", "",
+           ("tests/test_cli.py::TestStreaming",),
+           "the sweep holds one block of examples at a time"),
     # the data readers and the Corollary 1 check
     Mutant("cor1-absolute-floor", "src/nol/regret.py",
            "total_max / prefix, np.inf)", "total_max / np.maximum(prefix, eps), np.inf)",

@@ -47,8 +47,12 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
   a regression sweep whose loss scale underflows to 0, and ``nol train`` on
   ``--synth`` specs with a key the generator does not take or a repeated
   key;
-* ``nol.data.prenormalize`` of a one-shot iterator, in both modes, and
-  ``nol.regret.corollary1_montecarlo`` on features scaled by 1e-13.
+* ``nol.data.prenormalize`` of a one-shot iterator, in both modes,
+  ``nol.regret.corollary1_montecarlo`` on features scaled by 1e-13, and the
+  regret lab's ``theorem1_check``, ``theorem2_check`` and ``lemma1_check``
+  (against w = 0, on a run without projection) of each loss at C = 1, on
+  ``random_instance(0, d=3, T=200)`` scaled by 1e-200, where the squared
+  gradients underflow.
 
 OUT_DIR gets one sorted-keys JSON file per command: its argv (the temporary
 directory written as ``$TMP``), exit code, stderr and report, the report
@@ -60,6 +64,7 @@ results give snapshots that ``diff -r`` finds equal.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -256,9 +261,10 @@ def _repro_commands(tmp):
 
 def _call_snapshots():
     """(label, description, call) of the library calls snapshotted."""
-    from nol.core import SparseExample
+    from nol.core import SparseExample, get_loss
     from nol.data import prenormalize
-    from nol.regret import apply_scaling, corollary1_montecarlo, random_instance
+    from nol.regret import (apply_scaling, conditioned_run, corollary1_montecarlo,
+                            lemma1_check, random_instance, theorem1_check, theorem2_check)
 
     examples = [SparseExample(((0, 2.0), (1, -4.0)), 1.0), SparseExample(((0, -1.0),), -1.0)]
     for mode in ("maxnorm", "sqnorm"):
@@ -274,6 +280,19 @@ def _call_snapshots():
             return corollary1_montecarlo(list(stream), 10, 0.1, 0.5)
         yield (f"cor1-scaled-{scale}", "corollary1_montecarlo(random_instance(0, d=10, T=400) "
                f"scaled by {scale}, 10, 0.1, 0.5)", call)
+
+    def lemma1(stream, loss, C):
+        return lemma1_check(conditioned_run(stream, loss, C, projection=False), loss, {})
+
+    for loss in LOSSES:
+        for name, check in (("thm1", theorem1_check), ("thm2", theorem2_check),
+                            ("lemma1", lemma1)):
+            def call(loss=loss, check=check):
+                stream = list(apply_scaling(random_instance(0, d=3, T=200),
+                                            dict.fromkeys(range(3), 1e-200)))
+                return dataclasses.asdict(check(stream, get_loss(loss), 1.0))
+            yield (f"regret-{name}-{loss}-scaled-1e-200", f"{name} of random_instance(0, d=3, "
+                   f"T=200) scaled by 1e-200, {loss}, C = 1", call)
 
 
 def _bench_commands(inputs, tmp, root):
