@@ -115,7 +115,7 @@ class DiagonalConditioner:
                 self.sum_g2[i] = self.sum_g2.get(i, 0.0) + gi * gi
         inv_ceta = 1.0 / (self.C * SQRT2)
         m = self.box.m
-        A = {i: inv_ceta * math.sqrt(s) * m[i] for i, s in self.sum_g2.items() if i in m}
+        A = {i: inv_ceta * math.sqrt(s) * m[i] for i, s in self.sum_g2.items()}
         for i, gi in g.items():
             if gi != 0.0 and A[i] == 0.0:
                 raise NumericFault(f"conditioner entry underflows to 0 at coordinate {i}")

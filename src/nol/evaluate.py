@@ -57,7 +57,7 @@ def progressive_validation(config: LearnerConfig, loss: Loss,
     loss; ties (yhat == 0) count as errors. Regression divides squared loss
     by the worst-possible-loss scale (max - min)^2 of the labels.
     """
-    loss_scale = _regression_scale(examples) if task == "regression" else None
+    loss_scale = _loss_scale(examples, task)
     learner = Learner(config, loss)
 
     def step(ex):
@@ -75,6 +75,16 @@ def _eval_loss(yhat, y, loss_scale: Optional[float]):
         return np.sign(yhat) != y
     d = yhat - y
     return d * d / loss_scale
+
+
+def _loss_scale(examples: Iterable[SparseExample], task: str) -> Optional[float]:
+    """The eval loss scale of a task: None for classification, whose eval
+    loss is 0-1, and the labels' (max - min)^2 for regression."""
+    if task == "classification":
+        return None
+    if task == "regression":
+        return _regression_scale(examples)
+    raise ValueError(f"unknown task {task!r}")
 
 
 def _regression_scale(examples: Iterable[SparseExample]) -> float:
@@ -172,7 +182,7 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
         raise ValueError("eta grid must be nonempty")
     if any(b <= a for a, b in zip(eta_grid, eta_grid[1:])):
         raise ValueError("eta grid must be strictly increasing")
-    loss_scale = _regression_scale(examples) if task == "regression" else None
+    loss_scale = _loss_scale(examples, task)
     learner = GridLearner(kinds, eta_grid, get_loss(loss), clip_c)
     rows = len(learner.etas)
     train, ev = np.zeros(rows), np.zeros(rows)
@@ -312,18 +322,18 @@ def significance(losses_a: Sequence[float], losses_b: Sequence[float],
     """
     if not 0.0 < failure_probability < 1.0:
         raise ValueError(f"failure probability must lie in (0, 1), got {failure_probability!r}")
-    if len(losses_a) != len(losses_b):
+    n = len(losses_a)
+    if n != len(losses_b):
         raise ValueError("loss sequences must have equal length")
-    if not losses_a:
+    if n == 0:
         raise ValueError("empty loss sequences")
     for seq in (losses_a, losses_b):
         for v in seq:
             if not 0.0 <= v <= 1.0:
                 raise ValueError("losses must be bounded in [0, 1]")
-    n = len(losses_a)
     alpha = failure_probability / 4.0
-    ma = sum(losses_a) / n
-    mb = sum(losses_b) / n
+    ma = float(sum(losses_a)) / n
+    mb = float(sum(losses_b)) / n
     ia = kl_confidence_interval(ma, n, alpha)
     ib = kl_confidence_interval(mb, n, alpha)
     disjoint = ia[1] < ib[0] or ib[1] < ia[0]

@@ -458,8 +458,6 @@ def theorem2_components(ledger: RegretLedger) -> Dict[int, float]:
     deltas = ledger.delta_ratios()
     out = {}
     for i, s in ledger.sum_g2.items():
-        if s <= 0.0 or i not in ledger.box.m:
-            continue
         D = deltas[i]
         factor = (1.0 + 6.0 * D + D * D) / (2.0 * SQRT2)
         out[i] = ledger.C * (math.sqrt(s) / ledger.box.m[i]) * factor
@@ -482,6 +480,8 @@ def corollary1_tau(d: int, delta: float, nu: float) -> int:
     """tau = ceil(ln(d / delta) / nu), natural log."""
     if not (0 < delta < 1 and 0 < nu < 1):
         raise ValueError("require delta and nu in (0, 1)")
+    if d < 1:
+        raise ValueError(f"require d >= 1, got {d!r}")
     return math.ceil(math.log(d / delta) / nu)
 
 
@@ -491,6 +491,8 @@ def corollary1_montecarlo(examples: Sequence[SparseExample], d: int, delta: floa
     quantile bound; the high-probability claim puts this at <= delta, checked
     here against delta + 3 sigma binomial slack. Delta_i is max_t |x_ti| over
     max_{t<=tau} |x_ti|, and its bound max_t |x_ti| / Quantile(|x_i|, 1-nu)."""
+    if n_permutations < 1:
+        raise ValueError(f"require n_permutations >= 1, got {n_permutations!r}")
     tau = corollary1_tau(d, delta, nu)
     T = len(examples)
     M = np.zeros((T, d))  # |x_ti|

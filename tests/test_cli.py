@@ -2,6 +2,7 @@ import builtins
 import contextlib
 import gc
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -24,6 +25,11 @@ from nol.errors import DataFormatError
 
 SCHEMA = json.loads(
     resources.files("nol").joinpath("schema/report.schema.json").read_text())
+_spec = importlib.util.spec_from_file_location(
+    "report_snapshot", os.path.join(os.path.dirname(__file__), os.pardir, "tools",
+                                    "report_snapshot.py"))
+report_snapshot = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(report_snapshot)
 
 
 def run_cli(capsys, argv):
@@ -182,14 +188,6 @@ class TestSweep:
         assert [c["error"] for c in rep["cells"]] == \
                ["example 1: non-finite gradient sum inf at coordinate 0"] * 6
 
-    def test_invalid_label_is_data_error_naming_the_example(self, capsys, tmp_path):
-        # nol train exits 2 on this file with the same words
-        path = tmp_path / "d.txt"
-        path.write_text("1 0:1\n2 0:1\n")
-        assert run_cli(capsys, ["sweep", "--data", str(path), "--learners", "nag",
-                                "--loss", "hinge", "--eta-grid", "1..1"]) == \
-               (2, "", "data error: example 2: classification label must be -1 or +1, got 2.0\n")
-
     def test_unknown_learner_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, [
             "sweep", "--synth", "figure1:T=10", "--learners", "nag,bogus",
@@ -197,14 +195,7 @@ class TestSweep:
         assert code == 1
         assert "bogus" in err
 
-    def test_bad_eta_grid(self, capsys):
-        code, _, err = run_cli(capsys, [
-            "sweep", "--synth", "figure1:T=10", "--learners", "sgd",
-            "--loss", "hinge", "--eta-grid", "nope"])
-        assert code == 1
-        assert err.count("\n") == 1 and "argument --eta-grid:" in err
-
-    @pytest.mark.parametrize("grid", ["1..inf", "nan..1", "1..nan", "inf..inf", "a..1"])
+    @pytest.mark.parametrize("grid", ["nan..1", "1..nan", "inf..inf", "a..1"])
     def test_unusable_eta_grid_is_usage_error(self, capsys, grid):
         code, _, err = run_cli(capsys, [
             "sweep", "--synth", "figure1:T=10", "--learners", "sgd",
@@ -324,18 +315,11 @@ class TestExitCodes:
         (["regret", "--check", "cor1", "--nu", "nan"], "--nu"),
         *[(["sweep", "--synth", "figure1:T=10", "--learners", kinds, "--loss", "hinge"],
            "--learners") for kinds in ("", ",", "ng,ng")],
-        (["regret", "--check", "thm1", "--seed", "-1"], "--seed"),
-        (TestTrain.BASE + ["--seed", "-1"], "--seed"),
-        (TestSweep.BASE + ["--seed", "-1"], "--seed"),
-        (["train", "--data", "d.svm", "--learner", "sgd", "--loss", "hinge", "--eta", "1",
-          "--seed", "-1"], "--seed"),
     ], ids=["eta-nan", "eta-negative", "synth-s0", "C-nan", "C-inf", "C-negative",
             "T0", "d0", "instances0", "cor1-instances0", "train-clip-inf", "sweep-clip-inf",
             "thin-negative", "thin0",
             "delta0", "delta-inf", "delta-nan", "delta1", "nu1", "nu0", "nu-nan",
-            "learners-empty", "learners-comma", "learners-repeated",
-            "regret-seed-negative", "train-seed-negative", "sweep-seed-negative",
-            "data-seed-negative"])
+            "learners-empty", "learners-comma", "learners-repeated"])
     def test_bad_argument_value_is_one_line_usage_error(self, capsys, argv, flag):
         code, out, err = run_cli(capsys, argv)
         assert code == 1
@@ -343,14 +327,10 @@ class TestExitCodes:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert f"argument {flag}:" in err
 
-    @pytest.mark.parametrize("spec", ["figure1:t=10", "figure1:T=10,bogus=1",
-                                      "figure1:T=10,T=20"])
-    def test_synth_key_the_generator_does_not_take_is_usage_error(self, capsys, spec):
-        code, out, err = run_cli(capsys, ["train", "--synth", spec, "--learner", "ng",
-                                          "--loss", "hinge", "--eta", "1"])
-        assert (code, out) == (1, "")
-        assert err.count("\n") == 1
-        assert f"argument --synth: bad synth spec {spec!r}: " in err
+    @pytest.mark.parametrize("row", report_snapshot.FAILURES, ids=lambda row: row.id)
+    def test_failure_case(self, capsys, tmp_path, row):
+        argv = report_snapshot.write_failure(row, str(tmp_path))
+        assert run_cli(capsys, argv) == (row.code, "", row.stderr.replace("{tmp}", str(tmp_path)))
 
     def test_import_loads_no_scipy(self):
         probe = "import sys, nol.cli; print('scipy' in sys.modules)"
@@ -367,13 +347,6 @@ class TestExitCodes:
             "train", "--synth", "figure1:T=10", "--learner", "bogus",
             "--loss", "hinge", "--eta", "0.5"])[0] == 1
 
-    def test_missing_file_is_data_error(self, capsys):
-        code, _, err = run_cli(capsys, [
-            "train", "--data", "/nonexistent/file", "--learner", "sgd",
-            "--loss", "hinge", "--eta", "0.5"])
-        assert code == 2
-        assert "data error" in err
-
     @pytest.mark.parametrize("command", [
         ["train", "--learner", "sgd", "--loss", "hinge", "--eta", "0.5"],
         ["sweep", "--learners", "ng,nag", "--loss", "hinge", "--eta-grid", "1..1"]])
@@ -385,9 +358,8 @@ class TestExitCodes:
         assert err.startswith("data error: ") and str(tmp_path) in err
 
     @pytest.mark.parametrize("argv,flag", [
-        (TestTrain.BASE, "--report"),
         (["regret", "--check", "lemma1", "--instances", "1", "--T", "20"], "--report"),
-        (TestSweep.BASE, "--plot-data")])
+        (TestSweep.BASE, "--plot-data")], ids=["regret-report", "sweep-plot-data"])
     def test_unwritable_output_path_is_usage_error(self, capsys, tmp_path, argv, flag):
         path = str(tmp_path / "missing" / "out.json")
         code, out, err = run_cli(capsys, argv + [flag, path])
@@ -395,15 +367,6 @@ class TestExitCodes:
         assert out == ""
         assert err.count("\n") == 1
         assert f"argument {flag}: cannot write {path!r}" in err
-
-    def test_malformed_file_is_data_error(self, capsys, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("1 0:oops\n")
-        code, _, err = run_cli(capsys, [
-            "train", "--data", str(path), "--learner", "sgd", "--loss",
-            "hinge", "--eta", "0.5"])
-        assert code == 2
-        assert "line 1" in err
 
     def test_empty_dataset_is_data_error(self, capsys, tmp_path):
         path = tmp_path / "empty.txt"
@@ -425,14 +388,6 @@ class TestExitCodes:
             "train", "--data", str(path), "--format", "csv", "--learner", "sgd",
             "--loss", "hinge", "--eta", "1"]) == (2, "", "data error: line 1: empty header\n")
 
-    def test_non_finite_csv_value_is_data_error(self, capsys, tmp_path):
-        path = tmp_path / "f.csv"
-        path.write_text("a,y\ninf,1\n")
-        assert run_cli(capsys, [
-            "train", "--data", str(path), "--format", "csv", "--learner", "sgd",
-            "--loss", "hinge", "--eta", "1",
-        ]) == (2, "", "data error: line 2: non-finite value 'inf'\n")
-
     def test_train_and_sweep_name_the_same_prediction_fault(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("1 0:1\n1 0:1e10\n-1 0:1\n")
@@ -449,21 +404,16 @@ class TestExitCodes:
         (["1 0:1e154 1:1e154"] * 2, "sgd", [], 3, "example 2: non-finite prediction inf"),
         (["1 0:1e154 1:1e154"] * 2, "sgd", ["--clip-c", "1"], 0, None),
         (["1 0:1e-300"] * 3, "snag", [], 3, "example 1: zero scale at coordinate 0"),
-        (["1 0:1", "2 0:1"], "nag", [], 2,
-         "example 2: classification label must be -1 or +1, got 2.0"),
-    ], ids=["sum-overflows", "sum-overflows-clipped", "snag-zero-scale", "invalid-label"])
+    ], ids=["sum-overflows", "sum-overflows-clipped", "snag-zero-scale"])
     def test_train_and_sweep_fail_alike(self, capsys, tmp_path, lines, kind, extra, code,
                                         reason):
         # a numeric fault ends train (exit 3) and fails the sweep's cell with
-        # the same words; a data error ends both (exit 2)
+        # the same words
         path = tmp_path / "d.txt"
         path.write_text("".join(line + "\n" for line in lines))
         flags = ["--data", str(path), "--loss", "hinge", *extra]
         train = run_cli(capsys, ["train", *flags, "--learner", kind, "--eta", "1"])
         sweep = run_cli(capsys, ["sweep", *flags, "--learners", kind, "--eta-grid", "1..1"])
-        if code == 2:
-            assert train == sweep == (2, "", f"data error: {reason}\n")
-            return
         fault = "" if reason is None else f"numeric fault: {reason}\n"
         assert (train[0], train[2]) == (code, fault)
         assert sweep[0] == 0, sweep[2]
@@ -472,19 +422,9 @@ class TestExitCodes:
         if reason is None:
             assert cell["training_loss"] == strict_json(train[1])["average_loss"]
 
-    def test_overflowing_update_names_example_coordinate_and_value(self, capsys, tmp_path):
-        path = tmp_path / "d.txt"
-        path.write_text("1 0:1e300\n-1 0:1e300\n")
-        code, _, err = run_cli(capsys, [
-            "train", "--data", str(path), "--learner", "sgd", "--loss",
-            "squared", "--eta", "1e10"])
-        assert code == 3
-        assert err == "numeric fault: example 1: non-finite weight inf at coordinate 0\n"
-
     @pytest.mark.parametrize("text,reason", [
         ("1 0:1.5e154 1:1.5e154\n" * 2, "non-finite prediction inf"),
-        ("1 0:1e154 1:1e154\n" * 2, "non-finite prediction inf"),
-    ], ids=["product-overflows", "sum-overflows"])
+    ], ids=["product-overflows"])
     def test_overflowing_prediction_is_numeric_fault(self, capsys, tmp_path, text, reason):
         path = tmp_path / "d.txt"
         path.write_text(text)
@@ -493,7 +433,6 @@ class TestExitCodes:
         ]) == (3, "", f"numeric fault: example 2: {reason}\n")
 
     @pytest.mark.parametrize("kind,loss,text", [
-        ("nag", "squared", "1e150 0:1e10\n"),
         ("snag", "squared", "1e150 0:1e10\n"),
         ("adagrad", "squared", "1e150 0:1e10\n"),
         ("adagrad", "hinge", "1 0:1.5e154 1:1.5e154\n"),
@@ -565,23 +504,6 @@ class TestExitCodes:
             "--task", "regression",
         ]) == (2, "", "data error: labels from -1.0 to 1e+200: regression loss scale overflows\n")
 
-    def test_underflowing_regression_loss_scale_is_data_error(self, capsys, tmp_path):
-        path = tmp_path / "d.txt"
-        path.write_text("0 0:1\n1e-200 0:1\n")
-        assert run_cli(capsys, [
-            "sweep", "--data", str(path), "--learners", "sgd", "--eta-grid", "1..1",
-            "--loss", "squared", "--task", "regression",
-        ]) == (2, "", "data error: labels from 0.0 to 1e-200: regression loss scale underflows\n")
-
-    def test_overflowing_loss_sum_is_numeric_fault(self, capsys, tmp_path):
-        # each loss, 1.3e154 squared, is finite; their sum is not
-        path = tmp_path / "d.txt"
-        path.write_text("1.3e154 0:1\n1.3e154 0:1\n")
-        assert run_cli(capsys, [
-            "train", "--data", str(path), "--learner", "sgd", "--loss", "squared",
-            "--eta", "0", "--task", "regression",
-        ]) == (3, "", "numeric fault: example 2: non-finite loss sum inf\n")
-
     def test_overflowing_loss_sum_fails_its_cell(self, capsys, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("1.3e154 0:1\n1.2e154 0:1\n")
@@ -601,11 +523,6 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "numeric fault: example 2: non-finite loss inf\n"
 
-    def test_overflowing_regret_loss_sum_is_numeric_fault(self, capsys):
-        assert run_cli(capsys, ["regret", "--check", "lemma1", "--loss", "squared",
-                                "-C", "1e152", "--instances", "3"]) == \
-               (3, "", "numeric fault: example 162: non-finite loss sum inf\n")
-
     def test_report_that_is_not_strict_json_is_numeric_fault(self, capsys, tmp_path):
         # the bounds and slacks overflow; the report would hold Infinity
         path = tmp_path / "r.json"
@@ -621,7 +538,7 @@ class TestExitCodes:
                                 "-C", "1e20", "--instances", "1"]) == \
                (3, "", "numeric fault: LP oracle: no optimum after 5 pivots\n")
 
-    @pytest.mark.parametrize("loss", ["hinge", "logistic"])
+    @pytest.mark.parametrize("loss", ["logistic"])
     def test_invalid_label_is_data_error_naming_the_example(self, capsys, tmp_path, loss):
         path = tmp_path / "f"
         path.write_text("-1 0:1\n2 0:1\n")
@@ -648,15 +565,6 @@ class TestExitCodes:
             "--eta-grid", "0.5..1"])
         assert (code, out) == (2, "")
         assert err == "data error: line 4: malformed token '0:oops'\n"
-
-    def test_numeric_fault(self, capsys, tmp_path):
-        path = tmp_path / "d.txt"
-        path.write_text("1 0:10\n" * 200)
-        code, _, err = run_cli(capsys, [
-            "train", "--data", str(path), "--learner", "sgd", "--loss",
-            "squared", "--eta", "1e150"])
-        assert code == 3
-        assert "numeric fault" in err
 
 
 class TestStreaming:
@@ -746,9 +654,8 @@ class TestStreaming:
         path.write_bytes(text.encode())
         assert run_cli(capsys, self.train_argv(path)) == (2, "", f"data error: {want.value}\n")
 
-    @pytest.mark.parametrize("text,line", [(b"1 0:1\n-1 0:2\n1 0:\xff\n", 3),
-                                           (b"1 0:1\r-1 0:\xff 1:2\n1 0:3\n", 2)],
-                             ids=["newline", "carriage-return"])
+    @pytest.mark.parametrize("text,line", [(b"1 0:1\r-1 0:\xff 1:2\n1 0:3\n", 2)],
+                             ids=["carriage-return"])
     def test_non_utf8_bytes_name_the_file_and_the_line(self, capsys, tmp_path, text, line):
         path = tmp_path / "d.svm"
         path.write_bytes(text)

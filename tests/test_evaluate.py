@@ -416,6 +416,21 @@ class TestFailureContract:
             assert cell.error == want, cell
 
 
+class TestUnknownTask:
+    """A task other than classification or regression is an error, not a
+    classification run."""
+
+    PAIR = [SparseExample(((0, 1.0),), 1.0), SparseExample(((0, 2.0),), -1.0)]
+
+    def test_sweep(self):
+        with pytest.raises(ValueError, match="unknown task 'regresion'"):
+            sweep(["ng"], "hinge", self.PAIR, [1.0], task="regresion")
+
+    def test_progressive_validation(self):
+        with pytest.raises(ValueError, match="unknown task 'Regression'"):
+            progressive_validation(LearnerConfig("ng", 1.0), HINGE, self.PAIR, task="Regression")
+
+
 class TestOneShotRegression:
     """A regression run reads the labels first, so it needs a re-iterable."""
 
@@ -547,6 +562,12 @@ class TestSignificance:
         loose = significance(a, b, failure_probability=0.5)
         if strict.significant:
             assert loose.significant
+
+    def test_numpy_arrays(self):
+        a, b = [0.0] * 900 + [1.0] * 100, [0.0] * 700 + [1.0] * 300
+        got = significance(np.array(a), np.array(b))
+        assert got == significance(a, b)
+        assert type(got.significant) is bool and type(got.mean_a) is float
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

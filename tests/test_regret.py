@@ -402,6 +402,12 @@ class TestCorollary1:
             corollary1_tau(10, 0.0, 0.5)
         with pytest.raises(ValueError):
             corollary1_tau(10, 0.1, 1.5)
+        with pytest.raises(ValueError, match="require d >= 1, got 0"):
+            corollary1_tau(0, 0.1, 0.5)
+
+    def test_montecarlo_without_permutations(self):
+        with pytest.raises(ValueError, match="require n_permutations >= 1, got 0"):
+            corollary1_montecarlo(random_instance(0, d=3, T=20), 3, 0.1, 0.5, n_permutations=0)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_violation_fraction_is_scale_free(self, seed):

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 ACCEPTANCE = "tests/test_acceptance.py::TestAcceptance::"
+FAILURE = "tests/test_cli.py::TestExitCodes::test_failure_case["
 
 TABLE = (
     # the North star's three executable gates
@@ -230,6 +231,40 @@ TABLE = (
            '            if cell == "":\n                continue\n', "",
            ("tests/test_data.py::TestDelimited",),
            "an empty CSV cell drops its feature"),
+    # the library's argument checks
+    Mutant("unknown-task-runs-as-classification", "src/nol/evaluate.py",
+           '    raise ValueError(f"unknown task {task!r}")', "    return None",
+           ("tests/test_evaluate.py::TestUnknownTask",),
+           "sweep and progressive_validation reject a task that they do not know"),
+    Mutant("cor1-tau-accepts-d-0", "src/nol/regret.py", "    if d < 1:\n", "    if False:\n",
+           ("tests/test_regret.py::TestCorollary1::test_tau_bad_args",),
+           "corollary1_tau rejects d < 1, naming it, before taking its log"),
+    Mutant("cor1-accepts-no-permutations", "src/nol/regret.py",
+           "    if n_permutations < 1:\n", "    if False:\n",
+           ("tests/test_regret.py::TestCorollary1::test_montecarlo_without_permutations",),
+           "corollary1_montecarlo rejects n_permutations < 1, naming it, before dividing by it"),
+    Mutant("significance-truth-of-the-sequence", "src/nol/evaluate.py",
+           '    if n == 0:\n        raise ValueError("empty loss sequences")',
+           '    if not losses_a:\n        raise ValueError("empty loss sequences")',
+           ("tests/test_evaluate.py::TestSignificance::test_numpy_arrays",),
+           "significance takes numpy arrays: it tests emptiness by length"),
+    Mutant("significance-numpy-means", "src/nol/evaluate.py",
+           "ma = float(sum(losses_a)) / n", "ma = sum(losses_a) / n",
+           ("tests/test_evaluate.py::TestSignificance::test_numpy_arrays",),
+           "significance of numpy arrays returns floats and a bool, as of lists"),
+    # messages that only the failure table of tools/report_snapshot.py pins
+    Mutant("csv-field-count-names-the-header", "src/nol/data.py",
+           "fields, got {len(row)}", "fields, got {len(columns)}",
+           (FAILURE + "train-csv-field-count]",),
+           "a CSV line with a field too many names the count of its fields"),
+    Mutant("constant-labels-read-as-underflow", "src/nol/evaluate.py",
+           "    if lo == hi:\n", "    if False:\n",
+           (FAILURE + "sweep-constant-regression-labels]",),
+           "constant regression labels are named as such, not as a loss scale that underflows"),
+    Mutant("unreadable-data-quotes-the-oserror", "src/nol/cli.py",
+           "cannot read {self.path!r}: {e.strerror}", "cannot read {self.path!r}: {e}",
+           (FAILURE + "train-unreadable-data]",),
+           "an unreadable --data path is named once, with the reason the OS gives"),
 )
 
 

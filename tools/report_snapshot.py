@@ -5,6 +5,11 @@
 
 Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
 
+* ``FAILURES``, the table of the commands that exit nonzero: every data
+  error and numeric fault of the failure contract, and the usage errors of
+  nol's own checks. A row holds its snapshot label, its input files, its
+  argv with ``{tmp}`` for the directory the files are written into, and its
+  exit code and exact stderr. ``tests/test_cli.py`` asserts each row;
 * ``nol regret`` thm1, thm2 and lemma1 x 3 losses x ``--d`` 1, 2, 3, 5, 20
   x ``-C`` 0.1, 1, 30, at ``--T 60 --instances 3``;
 * ``nol regret --check cor1`` x 3 losses x seeds 0-3, at ``--instances 50``;
@@ -12,7 +17,6 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
   ``sweep-narrow`` and ``regret-bounds`` commands for variants 0-15, their
   inputs written by CHECKOUT's ``bench/inputs.make`` into a temporary
   directory (``bench/`` itself is left as it is);
-* two ``nol sweep --eta-grid`` values that are not a grid;
 * ``nol train`` and ``nol sweep`` on a CSV file with a numeric and a one-hot
   column and 0/1 labels, a regression ``nol sweep --normalize sqnorm`` of
   every learner on an svmlight file with real labels, and a regression
@@ -22,37 +26,27 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
   report: ``train`` and ``sweep`` on ``--synth`` specs, ``train`` with
   ``--clip-c``, ``--eta-decay`` and ``--thin``, ``sweep`` with ``--clip-c``,
   ``--eta-grid`` and ``--plot-data``, ``train --normalize sqnorm`` on an
-  svmlight file, reports to stdout and to ``--report``, a data error, and a
-  file whose prediction overflows under ``train`` and ``sweep``;
+  svmlight file, and reports to stdout and to ``--report``;
 * sweeps that read many blocks of examples: all five learners over 1,500
   lines of the ``train-wide`` generator's sparse file, a squared-loss sweep
   whose cells overflow inside a block, and one whose sNAG statistics
   overflow in its second block;
-* the failure contract: ``nol train`` and ``nol sweep`` on a file whose
-  dot product overflows only in its sum (with and without ``--clip-c``),
-  one whose sNAG scale is zero and one with an invalid label, and
-  ``nol regret --check thm1 --loss hinge -C 1e8``;
-* every error message of the data and the learners: svmlight lines with a
-  malformed token, a negative, a repeated index, a non-finite value, a bad
-  and a non-finite label; bytes that are not UTF-8, a ``--data`` path that
-  cannot be read, a CSV line with a field too many, constant regression
-  labels; ``nol train`` overflowing nag's gradient sum, sgd's weight and
-  sNAG's sum of squares; a ``--report`` path that cannot be written; a
-  sweep whose gradient-sum rows are not contiguous (snag, ng, nag); and a
-  ``nol train`` and a ``nol sweep`` whose losses are finite but whose loss
-  sum overflows;
-* regret reports whose numbers leave the float range (``lemma1`` and
-  ``thm2`` on squared loss at ``-C 1e152``), a hinge LP that runs out of
-  pivots (``thm1`` at ``-C 1e20``), a ``--seed`` of -1 for each command,
-  a regression sweep whose loss scale underflows to 0, and ``nol train`` on
-  ``--synth`` specs with a key the generator does not take or a repeated
-  key;
+* the sweeps whose cells fail where a table row's ``nol train`` ends (a
+  prediction that overflows, in its product and in its sum, with and
+  without ``--clip-c``, and a zero sNAG scale), a sweep whose gradient-sum
+  rows are not contiguous (snag, ng, nag), a sweep whose losses are finite
+  but whose loss sum overflows, ``nol regret --check thm1 --loss hinge -C
+  1e8``, and a hinge LP that runs out of pivots (``thm1`` at ``-C 1e20``);
 * ``nol.data.prenormalize`` of a one-shot iterator, in both modes,
   ``nol.regret.corollary1_montecarlo`` on features scaled by 1e-13, and the
   regret lab's ``theorem1_check``, ``theorem2_check`` and ``lemma1_check``
   (against w = 0, on a run without projection) of each loss at C = 1, on
   ``random_instance(0, d=3, T=200)`` scaled by 1e-200, where the squared
-  gradients underflow.
+  gradients underflow;
+* library calls with arguments out of range: ``sweep`` and
+  ``progressive_validation`` of a misspelt task, ``corollary1_montecarlo``
+  of no permutations, ``corollary1_tau`` at d = 0, and ``significance`` of
+  two numpy arrays.
 
 OUT_DIR gets one sorted-keys JSON file per command: its argv (the temporary
 directory written as ``$TMP``), exit code, stderr and report, the report
@@ -71,8 +65,147 @@ import os
 import random
 import sys
 import tempfile
+from typing import Dict, NamedTuple, Optional
 
 LOSSES = ("squared", "hinge", "logistic")
+
+
+class Failure(NamedTuple):
+    """A command that exits nonzero, with one line of stderr and nothing on
+    stdout. argv is split on spaces. In argv and stderr, {tmp} stands for
+    the directory that files, each name's bytes, are written into."""
+
+    id: str            # the command's snapshot label
+    code: int
+    argv: str
+    stderr: str
+    files: Optional[Dict[str, bytes]] = None
+
+
+SGD = "--learner sgd --loss hinge --eta 1"
+SEED = "argument --seed: must be a nonnegative integer, got -1"
+SYNTH = "argument --synth: bad synth spec"
+LABEL = "data error: example 2: classification label must be -1 or +1, got 2.0\n"
+
+FAILURES = (
+    # usage errors: exit 1
+    Failure("sweep-eta-grid-nope", 1,
+            "sweep --synth figure1:T=10 --learners sgd --loss hinge --eta-grid nope",
+            "nol sweep: error: argument --eta-grid: bad eta grid 'nope'; expected LO..HI "
+            "(see nol sweep -h)\n"),
+    Failure("sweep-eta-grid-1..inf", 1,
+            "sweep --synth figure1:T=10 --learners sgd --loss hinge --eta-grid 1..inf",
+            "nol sweep: error: argument --eta-grid: eta grid bounds must be finite and satisfy "
+            "0 < LO <= HI, got 1..inf (see nol sweep -h)\n"),
+    Failure("regret-seed-negative", 1, "regret --check thm1 --seed -1 --instances 1",
+            f"nol regret: error: {SEED} (see nol regret -h)\n"),
+    Failure("train-synth-seed-negative", 1, "train --synth figure1:T=10 " + SGD + " --seed -1",
+            f"nol train: error: {SEED} (see nol train -h)\n"),
+    Failure("sweep-synth-seed-negative", 1,
+            "sweep --synth figure1:T=10 --learners sgd --loss hinge --seed -1",
+            f"nol sweep: error: {SEED} (see nol sweep -h)\n"),
+    Failure("train-data-seed-negative", 1, "train --data {tmp}/seed.svm " + SGD + " --seed -1",
+            f"nol train: error: {SEED} (see nol train -h)\n", {"seed.svm": b"1 0:1\n-1 0:2\n"}),
+    *(Failure(f"train-synth-{name}", 1, f"train --synth {spec} --learner ng --loss hinge --eta 1",
+              f"nol train: error: {SYNTH} {spec!r}: {words}; figure1 takes s, T "
+              "(see nol train -h)\n")
+      for name, spec, words in (("lowercase-key", "figure1:t=10", "unknown key 't'"),
+                                ("unknown-key", "figure1:T=10,bogus=1", "unknown key 'bogus'"),
+                                ("repeated-key", "figure1:T=10,T=20", "repeated key 'T'"))),
+    Failure("train-unwritable-report", 1,
+            "train --synth figure1:T=10 " + SGD + " --report {tmp}/missing-dir/r.json",
+            "nol train: error: argument --report: cannot write '{tmp}/missing-dir/r.json': "
+            "No such file or directory\n"),
+    # data errors: exit 2
+    *(Failure(f"train-svmlight-{name}", 2, f"train --data {{tmp}}/{name}.svm " + SGD,
+              f"data error: line 2: {words}\n", {f"{name}.svm": b"1 0:1\n" + line + b"\n"})
+      for name, line, words in (
+          ("malformed-token", b"1 0:x", "malformed token '0:x'"),
+          ("negative-index", b"1 -1:1", "negative index -1"),
+          ("repeated-index", b"1 0:1 0:2", "indices must be strictly increasing, got 0 after 0"),
+          ("non-finite-value", b"1 0:inf", "non-finite value in '0:inf'"),
+          ("bad-label", b"y 0:1", "bad label 'y'"),
+          ("non-finite-label", b"nan 0:1", "non-finite label 'nan'"))),
+    Failure("train-non-utf8", 2, "train --data {tmp}/latin1.svm " + SGD,
+            "data error: {tmp}/latin1.svm: line 2: not UTF-8 (invalid start byte)\n",
+            {"latin1.svm": b"1 0:1\n-1 0:\xff\n"}),
+    Failure("train-unreadable-data", 2, "train --data {tmp}/missing.svm " + SGD,
+            "data error: cannot read '{tmp}/missing.svm': No such file or directory\n"),
+    Failure("train-csv-field-count", 2, "train --data {tmp}/fields.csv --format csv " + SGD,
+            "data error: line 3: expected 2 fields, got 3\n",
+            {"fields.csv": b"a,y\n1,1\n2,3,-1\n"}),
+    Failure("csv-non-finite-data-error", 2, "train --data {tmp}/inf.csv --format csv " + SGD,
+            "data error: line 2: non-finite value 'inf'\n", {"inf.csv": b"a,y\ninf,1\n"}),
+    Failure("train-invalid-label", 2,
+            "train --data {tmp}/invalid-label.svm --learner nag --loss hinge --eta 1", LABEL,
+            {"invalid-label.svm": b"1 0:1\n2 0:1\n"}),
+    Failure("sweep-invalid-label", 2,
+            "sweep --data {tmp}/invalid-label.svm --learners nag --loss hinge --eta-grid 1..1",
+            LABEL, {"invalid-label.svm": b"1 0:1\n2 0:1\n"}),
+    Failure("sweep-constant-regression-labels", 2, "sweep --data {tmp}/constant.svm --task "
+            "regression --loss squared --learners sgd --eta-grid 1..1",
+            "data error: constant labels: regression loss scale undefined\n",
+            {"constant.svm": b"2 0:1\n2 0:3\n"}),
+    Failure("sweep-regression-scale-underflow", 2, "sweep --data {tmp}/scale-underflow.svm "
+            "--learners sgd --eta-grid 1..1 --loss squared --task regression",
+            "data error: labels from 0.0 to 1e-200: regression loss scale underflows\n",
+            {"scale-underflow.svm": b"0 0:1\n1e-200 0:1\n"}),
+    # numeric faults: exit 3
+    Failure("train-prediction-fault", 3,
+            "train --data {tmp}/prediction-fault.svm --learner sgd --loss hinge --eta 1e300",
+            "numeric fault: example 2: non-finite prediction inf\n",
+            {"prediction-fault.svm": b"1 0:1\n1 0:1e10\n-1 0:1\n"}),
+    Failure("train-sum-overflow", 3, "train --data {tmp}/sum-overflow.svm " + SGD,
+            "numeric fault: example 2: non-finite prediction inf\n",
+            {"sum-overflow.svm": b"1 0:1e154 1:1e154\n" * 2}),
+    Failure("train-snag-zero-scale", 3,
+            "train --data {tmp}/snag-zero-scale.svm --learner snag --loss hinge --eta 1",
+            "numeric fault: example 1: zero scale at coordinate 0\n",
+            {"snag-zero-scale.svm": b"1 0:1e-300\n" * 3}),
+    Failure("train-overflow-nag-gradient-sum", 3, "train --data {tmp}/nag-gradient-sum.svm "
+            "--learner nag --loss squared --eta 1 --task regression",
+            "numeric fault: example 1: non-finite gradient sum inf at coordinate 0\n",
+            {"nag-gradient-sum.svm": b"1e150 0:1e10\n"}),
+    Failure("train-overflow-sgd-weight", 3,
+            "train --data {tmp}/sgd-weight.svm --learner sgd --loss hinge --eta 1e300",
+            "numeric fault: example 1: non-finite weight inf at coordinate 0\n",
+            {"sgd-weight.svm": b"1 0:1e200\n"}),
+    Failure("train-overflow-snag-sum-of-squares", 3, "train --data {tmp}/snag-sum-of-squares.svm "
+            "--learner snag --loss logistic --eta 1e-300",
+            "numeric fault: example 2: non-finite sum of squares inf at coordinate 0\n",
+            {"snag-sum-of-squares.svm": b"1 0:1e154\n" * 2}),
+    # each loss is finite, only their sum overflows
+    Failure("train-loss-sum-overflow", 3, "train --data {tmp}/loss-sum-train.svm --learner sgd "
+            "--loss squared --eta 0 --task regression",
+            "numeric fault: example 2: non-finite loss sum inf\n",
+            {"loss-sum-train.svm": b"1.3e154 0:1\n" * 2}),
+    Failure("regret-lemma1-squared-C1e152", 3,
+            "regret --check lemma1 --loss squared -C 1e152 --instances 3",
+            "numeric fault: example 162: non-finite loss sum inf\n"),
+    Failure("regret-thm2-squared-C1e152", 3,
+            "regret --check thm2 --loss squared -C 1e152 --instances 3",
+            "numeric fault: report field reports[2].bound_value: non-finite value inf\n"),
+)
+
+
+def _write(tmp, name, lines):
+    path = os.path.join(tmp, name)
+    with open(path, "w") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+    return path
+
+
+def _argv(command, tmp):
+    """command split on spaces, with the directory tmp for {tmp}."""
+    return [arg.replace("{tmp}", tmp) for arg in command.split(" ")]
+
+
+def write_failure(row, tmp):
+    """Write row's input files into the directory tmp; return its argv."""
+    for name, content in (row.files or {}).items():
+        with open(os.path.join(tmp, name), "wb") as fh:
+            fh.write(content)
+    return _argv(row.argv, tmp)
 
 
 def _regret_commands():
@@ -88,17 +221,6 @@ def _regret_commands():
             yield (f"regret-cor1-{loss}-seed{seed}",
                    ["regret", "--check", "cor1", "--loss", loss, "--seed", str(seed),
                     "--instances", "50"])
-    for grid in ("nope", "1..inf"):
-        yield (f"sweep-eta-grid-{grid}",
-               ["sweep", "--synth", "figure1:T=10", "--learners", "sgd", "--loss", "hinge",
-                "--eta-grid", grid])
-
-
-def _write(tmp, name, lines):
-    path = os.path.join(tmp, name)
-    with open(path, "w") as fh:
-        fh.write("".join(line + "\n" for line in lines))
-    return path
 
 
 def _file_commands(tmp):
@@ -149,14 +271,6 @@ def _data_flag_commands(tmp, rng):
             "--eta-grid", "0.01..4", "--plot-data", os.path.join(tmp, "plot.csv")])
     yield ("train-sqnorm", ["train", "--data", svm, "--learner", "adagrad", "--loss", "hinge",
                             "--eta", "1", "--normalize", "sqnorm"])
-    csv = _write(tmp, "inf.csv", ["a,y", "inf,1"])
-    yield ("csv-non-finite-data-error", ["train", "--data", csv, "--format", "csv",
-                                         "--learner", "sgd", "--loss", "hinge", "--eta", "1"])
-    fault = _write(tmp, "prediction-fault.svm", ["1 0:1", "1 0:1e10", "-1 0:1"])
-    yield ("train-prediction-fault", ["train", "--data", fault, "--learner", "sgd",
-                                      "--loss", "hinge", "--eta", "1e300"])
-    yield ("sweep-prediction-fault", ["sweep", "--data", fault, "--learners", "sgd",
-                                      "--loss", "hinge", "--eta-grid", "1e300..1e300"])
 
 
 def _block_commands(inputs, tmp, rng):
@@ -178,93 +292,42 @@ def _block_commands(inputs, tmp, rng):
                                            "ng,snag,sgd", "--loss", "hinge"])
 
 
-def _contract_commands(tmp):
-    cases = (("sum-overflow", ["1 0:1e154 1:1e154"] * 2, "sgd", "hinge", []),
-             ("sum-overflow-clip", ["1 0:1e154 1:1e154"] * 2, "sgd", "hinge", ["--clip-c", "1"]),
-             ("snag-zero-scale", ["1 0:1e-300"] * 3, "snag", "hinge", []),
-             ("invalid-label", ["1 0:1", "2 0:1"], "nag", "hinge", []))
-    for name, lines, kind, loss, extra in cases:
-        path = _write(tmp, name + ".svm", lines)
-        yield (f"train-{name}", ["train", "--data", path, "--learner", kind, "--loss", loss,
-                                 "--eta", "1", *extra])
-        yield (f"sweep-{name}", ["sweep", "--data", path, "--learners", kind, "--loss", loss,
-                                 "--eta-grid", "1..1", *extra])
-    yield ("regret-thm1-hinge-C1e8", ["regret", "--check", "thm1", "--loss", "hinge", "-C", "1e8"])
-
-
-def _error_commands(tmp):
-    train = ["--learner", "sgd", "--loss", "hinge", "--eta", "1"]
-    for name, line in (("malformed-token", "1 0:x"), ("negative-index", "1 -1:1"),
-                       ("repeated-index", "1 0:1 0:2"), ("non-finite-value", "1 0:inf"),
-                       ("bad-label", "y 0:1"), ("non-finite-label", "nan 0:1")):
-        path = _write(tmp, name + ".svm", ["1 0:1", line])
-        yield f"train-svmlight-{name}", ["train", "--data", path, *train]
-    path = os.path.join(tmp, "latin1.svm")
-    with open(path, "wb") as fh:
-        fh.write(b"1 0:1\n-1 0:\xff\n")
-    yield "train-non-utf8", ["train", "--data", path, *train]
-    yield "train-unreadable-data", ["train", "--data", os.path.join(tmp, "missing.svm"), *train]
-    csv = _write(tmp, "fields.csv", ["a,y", "1,1", "2,3,-1"])
-    yield "train-csv-field-count", ["train", "--data", csv, "--format", "csv", *train]
-    const = _write(tmp, "constant.svm", ["2 0:1", "2 0:3"])
-    yield ("sweep-constant-regression-labels",
-           ["sweep", "--data", const, "--task", "regression", "--loss", "squared",
-            "--learners", "sgd", "--eta-grid", "1..1"])
-    for name, lines, kind, loss, eta in (
-            ("nag-gradient-sum", ["1e150 0:1e10"], "nag", "squared", "1"),
-            ("sgd-weight", ["1 0:1e200"], "sgd", "hinge", "1e300"),
-            ("snag-sum-of-squares", ["1 0:1e154"] * 2, "snag", "logistic", "1e-300")):
-        path = _write(tmp, name + ".svm", lines)
-        yield (f"train-overflow-{name}",
-               ["train", "--data", path, "--learner", kind, "--loss", loss, "--eta", eta,
-                *(["--task", "regression"] if loss == "squared" else [])])
-    yield ("train-unwritable-report",
-           ["train", "--synth", "figure1:T=10", *train,
-            "--report", os.path.join(tmp, "missing-dir", "r.json")])
-    yield ("sweep-sums-not-contiguous",
-           ["sweep", "--synth", "scaled:d=5,T=300", "--learners", "snag,ng,nag",
-            "--loss", "squared", "--task", "regression", "--eta-grid", "0.01..64"])
+def _fault_commands(tmp):
+    """Commands that exit 0 or run out of LP pivots, some on the inputs of
+    table rows, which main writes first."""
+    _write(tmp, "sum-overflow-clip.svm", ["1 0:1e154 1:1e154"] * 2)
     # each loss is finite, only their sum overflows
-    big = _write(tmp, "loss-sum-train.svm", ["1.3e154 0:1"] * 2)
-    yield ("train-loss-sum-overflow",
-           ["train", "--data", big, "--learner", "sgd", "--loss", "squared", "--eta", "0",
-            "--task", "regression"])
-    big = _write(tmp, "loss-sum-sweep.svm", ["1.3e154 0:1", "1.2e154 0:1"])
-    yield ("sweep-loss-sum-overflow",
-           ["sweep", "--data", big, "--learners", "sgd", "--loss", "squared",
-            "--eta-grid", "1e-300..1e-300", "--task", "regression"])
-
-
-def _repro_commands(tmp):
-    for check in ("lemma1", "thm2"):
-        yield (f"regret-{check}-squared-C1e152",
-               ["regret", "--check", check, "--loss", "squared", "-C", "1e152", "--instances", "3"])
-    yield ("regret-thm1-hinge-C1e20",
-           ["regret", "--check", "thm1", "--loss", "hinge", "-C", "1e20", "--instances", "1"])
-    yield "regret-seed-negative", ["regret", "--check", "thm1", "--seed", "-1", "--instances", "1"]
-    train = ["--learner", "sgd", "--loss", "hinge", "--eta", "1", "--seed", "-1"]
-    yield "train-synth-seed-negative", ["train", "--synth", "figure1:T=10", *train]
-    yield ("sweep-synth-seed-negative",
-           ["sweep", "--synth", "figure1:T=10", "--learners", "sgd", "--loss", "hinge",
-            "--seed", "-1"])
-    path = _write(tmp, "seed.svm", ["1 0:1", "-1 0:2"])
-    yield "train-data-seed-negative", ["train", "--data", path, *train]
-    path = _write(tmp, "scale-underflow.svm", ["0 0:1", "1e-200 0:1"])
-    yield ("sweep-regression-scale-underflow",
-           ["sweep", "--data", path, "--learners", "sgd", "--eta-grid", "1..1", "--loss",
-            "squared", "--task", "regression"])
-    for name, spec in (("lowercase-key", "figure1:t=10"), ("unknown-key", "figure1:T=10,bogus=1"),
-                       ("repeated-key", "figure1:T=10,T=20")):
-        yield (f"train-synth-{name}", ["train", "--synth", spec, "--learner", "ng",
-                                       "--loss", "hinge", "--eta", "1"])
+    _write(tmp, "loss-sum-sweep.svm", ["1.3e154 0:1", "1.2e154 0:1"])
+    at_1 = " --loss hinge --eta-grid 1..1"
+    for label, command in (
+            ("sweep-prediction-fault", "sweep --data {tmp}/prediction-fault.svm --learners sgd "
+             "--loss hinge --eta-grid 1e300..1e300"),
+            ("sweep-sum-overflow", "sweep --data {tmp}/sum-overflow.svm --learners sgd" + at_1),
+            ("train-sum-overflow-clip", "train --data {tmp}/sum-overflow-clip.svm " + SGD
+             + " --clip-c 1"),
+            ("sweep-sum-overflow-clip", "sweep --data {tmp}/sum-overflow-clip.svm --learners sgd"
+             + at_1 + " --clip-c 1"),
+            ("sweep-snag-zero-scale",
+             "sweep --data {tmp}/snag-zero-scale.svm --learners snag" + at_1),
+            ("sweep-sums-not-contiguous", "sweep --synth scaled:d=5,T=300 --learners snag,ng,nag "
+             "--loss squared --task regression --eta-grid 0.01..64"),
+            ("sweep-loss-sum-overflow", "sweep --data {tmp}/loss-sum-sweep.svm --learners sgd "
+             "--loss squared --eta-grid 1e-300..1e-300 --task regression"),
+            ("regret-thm1-hinge-C1e8", "regret --check thm1 --loss hinge -C 1e8"),
+            ("regret-thm1-hinge-C1e20", "regret --check thm1 --loss hinge -C 1e20 --instances 1")):
+        yield label, _argv(command, tmp)
 
 
 def _call_snapshots():
     """(label, description, call) of the library calls snapshotted."""
+    import numpy as np
     from nol.core import SparseExample, get_loss
     from nol.data import prenormalize
+    from nol.evaluate import progressive_validation, significance, sweep
+    from nol.learners import LearnerConfig
     from nol.regret import (apply_scaling, conditioned_run, corollary1_montecarlo,
-                            lemma1_check, random_instance, theorem1_check, theorem2_check)
+                            corollary1_tau, lemma1_check, random_instance, theorem1_check,
+                            theorem2_check)
 
     examples = [SparseExample(((0, 2.0), (1, -4.0)), 1.0), SparseExample(((0, -1.0),), -1.0)]
     for mode in ("maxnorm", "sqnorm"):
@@ -293,6 +356,20 @@ def _call_snapshots():
                 return dataclasses.asdict(check(stream, get_loss(loss), 1.0))
             yield (f"regret-{name}-{loss}-scaled-1e-200", f"{name} of random_instance(0, d=3, "
                    f"T=200) scaled by 1e-200, {loss}, C = 1", call)
+
+    pair = [SparseExample(((0, 1.0),), 1.0), SparseExample(((0, 2.0),), -1.0)]
+    yield ("sweep-unknown-task", f"sweep(['ng'], 'hinge', {pair!r}, [1.0], task='regresion')",
+           lambda: dataclasses.asdict(sweep(["ng"], "hinge", pair, [1.0], task="regresion")))
+    yield ("progressive-validation-unknown-task",
+           f"progressive_validation(LearnerConfig('ng', 1.0), hinge, {pair!r}, task='Regression')",
+           lambda: dataclasses.asdict(progressive_validation(
+               LearnerConfig("ng", 1.0), get_loss("hinge"), pair, task="Regression")))
+    yield ("cor1-no-permutations", "corollary1_montecarlo(random_instance(0, d=3, T=20), 3, 0.1, "
+           "0.5, n_permutations=0)", lambda: corollary1_montecarlo(
+               random_instance(0, d=3, T=20), 3, 0.1, 0.5, n_permutations=0))
+    yield "cor1-tau-d-0", "corollary1_tau(0, 0.1, 0.5)", lambda: corollary1_tau(0, 0.1, 0.5)
+    yield ("significance-arrays", "significance(np.array([0.0, 1.0] * 50), np.zeros(100))",
+           lambda: dataclasses.asdict(significance(np.array([0.0, 1.0] * 50), np.zeros(100))))
 
 
 def _bench_commands(inputs, tmp, root):
@@ -343,9 +420,9 @@ def main(args):
         raise SystemExit(f"imported nol from {nol.cli.__file__}, not from {checkout}")
     os.makedirs(out_dir, exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        commands = [*_regret_commands(), *_file_commands(tmp),
-                    *_block_commands(inputs, tmp, random.Random(16)),
-                    *_contract_commands(tmp), *_error_commands(tmp), *_repro_commands(tmp),
+        commands = [*((row.id, write_failure(row, tmp)) for row in FAILURES),
+                    *_regret_commands(), *_file_commands(tmp),
+                    *_block_commands(inputs, tmp, random.Random(16)), *_fault_commands(tmp),
                     *_bench_commands(inputs, tmp, checkout)]
 
         def write(label, snap):
