@@ -188,6 +188,14 @@ class TestSweep:
         assert [c["error"] for c in rep["cells"]] == \
                ["example 1: non-finite gradient sum inf at coordinate 0"] * 6
 
+    def test_invalid_label_is_data_error_naming_the_example(self, capsys, tmp_path):
+        # nol train exits 2 on this file with the same words
+        path = tmp_path / "d.txt"
+        path.write_text("1 0:1\n2 0:1\n")
+        assert run_cli(capsys, ["sweep", "--data", str(path), "--learners", "nag",
+                                "--loss", "hinge", "--eta-grid", "1..1"]) == \
+               (2, "", "data error: example 2: classification label must be -1 or +1, got 2.0\n")
+
     def test_unknown_learner_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, [
             "sweep", "--synth", "figure1:T=10", "--learners", "nag,bogus",
@@ -404,16 +412,21 @@ class TestExitCodes:
         (["1 0:1e154 1:1e154"] * 2, "sgd", [], 3, "example 2: non-finite prediction inf"),
         (["1 0:1e154 1:1e154"] * 2, "sgd", ["--clip-c", "1"], 0, None),
         (["1 0:1e-300"] * 3, "snag", [], 3, "example 1: zero scale at coordinate 0"),
-    ], ids=["sum-overflows", "sum-overflows-clipped", "snag-zero-scale"])
+        (["1 0:1", "2 0:1"], "nag", [], 2,
+         "example 2: classification label must be -1 or +1, got 2.0"),
+    ], ids=["sum-overflows", "sum-overflows-clipped", "snag-zero-scale", "invalid-label"])
     def test_train_and_sweep_fail_alike(self, capsys, tmp_path, lines, kind, extra, code,
                                         reason):
         # a numeric fault ends train (exit 3) and fails the sweep's cell with
-        # the same words
+        # the same words; a data error ends both (exit 2)
         path = tmp_path / "d.txt"
         path.write_text("".join(line + "\n" for line in lines))
         flags = ["--data", str(path), "--loss", "hinge", *extra]
         train = run_cli(capsys, ["train", *flags, "--learner", kind, "--eta", "1"])
         sweep = run_cli(capsys, ["sweep", *flags, "--learners", kind, "--eta-grid", "1..1"])
+        if code == 2:
+            assert train == sweep == (2, "", f"data error: {reason}\n")
+            return
         fault = "" if reason is None else f"numeric fault: {reason}\n"
         assert (train[0], train[2]) == (code, fault)
         assert sweep[0] == 0, sweep[2]
@@ -421,6 +434,15 @@ class TestExitCodes:
         assert cell["error"] == reason
         if reason is None:
             assert cell["training_loss"] == strict_json(train[1])["average_loss"]
+
+    def test_overflowing_update_names_example_coordinate_and_value(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1 0:1e300\n-1 0:1e300\n")
+        code, _, err = run_cli(capsys, [
+            "train", "--data", str(path), "--learner", "sgd", "--loss",
+            "squared", "--eta", "1e10"])
+        assert code == 3
+        assert err == "numeric fault: example 1: non-finite weight inf at coordinate 0\n"
 
     @pytest.mark.parametrize("text,reason", [
         ("1 0:1.5e154 1:1.5e154\n" * 2, "non-finite prediction inf"),
@@ -565,6 +587,15 @@ class TestExitCodes:
             "--eta-grid", "0.5..1"])
         assert (code, out) == (2, "")
         assert err == "data error: line 4: malformed token '0:oops'\n"
+
+    def test_numeric_fault(self, capsys, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1 0:10\n" * 200)
+        code, _, err = run_cli(capsys, [
+            "train", "--data", str(path), "--learner", "sgd", "--loss",
+            "squared", "--eta", "1e150"])
+        assert code == 3
+        assert "numeric fault" in err
 
 
 class TestStreaming:
