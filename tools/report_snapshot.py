@@ -42,10 +42,11 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
   regret lab's ``theorem1_check``, ``theorem2_check`` and ``lemma1_check``
   (against w = 0, on a run without projection) of each loss at C = 1, on
   ``random_instance(0, d=3, T=200)`` scaled by 1e-200, where the squared
-  gradients underflow;
+  gradients underflow, and the first two checks of each loss at scales
+  1e153, 1e154, 1e155 and 1e160, where the gradient sums overflow;
 * library calls with arguments out of range: ``sweep`` and
   ``progressive_validation`` of a misspelt task, ``corollary1_montecarlo``
-  of no permutations, ``corollary1_tau`` at d = 0, and ``significance`` of
+  of no permutations, ``corollary1_tau`` at d = 0 and at delta = 0, and ``significance`` of
   two numpy arrays.
 
 OUT_DIR gets one sorted-keys JSON file per command: its argv (the temporary
@@ -347,15 +348,16 @@ def _call_snapshots():
     def lemma1(stream, loss, C):
         return lemma1_check(conditioned_run(stream, loss, C, projection=False), loss, {})
 
-    for loss in LOSSES:
-        for name, check in (("thm1", theorem1_check), ("thm2", theorem2_check),
-                            ("lemma1", lemma1)):
-            def call(loss=loss, check=check):
-                stream = list(apply_scaling(random_instance(0, d=3, T=200),
-                                            dict.fromkeys(range(3), 1e-200)))
-                return dataclasses.asdict(check(stream, get_loss(loss), 1.0))
-            yield (f"regret-{name}-{loss}-scaled-1e-200", f"{name} of random_instance(0, d=3, "
-                   f"T=200) scaled by 1e-200, {loss}, C = 1", call)
+    checks = {"thm1": theorem1_check, "thm2": theorem2_check, "lemma1": lemma1}
+    for scale in ("1e-200", "1e153", "1e154", "1e155", "1e160"):
+        for loss in LOSSES:
+            for name in checks if scale == "1e-200" else ("thm1", "thm2"):
+                def call(scale=scale, loss=loss, check=checks[name]):
+                    stream = list(apply_scaling(random_instance(0, d=3, T=200),
+                                                dict.fromkeys(range(3), float(scale))))
+                    return dataclasses.asdict(check(stream, get_loss(loss), 1.0))
+                yield (f"regret-{name}-{loss}-scaled-{scale}", f"{name} of random_instance(0, "
+                       f"d=3, T=200) scaled by {scale}, {loss}, C = 1", call)
 
     pair = [SparseExample(((0, 1.0),), 1.0), SparseExample(((0, 2.0),), -1.0)]
     yield ("sweep-unknown-task", f"sweep(['ng'], 'hinge', {pair!r}, [1.0], task='regresion')",
@@ -368,6 +370,8 @@ def _call_snapshots():
            "0.5, n_permutations=0)", lambda: corollary1_montecarlo(
                random_instance(0, d=3, T=20), 3, 0.1, 0.5, n_permutations=0))
     yield "cor1-tau-d-0", "corollary1_tau(0, 0.1, 0.5)", lambda: corollary1_tau(0, 0.1, 0.5)
+    yield ("cor1-tau-delta-0", "corollary1_tau(10, 0.0, 0.5)",
+           lambda: corollary1_tau(10, 0.0, 0.5))
     yield ("significance-arrays", "significance(np.array([0.0, 1.0] * 50), np.zeros(100))",
            lambda: dataclasses.asdict(significance(np.array([0.0, 1.0] * 50), np.zeros(100))))
 
