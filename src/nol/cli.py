@@ -23,7 +23,7 @@ from typing import List, Optional
 from . import data as data_io
 from .core import LOSS_KINDS, _nonfinite_reason, get_loss
 from .errors import DataFormatError, InvalidLabel, NumericFault
-from .evaluate import plot_csv_rows, sweep
+from .evaluate import TIE_FAILURE_PROBABILITY, plot_csv_rows, sweep
 from .learners import KINDS, LearnerConfig, run_stream
 from .regret import (
     corollary1_montecarlo,
@@ -313,7 +313,10 @@ def cmd_sweep(args) -> dict:
              "training_loss": c.training_loss, "error": c.error}
             for c in report.cells
         ],
-        best={k: {"eta": v[0], "loss": v[1]} for k, v in report.best.items()},
+        best={k: {"eta": eta, "loss": loss,
+                  "tied_etas": None if report.tied is None else list(report.tied[k])}
+              for k, (eta, loss) in report.best.items()},
+        tie_failure_probability=None if report.tied is None else TIE_FAILURE_PROBABILITY,
     )
 
 

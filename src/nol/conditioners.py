@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Mapping
 
-from .core import SparseExample
+from .core import SparseExample, _nonfinite_reason
 from .errors import NumericFault
 
 SQRT2 = math.sqrt(2.0)
@@ -99,8 +99,9 @@ class DiagonalConditioner:
     the box, a no-op for the transductive box, which already holds every
     example's max. A_t is returned as a dict over the coordinates with
     nonzero gradient mass, at the step size eta = sqrt(2) that the
-    Theorem 1 and 2 bounds are written for. A nonzero gradient whose entry
-    underflows to 0 is a NumericFault: the update divides by it."""
+    Theorem 1 and 2 bounds are written for. A gradient sum that overflows,
+    or a nonzero gradient whose entry underflows to 0, is a NumericFault:
+    the update divides by the entry."""
 
     C: float
     box: EnclosingBox = field(default_factory=EnclosingBox)
@@ -112,7 +113,9 @@ class DiagonalConditioner:
         self.box.update(x)
         for i, gi in g.items():
             if gi != 0.0:
-                self.sum_g2[i] = self.sum_g2.get(i, 0.0) + gi * gi
+                s = self.sum_g2[i] = self.sum_g2.get(i, 0.0) + gi * gi
+                if not math.isfinite(s):
+                    raise NumericFault(_nonfinite_reason("gradient sum", s, i))
         inv_ceta = 1.0 / (self.C * SQRT2)
         m = self.box.m
         A = {i: inv_ceta * math.sqrt(s) * m[i] for i, s in self.sum_g2.items()}

@@ -1,12 +1,12 @@
-"""Progressive validation, learning-rate sweeps, and the significance test.
+"""Progressive validation, and learning-rate sweeps with each kind's tied etas.
 
 Progressive validation measures each example's loss before its update, so the
 running average estimates generalization without a holdout set; a regression
 eval loss is divided by the labels' (max - min)^2, read in a pass of their
 own. Sweeps search a geometric learning-rate grid for every learner in one
-pass over the stream, a block of examples at a time; significance between
-two loss sequences is decided by disjointness of relative-entropy Chernoff
-confidence intervals on the means.
+pass over the stream, a block of examples at a time. A classification sweep
+also gives each kind's tied learning rates: those whose relative-entropy
+Chernoff confidence interval on the mean 0-1 loss meets the best cell's.
 
 A non-finite prediction, loss, eval loss, weight or sum is a ``NumericFault``
 naming the example: it ends a progressive run, and it fails only its own cell
@@ -29,6 +29,7 @@ from .errors import DataFormatError, InvalidLabel
 from .learners import GridLearner, Learner, LearnerConfig, progressive
 
 BLOCK = 256   # examples per GridLearner.observe_block in a sweep
+TIE_FAILURE_PROBABILITY = 0.1   # of a sweep's tie tests, split over its cells and both tails
 
 
 def default_eta_grid() -> List[float]:
@@ -155,6 +156,8 @@ class SweepCell:
 class ComparisonReport:
     cells: List[SweepCell]
     best: Dict[str, Tuple[float, float]]   # kind -> (eta*, best eval loss)
+    # kind -> (least, greatest) eta tied with eta*; None for a regression sweep
+    tied: Optional[Dict[str, Tuple[float, float]]]
 
 
 def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
@@ -172,6 +175,7 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
     fail; the other rows go on. An invalid label (InvalidLabel, naming the
     example) or an error of the stream itself (a malformed line) ends the
     sweep, which reads up to BLOCK examples ahead of the ones it learns.
+    A classification sweep gives each kind's tied etas (``_tied_etas``).
     """
     if not kinds:
         raise ValueError("learner kinds must be nonempty")
@@ -218,7 +222,27 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
         cur = best.get(cell.kind)
         if cur is None or cell.eval_loss < cur[1]:
             best[cell.kind] = (cell.eta, cell.eval_loss)
-    return ComparisonReport(cells, best)
+    tied = _tied_etas(cells, best, n) if task == "classification" else None
+    return ComparisonReport(cells, best, tied)
+
+
+def _tied_etas(cells: Sequence[SweepCell], best: Dict[str, Tuple[float, float]],
+               n: int) -> Dict[str, Tuple[float, float]]:
+    """Each kind's least and greatest eta whose cell ties with its best: their
+    KL confidence intervals on the mean 0-1 loss over n examples meet, at
+    TIE_FAILURE_PROBABILITY split over every cell and both tails. The best
+    cell has its kind's least mean, so its interval meets a cell's exactly
+    when the cell's mean is at most the best's upper end, or the cell's
+    lower end reaches that far down: KL(mean, upper end) <= log(1/alpha)/n."""
+    alpha = TIE_FAILURE_PROBABILITY / (2 * len(cells))
+    target = math.log(1.0 / alpha) / n
+    tied = {}
+    for kind, (_, least) in best.items():
+        hi = kl_confidence_interval(least, n, alpha)[1]
+        etas = [c.eta for c in cells if c.kind == kind and c.eval_loss is not None
+                and (c.eval_loss <= hi or _kl_bernoulli(c.eval_loss, hi) <= target)]
+        tied[kind] = (etas[0], etas[-1])
+    return tied
 
 
 def _sweep_block(learner: GridLearner, block: List[SparseExample], n: int,
@@ -256,7 +280,7 @@ def plot_csv_rows(report: ComparisonReport) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Relative-entropy Chernoff significance test
+# Relative-entropy Chernoff confidence intervals
 
 def _kl_bernoulli(p: float, q: float) -> float:
     eps = 1e-15
@@ -301,40 +325,3 @@ def _bisect_kl(mean: float, target: float, inside: float, outside: float) -> flo
         else:
             outside = mid
     return 0.5 * (inside + outside)
-
-
-@dataclass
-class SignificanceVerdict:
-    significant: bool
-    interval_a: Tuple[float, float]
-    interval_b: Tuple[float, float]
-    mean_a: float
-    mean_b: float
-
-
-def significance(losses_a: Sequence[float], losses_b: Sequence[float],
-                 failure_probability: float = 0.1) -> SignificanceVerdict:
-    """Compare two per-example loss sequences bounded in [0, 1].
-
-    The total failure budget is split over two sequences and two tails
-    (alpha/4 per tail per sequence); the verdict is significant iff the two
-    confidence intervals are disjoint.
-    """
-    if not 0.0 < failure_probability < 1.0:
-        raise ValueError(f"failure probability must lie in (0, 1), got {failure_probability!r}")
-    n = len(losses_a)
-    if n != len(losses_b):
-        raise ValueError("loss sequences must have equal length")
-    if n == 0:
-        raise ValueError("empty loss sequences")
-    for seq in (losses_a, losses_b):
-        for v in seq:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError("losses must be bounded in [0, 1]")
-    alpha = failure_probability / 4.0
-    ma = float(sum(losses_a)) / n
-    mb = float(sum(losses_b)) / n
-    ia = kl_confidence_interval(ma, n, alpha)
-    ib = kl_confidence_interval(mb, n, alpha)
-    disjoint = ia[1] < ib[0] or ib[1] < ia[0]
-    return SignificanceVerdict(disjoint, ia, ib, ma, mb)

@@ -478,8 +478,9 @@ def theorem2_check(examples: Sequence[SparseExample], loss: Loss, C: float) -> B
 
 def corollary1_tau(d: int, delta: float, nu: float) -> int:
     """tau = ceil(ln(d / delta) / nu), natural log."""
-    if not (0 < delta < 1 and 0 < nu < 1):
-        raise ValueError("require delta and nu in (0, 1)")
+    for name, value in (("delta", delta), ("nu", nu)):
+        if not 0 < value < 1:
+            raise ValueError(f"require {name} in (0, 1), got {value!r}")
     if d < 1:
         raise ValueError(f"require d >= 1, got {d!r}")
     return math.ceil(math.log(d / delta) / nu)

@@ -145,6 +145,32 @@ class TestSweep:
             losses = [c["loss"] for c in rep["cells"] if c["learner"] == k]
             assert b["loss"] == min(losses)
 
+    def test_tied_etas(self, capsys):
+        rep = run_report(capsys, self.BASE)
+        assert rep["tie_failure_probability"] == 0.1
+        assert rep["best"]["nag"]["tied_etas"] == [0.25, 1.0]
+        for b in rep["best"].values():
+            lo, hi = b["tied_etas"]
+            assert lo <= b["eta"] <= hi
+
+    def test_regression_sweep_reports_no_ties(self, capsys):
+        # its scaled squared error is not bounded in [0, 1] without clipping
+        rep = run_report(capsys, ["sweep", "--synth", "figure1:s=1,T=150", "--learners",
+                                  "nag,sgd", "--loss", "squared", "--task", "regression",
+                                  "--eta-grid", "0.25..1.0"])
+        assert rep["tie_failure_probability"] is None
+        assert [b["tied_etas"] for b in rep["best"].values()] == [None, None]
+
+    def test_kind_without_a_cell_has_no_ties(self, capsys, tmp_path):
+        path = tmp_path / "d.svm"
+        path.write_text("1 0:1e-300\n1 0:1e-300\n-1 0:1e-300\n")
+        rep = run_report(capsys, ["sweep", "--data", str(path), "--learners", "ng,snag",
+                                  "--loss", "hinge", "--eta-grid", "1..1"])
+        assert rep["cells"][1]["error"] == "example 1: zero scale at coordinate 0"
+        assert rep["best"] == {"ng": {"eta": 1.0, "loss": rep["cells"][0]["loss"],
+                                      "tied_etas": [1.0, 1.0]}}
+        assert rep["tie_failure_probability"] == 0.1
+
     def test_plot_csv(self, capsys, tmp_path):
         path = tmp_path / "plot.csv"
         run_report(capsys, self.BASE + ["--plot-data", str(path)])

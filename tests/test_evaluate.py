@@ -15,12 +15,12 @@ from nol.errors import DataFormatError, InvalidLabel, NolError, NumericFault
 from nol import evaluate
 from nol.evaluate import (
     ComparisonReport,
+    SweepCell,
     default_eta_grid,
     kl_confidence_interval,
     multiclass_progressive,
     plot_csv_rows,
     progressive_validation,
-    significance,
     sweep,
 )
 from nol.learners import KINDS, Learner, LearnerConfig
@@ -513,66 +513,28 @@ class TestKLInterval:
             kl_confidence_interval(0.3, n, 0.025)
 
 
-class TestSignificance:
-    @pytest.mark.parametrize("p", [8.0, 1.0, 0.0, -1.0, math.nan])
-    def test_bad_failure_probability_rejected(self, p):
-        with pytest.raises(ValueError,
-                           match=f"failure probability must lie in \\(0, 1\\), got {p!r}"):
-            significance([0.5, 0.5], [0.6, 0.6], failure_probability=p)
+class TestTiedEtas:
+    # n = 100 examples, 2 cells: alpha = 0.1 / 4 per tail and the KL radius is
+    # log(40) / 100 = 0.03689. The best cell's mean 0 has the upper end
+    # 1 - 40^(-1/100) = 0.03622. A mean of 0.09 has KL 0.02967 to it, inside
+    # the radius: tied. A mean of 0.11 has KL 0.05132: not tied. Split over
+    # one tail only (radius log(20) / 100 = 0.02996, upper end 0.02951), the
+    # mean 0.09 would have KL 0.04179, and would not tie; against the best
+    # cell's lower end, 0, no positive mean ties.
+    @pytest.mark.parametrize("mean,tied", [(0.09, (1.0, 2.0)), (0.11, (1.0, 1.0))])
+    def test_two_cells_by_hand(self, mean, tied):
+        cells = [SweepCell("ng", 1.0, 0.0, 0.5), SweepCell("ng", 2.0, mean, 0.5)]
+        assert evaluate._tied_etas(cells, {"ng": (1.0, 0.0)}, 100) == {"ng": tied}
 
-    def test_identical_sequences_not_significant(self):
-        seq = [0.0, 1.0] * 50
-        v = significance(seq, seq)
-        assert not v.significant
-        assert v.interval_a == v.interval_b
-
-    def test_opposite_constant_sequences_significant(self):
-        v = significance([0.0] * 1000, [1.0] * 1000)
-        assert v.significant
-        assert v.mean_a == 0.0 and v.mean_b == 1.0
-
-    def test_close_means_large_n_significant(self):
-        # means 0.0980 vs 0.1090 at n = 45212 separate at the default budget
-        n = 45212
-        a = [1.0] * 4431 + [0.0] * (n - 4431)
-        b = [1.0] * 4928 + [0.0] * (n - 4928)
-        assert abs(sum(a) / n - 0.0980) < 1e-4
-        assert abs(sum(b) / n - 0.1090) < 1e-4
-        v = significance(a, b)
-        assert v.significant
-        assert v.interval_a[1] < v.interval_b[0]
-
-    def test_same_gap_small_n_not_significant(self):
-        n = 1000
-        a = [1.0] * 98 + [0.0] * (n - 98)
-        b = [1.0] * 109 + [0.0] * (n - 109)
-        assert not significance(a, b).significant
-
-    def test_symmetry(self):
-        a = [0.0] * 900 + [1.0] * 100
-        b = [0.0] * 700 + [1.0] * 300
-        assert significance(a, b).significant == significance(b, a).significant
-
-    def test_budget_monotonicity(self):
-        # a looser failure budget can only make the verdict easier
-        n = 2000
-        a = [1.0] * 200 + [0.0] * (n - 200)
-        b = [1.0] * 260 + [0.0] * (n - 260)
-        strict = significance(a, b, failure_probability=0.001)
-        loose = significance(a, b, failure_probability=0.5)
-        if strict.significant:
-            assert loose.significant
-
-    def test_numpy_arrays(self):
-        a, b = [0.0] * 900 + [1.0] * 100, [0.0] * 700 + [1.0] * 300
-        got = significance(np.array(a), np.array(b))
-        assert got == significance(a, b)
-        assert type(got.significant) is bool and type(got.mean_a) is float
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            significance([0.5], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            significance([], [])
-        with pytest.raises(ValueError):
-            significance([2.0], [0.5])
+    def test_the_three_scale_regimes_of_criterion_8(self):
+        # the normalized nag ties the same etas at every scale; adagrad's tied
+        # etas move with it, and its ranges at the two ends do not overlap
+        tiny = 2.0 ** -20
+        for (lo, hi, seed), ada_star, ada_tied in (((-3.5, -2.5, 1), 64.0, (16.0, 64.0)),
+                                                   ((-0.5, 0.5, 2), 0.25, (tiny, 32.0)),
+                                                   ((2.5, 3.5, 3), 2.0 ** -11, (tiny, 2.0 ** -6))):
+            stream = synth_scaled(4, 1500, seed=seed, log10_scale_lo=lo, log10_scale_hi=hi)
+            report = sweep(["nag", "adagrad"], "hinge", stream)
+            assert {k: eta for k, (eta, _) in report.best.items()} == {"nag": 0.5,
+                                                                       "adagrad": ada_star}
+            assert report.tied == {"nag": (tiny, 16.0), "adagrad": ada_tied}

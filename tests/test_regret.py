@@ -237,6 +237,17 @@ class TestConditionedRun:
                            match="^example 1: conditioner entry underflows to 0 at coordinate 0$"):
             check(stream, get_loss("hinge"), 1.0)
 
+    # scaled up, a squared gradient or its sum overflows to inf; unchecked,
+    # it makes thm1's bound nan, thm2's inf, and moves the regret
+    @pytest.mark.parametrize("check", [theorem1_check, theorem2_check], ids=["thm1", "thm2"])
+    @pytest.mark.parametrize("scale,example", [(1e153, 39), (1e154, 1), (1e160, 1)])
+    def test_overflowing_gradient_sum_is_numeric_fault(self, check, scale, example):
+        stream = list(apply_scaling(random_instance(0, d=3, T=200),
+                                    dict.fromkeys(range(3), scale)))
+        with pytest.raises(NumericFault, match=f"^example {example}: non-finite gradient sum "
+                                               "inf at coordinate 0$"):
+            check(stream, get_loss("hinge"), 1.0)
+
 
 class TestEmpiricalRegret:
     def test_zero_learning_rate_instance(self):
@@ -398,10 +409,12 @@ class TestCorollary1:
         assert corollary1_tau(10, 0.1, 0.5) == math.ceil(math.log(100.0) / 0.5)
 
     def test_tau_bad_args(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require delta in \(0, 1\), got 0.0$"):
             corollary1_tau(10, 0.0, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^require nu in \(0, 1\), got 1.5$"):
             corollary1_tau(10, 0.1, 1.5)
+        with pytest.raises(ValueError, match=r"^require nu in \(0, 1\), got nan$"):
+            corollary1_tau(10, 0.1, math.nan)
         with pytest.raises(ValueError, match="require d >= 1, got 0"):
             corollary1_tau(0, 0.1, 0.5)
 

@@ -180,6 +180,11 @@ TABLE = (
            "if gi != 0.0 and A[i] == 0.0:", "if False:",
            ("tests/test_regret.py::TestConditionedRun",),
            "a conditioner entry that underflows to 0 faults, naming its coordinate"),
+    Mutant("conditioner-sum-unchecked", "src/nol/conditioners.py",
+           "                if not math.isfinite(s):\n", "                if False:\n",
+           ("tests/test_regret.py::TestConditionedRun",
+            FAILURE + "regret-lemma1-squared-C1e152]"),
+           "a conditioner's gradient sum that overflows faults, naming its coordinate"),
     Mutant("oracle-accepts-l2-ball", "src/nol/regret.py",
            "    if ball.q != 1:\n        raise NolError(", "    if ball.q > 2:\n        raise NolError(",
            ("tests/test_regret.py::TestBestInHindsight",),
@@ -209,6 +214,16 @@ TABLE = (
            "train_sums = train + np.add.accumulate(L)",
            ("tests/test_evaluate.py::TestSweepBlocks",),
            "the sweep adds losses one example at a time: cells do not depend on the block size"),
+    Mutant("tie-split-over-one-tail", "src/nol/evaluate.py",
+           "alpha = TIE_FAILURE_PROBABILITY / (2 * len(cells))",
+           "alpha = TIE_FAILURE_PROBABILITY / len(cells)",
+           ("tests/test_evaluate.py::TestTiedEtas",),
+           "a sweep's tie tests split their failure probability over both tails of every cell"),
+    Mutant("tie-against-the-best-lower-end", "src/nol/evaluate.py",
+           "hi = kl_confidence_interval(least, n, alpha)[1]",
+           "hi = kl_confidence_interval(least, n, alpha)[0]",
+           ("tests/test_evaluate.py::TestTiedEtas",),
+           "a cell ties when its interval meets the best cell's upper end"),
     Mutant("sweep-holds-a-block", "src/nol/evaluate.py",
            "            del block   # not held while the next one is read\n", "",
            ("tests/test_cli.py::TestStreaming",),
@@ -243,15 +258,11 @@ TABLE = (
            "    if n_permutations < 1:\n", "    if False:\n",
            ("tests/test_regret.py::TestCorollary1::test_montecarlo_without_permutations",),
            "corollary1_montecarlo rejects n_permutations < 1, naming it, before dividing by it"),
-    Mutant("significance-truth-of-the-sequence", "src/nol/evaluate.py",
-           '    if n == 0:\n        raise ValueError("empty loss sequences")',
-           '    if not losses_a:\n        raise ValueError("empty loss sequences")',
-           ("tests/test_evaluate.py::TestSignificance::test_numpy_arrays",),
-           "significance takes numpy arrays: it tests emptiness by length"),
-    Mutant("significance-numpy-means", "src/nol/evaluate.py",
-           "ma = float(sum(losses_a)) / n", "ma = sum(losses_a) / n",
-           ("tests/test_evaluate.py::TestSignificance::test_numpy_arrays",),
-           "significance of numpy arrays returns floats and a bool, as of lists"),
+    Mutant("cor1-tau-bare-message", "src/nol/regret.py",
+           'raise ValueError(f"require {name} in (0, 1), got {value!r}")',
+           'raise ValueError("require delta and nu in (0, 1)")',
+           ("tests/test_regret.py::TestCorollary1::test_tau_bad_args",),
+           "corollary1_tau names delta or nu, whichever is out of (0, 1), and its value"),
     # messages that only the failure table of tools/report_snapshot.py pins
     Mutant("csv-field-count-names-the-header", "src/nol/data.py",
            "fields, got {len(row)}", "fields, got {len(columns)}",
