@@ -152,9 +152,12 @@ class TestSweep:
         for b in rep["best"].values():
             lo, hi = b["tied_etas"]
             assert lo <= b["eta"] <= hi
+        rep["best"]["nag"]["tied_etas"] = [0.25]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(rep, SCHEMA)
 
     def test_regression_sweep_reports_no_ties(self, capsys):
-        # its scaled squared error is not bounded in [0, 1] without clipping
+        # its scaled squared error is not bounded in [0, 1]
         rep = run_report(capsys, ["sweep", "--synth", "figure1:s=1,T=150", "--learners",
                                   "nag,sgd", "--loss", "squared", "--task", "regression",
                                   "--eta-grid", "0.25..1.0"])
