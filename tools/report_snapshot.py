@@ -43,7 +43,8 @@ Runs ``nol.cli.main`` from CHECKOUT's ``src/`` in this process over:
   (against w = 0, on a run without projection) of each loss at C = 1, on
   ``random_instance(0, d=3, T=200)`` scaled by 1e-200, where the squared
   gradients underflow, and the first two checks of each loss at scales
-  1e153, 1e154, 1e155 and 1e160, where the gradient sums overflow;
+  1e153, 1e154, 1e155 and 1e160, where the gradient sums overflow, and of
+  logistic loss at 5e153, where m_i^2 overflows before the gradient sums do;
 * library calls with arguments out of range: ``sweep`` and
   ``progressive_validation`` of a misspelt task, ``corollary1_montecarlo``
   of no permutations, and ``corollary1_tau`` at d = 0 and at delta = 0.
@@ -86,6 +87,7 @@ SGD = "--learner sgd --loss hinge --eta 1"
 SEED = "argument --seed: must be a nonnegative integer, got -1"
 SYNTH = "argument --synth: bad synth spec"
 LABEL = "data error: example 2: classification label must be -1 or +1, got 2.0\n"
+ZERO_ONE = "data error: example 1: classification label must be -1 or +1, got 0.0\n"
 
 FAILURES = (
     # usage errors: exit 1
@@ -142,6 +144,13 @@ FAILURES = (
     Failure("sweep-invalid-label", 2,
             "sweep --data {tmp}/invalid-label.svm --learners nag --loss hinge --eta-grid 1..1",
             LABEL, {"invalid-label.svm": b"1 0:1\n2 0:1\n"}),
+    # the 0/1 labels of many svmlight files
+    Failure("train-zero-one-labels", 2,
+            "train --data {tmp}/zero-one.svm --learner nag --loss hinge --eta 1", ZERO_ONE,
+            {"zero-one.svm": b"0 0:1\n1 0:2\n"}),
+    Failure("sweep-zero-one-labels", 2,
+            "sweep --data {tmp}/zero-one.svm --learners nag --loss hinge --eta-grid 1..1",
+            ZERO_ONE, {"zero-one.svm": b"0 0:1\n1 0:2\n"}),
     Failure("sweep-constant-regression-labels", 2, "sweep --data {tmp}/constant.svm --task "
             "regression --loss squared --learners sgd --eta-grid 1..1",
             "data error: constant labels: regression loss scale undefined\n",
@@ -347,8 +356,9 @@ def _call_snapshots():
         return lemma1_check(conditioned_run(stream, loss, C, projection=False), loss, {})
 
     checks = {"thm1": theorem1_check, "thm2": theorem2_check, "lemma1": lemma1}
-    for scale in ("1e-200", "1e153", "1e154", "1e155", "1e160"):
-        for loss in LOSSES:
+    for scale, losses in (("1e-200", LOSSES), ("1e153", LOSSES), ("5e153", ("logistic",)),
+                          ("1e154", LOSSES), ("1e155", LOSSES), ("1e160", LOSSES)):
+        for loss in losses:
             for name in checks if scale == "1e-200" else ("thm1", "thm2"):
                 def call(scale=scale, loss=loss, check=checks[name]):
                     stream = list(apply_scaling(random_instance(0, d=3, T=200),
