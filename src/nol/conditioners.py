@@ -212,7 +212,8 @@ def project(w: Mapping[int, float], A: Mapping[int, float], ball: ComparatorBall
     Solved in the variables u = S^{-1/2} w (u_i = m_i w_i) where the metric
     becomes diag(A_ii S_ii) and the constraint a plain q-norm ball.
     Coordinates with A_ii = 0 or outside the box support pass through
-    unchanged; already-feasible inputs are returned exactly.
+    unchanged; already-feasible inputs are returned exactly. A metric entry
+    A_ii S_ii that is 0 (m_i^2 overflows) is a NumericFault naming i.
     """
     m = ball.box.m
     active = {}
@@ -225,6 +226,9 @@ def project(w: Mapping[int, float], A: Mapping[int, float], ball: ComparatorBall
 
     u = {i: active[i] * m[i] for i in active}
     d = {i: A[i] / (m[i] * m[i]) for i in active}
+    zero = next((i for i, di in d.items() if di == 0.0), None)
+    if zero is not None:   # m_i^2 overflowed: the solvers divide by d_i
+        raise NumericFault(f"zero projection weight at coordinate {zero}")
     solve = _project_weighted_l1 if ball.q == 1 else _project_weighted_l2
     proj = solve(u, d, ball.C)
     if proj is u:   # feasible: w itself, not (w_i m_i) / m_i, which can be off by an ulp

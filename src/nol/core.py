@@ -100,10 +100,13 @@ class Loss:
     predictions, where y is an array of labels or one label for all of them
     and labels are not checked. The two forms evaluate the same expressions.
     ``value``, ``derivative`` and ``values`` are read off them.
+    ``smoothness`` bounds the Lipschitz constant of the derivative in yhat,
+    None for a loss that is not smooth.
     """
 
     kind = "abstract"
     classification = False
+    smoothness: Optional[float] = None
 
     def value_and_derivative(self, yhat: float, y: float):
         raise NotImplementedError
@@ -126,6 +129,7 @@ class Loss:
 
 class SquaredLoss(Loss):
     kind = "squared"
+    smoothness = 2.0
 
     def value_and_derivative(self, yhat, y):
         d = yhat - y
@@ -153,6 +157,7 @@ class HingeLoss(Loss):
 class LogisticLoss(Loss):
     kind = "logistic"
     classification = True
+    smoothness = 0.25   # sigmoid' <= 1/4
 
     # Stable: ln(1 + e^{-m}) = max(0, -m) + ln(1 + e^{-|m|}), and the
     # derivative -y * sigmoid(-m) is -y * e / (1 + e) for m >= 0 and

@@ -4,8 +4,10 @@ Progressive validation measures each example's loss before its update, so the
 running average estimates generalization without a holdout set; a regression
 eval loss is divided by the labels' (max - min)^2, read in a pass of their
 own. Sweeps search a geometric learning-rate grid for every learner in one
-pass over the stream, a block of examples at a time. A classification sweep
-also gives each kind's tied learning rates: those whose relative-entropy
+pass over the stream, a block of examples at a time: the block's labels are
+read once, to check and to score, and its losses join the cells' sums one
+example at a time, as progressive validation adds them. A classification
+sweep also gives each kind's tied learning rates: those whose relative-entropy
 Chernoff confidence interval on the mean 0-1 loss meets the best cell's.
 
 A non-finite prediction, loss, eval loss, weight or sum is a ``NumericFault``
@@ -189,39 +191,51 @@ def sweep(kinds: Sequence[str], loss: str, examples: Iterable[SparseExample],
     loss_scale = _loss_scale(examples, task)
     learner = GridLearner(kinds, eta_grid, get_loss(loss), clip_c)
     rows = len(learner.etas)
-    train, ev = np.zeros(rows), np.zeros(rows)
+    sums = np.zeros((2, rows))   # the rows' running training and eval loss sums
     errors: List[Optional[str]] = [None] * rows
     n = 0
     stream = iter(examples)
     with np.errstate(all="ignore"):
         for block in iter(lambda: list(itertools.islice(stream, BLOCK)), []):
-            if learner.loss.classification:
-                for j, ex in enumerate(block, start=n + 1):
-                    try:
-                        _check_binary_label(ex.label)
-                    except InvalidLabel as e:
-                        raise InvalidLabel(f"example {j}: {e}") from e
-            train, ev = _sweep_block(learner, block, n, train, ev, errors, loss_scale)
+            y = np.array([ex.label for ex in block])
+            bad = np.flatnonzero(np.abs(y) != 1.0) if learner.loss.classification else ()
+            if len(bad):
+                j = int(bad[0])
+                try:
+                    _check_binary_label(block[j].label)
+                except InvalidLabel as e:
+                    raise InvalidLabel(f"example {n + j + 1}: {e}") from e
+            Y, L, faults = learner.observe_block(block)
+            E = _eval_loss(Y, y[:, None], loss_scale)
+            # added one example at a time, as progressive_validation adds them
+            S = np.add.accumulate(np.concatenate([sums[:, None], np.stack([L, E])], axis=1),
+                                  axis=1)[:, 1:]
+            unset = np.array([e is None for e in errors])
+            # in the order progressive_validation meets them at one example, after the learner's
+            for what, values in (("eval loss", E), ("loss sum", S[0]), ("eval loss sum", S[1])):
+                for j, r in zip(*np.nonzero(~np.isfinite(values) & unset)):
+                    j, r = int(j), int(r)
+                    if j < faults.get(r, (len(block),))[0]:
+                        faults[r] = (j, _nonfinite_reason(what, values[j, r]))
+            for r, (j, reason) in faults.items():
+                if errors[r] is None:
+                    errors[r] = f"example {n + j + 1}: {reason}"
+            sums = S[:, -1].copy()
             n += len(block)
             del block   # not held while the next one is read
     if n == 0:
         raise ValueError("no examples")
 
-    train, ev = train / n, ev / n
+    train, ev = sums / n
     cells: List[SweepCell] = []
-    for r, (kind, eta) in enumerate(itertools.product(kinds, eta_grid)):
-        if errors[r] is None:
-            cells.append(SweepCell(kind, eta, float(ev[r]), float(train[r])))
-        else:
-            cells.append(SweepCell(kind, eta, None, None, error=errors[r]))
-
     best: Dict[str, Tuple[float, float]] = {}
-    for cell in cells:
-        if cell.eval_loss is None:
+    for r, (kind, eta) in enumerate(itertools.product(kinds, eta_grid)):
+        if errors[r] is not None:
+            cells.append(SweepCell(kind, eta, None, None, error=errors[r]))
             continue
-        cur = best.get(cell.kind)
-        if cur is None or cell.eval_loss < cur[1]:
-            best[cell.kind] = (cell.eta, cell.eval_loss)
+        cells.append(SweepCell(kind, eta, float(ev[r]), float(train[r])))
+        if kind not in best or ev[r] < best[kind][1]:
+            best[kind] = (eta, float(ev[r]))
     tied = _tied_etas(cells, best, n) if task == "classification" else None
     return ComparisonReport(cells, best, tied)
 
@@ -243,31 +257,6 @@ def _tied_etas(cells: Sequence[SweepCell], best: Dict[str, Tuple[float, float]],
                 and (c.eval_loss <= hi or _kl_bernoulli(c.eval_loss, hi) <= target)]
         tied[kind] = (etas[0], etas[-1])
     return tied
-
-
-def _sweep_block(learner: GridLearner, block: List[SparseExample], n: int,
-                 train: np.ndarray, ev: np.ndarray, errors: List[Optional[str]],
-                 loss_scale: Optional[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """Advance a sweep over the block of examples n + 1, n + 2, ...: returns
-    the rows' running training and eval loss sums, and sets the error of
-    each row that faults first on this block. loss_scale is
-    ``_eval_loss``'s."""
-    Y, L, faults = learner.observe_block(block)
-    E = _eval_loss(Y, np.array([ex.label for ex in block])[:, None], loss_scale)
-    # the running sums, added one example at a time as progressive_validation adds them
-    train_sums = np.add.accumulate(np.vstack([train, L]))[1:]
-    ev_sums = np.add.accumulate(np.vstack([ev, E]))[1:]
-    unset = np.array([e is None for e in errors])
-    # in the order progressive_validation meets them at one example, after the learner's
-    for what, values in (("eval loss", E), ("loss sum", train_sums), ("eval loss sum", ev_sums)):
-        for j, r in zip(*np.nonzero(~np.isfinite(values) & unset)):
-            j, r = int(j), int(r)
-            if j < faults.get(r, (len(block),))[0]:
-                faults[r] = (j, _nonfinite_reason(what, values[j, r]))
-    for r, (j, reason) in faults.items():
-        if errors[r] is None:
-            errors[r] = f"example {n + j + 1}: {reason}"
-    return train_sums[-1].copy(), ev_sums[-1].copy()
 
 
 def plot_csv_rows(report: ComparisonReport) -> List[str]:

@@ -307,13 +307,13 @@ def _hinge_lp(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float):
 
 
 def _fista(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float):
-    """Accelerated projected gradient (Beck & Teboulle) for squared and
-    logistic loss, step 1/L with L from the Frobenius norm of Xu, momentum
-    restarted whenever it points against the last step (O'Donoghue & Candes).
+    """Accelerated projected gradient (Beck & Teboulle) for a smooth loss,
+    step 1/L with L = smoothness * ||Xu||_F^2, momentum restarted whenever
+    it points against the last step (O'Donoghue & Candes).
     Stops on the Frank-Wolfe gap g.u + C ||g||_inf (the dual norm of the
     L1 ball's), an upper bound on f(u) - min f. Returns (u, loss, certificate).
     """
-    L = float((Xu * Xu).sum()) * (0.25 if loss.kind == "logistic" else 2.0)
+    L = float((Xu * Xu).sum()) * loss.smoothness
     u = v = np.zeros(Xu.shape[1])
     t = 1.0
     for k in range(FISTA_MAX_ITER + 1):
@@ -338,7 +338,7 @@ def _fista(loss: Loss, Xu: np.ndarray, y: np.ndarray, C: float):
 def best_in_hindsight(examples: Sequence[SparseExample], loss: Loss,
                       ball: ComparatorBall):
     """Minimizer of the total loss over the comparator ball, an L1 ball: an
-    exact LP for hinge loss and FISTA for squared and logistic loss. The
+    exact LP for hinge loss, which is not smooth, and FISTA for the others. The
     certificate's gap bounds how far the returned loss is above the minimum.
     Returns (w* as dict, total loss at w*, OracleCertificate).
     """
@@ -347,7 +347,7 @@ def best_in_hindsight(examples: Sequence[SparseExample], loss: Loss,
     coords, Xu, y = _dense_in_ball_coords(examples, ball)
     if not coords:
         raise NolError("empty comparator ball: no coordinate ever observed nonzero")
-    if loss.kind == "hinge":
+    if loss.smoothness is None:
         u_best, f_best, cert = _hinge_lp(loss, Xu, y, ball.C)
     else:
         u_best, f_best, cert = _fista(loss, Xu, y, ball.C)

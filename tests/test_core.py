@@ -134,6 +134,26 @@ class TestLosses:
             d = loss.derivative(yhat, y)
             assert abs(d - fd) / max(1.0, abs(d)) <= 1e-6
 
+    # the hindsight oracle's FISTA steps by 1/smoothness; the bound must
+    # hold everywhere, and be reached (logistic's at margin 0)
+    @pytest.mark.parametrize("kind", ["squared", "logistic"])
+    def test_smoothness_bounds_the_derivatives_change(self, kind):
+        import random
+        rnd = random.Random(23)
+        loss = get_loss(kind)
+        h = 1e-4
+        steepest = 0.0
+        for _ in range(1000):
+            yhat = rnd.uniform(-5, 5)
+            y = rnd.choice([-1.0, 1.0]) if kind != "squared" else rnd.uniform(-5, 5)
+            slope = abs(loss.derivative(yhat + h, y) - loss.derivative(yhat, y)) / h
+            assert slope <= loss.smoothness * (1.0 + 1e-9)
+            steepest = max(steepest, slope)
+        assert steepest >= loss.smoothness * (1.0 - 1e-3)
+
+    def test_hinge_is_not_smooth(self):
+        assert get_loss("hinge").smoothness is None
+
     @pytest.mark.parametrize("kind", ["squared", "hinge", "logistic"])
     def test_convexity(self, kind):
         import random

@@ -248,6 +248,17 @@ class TestConditionedRun:
                                                "inf at coordinate 0$"):
             check(stream, get_loss("hinge"), 1.0)
 
+    # at 5e153 x_0^2 overflows, so m_0^2 is inf and the projection weight
+    # A_0 / m_0^2 is 0, while logistic's damped gradient still squares to a
+    # finite sum
+    @pytest.mark.parametrize("check", [theorem1_check, theorem2_check], ids=["thm1", "thm2"])
+    def test_zero_projection_weight_is_numeric_fault(self, check):
+        stream = list(apply_scaling(random_instance(0, d=3, T=200),
+                                    dict.fromkeys(range(3), 5e153)))
+        with pytest.raises(NumericFault,
+                           match="^example 1: zero projection weight at coordinate 0$"):
+            check(stream, get_loss("logistic"), 1.0)
+
 
 class TestEmpiricalRegret:
     def test_zero_learning_rate_instance(self):

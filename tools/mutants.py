@@ -172,6 +172,10 @@ TABLE = (
            "if (v - u_new) @ (u_new - u) > 0.0:", "if False:",
            ("tests/test_regret.py::TestBestInHindsight",),
            "FISTA's gradient restart keeps its steps within the certificate test's cap"),
+    Mutant("logistic-smoothness-doubled", "src/nol/core.py",
+           "smoothness = 0.25", "smoothness = 0.5",
+           ("tests/test_core.py::TestLosses",),
+           "logistic's smoothness, FISTA's step bound, is the least bound on its slope's change"),
     Mutant("lp-u-flipped", "src/nol/regret.py",
            "mu[d:] - mu[:d]", "mu[:d] - mu[d:]",
            ("tests/test_regret.py::TestBestInHindsight",),
@@ -185,6 +189,10 @@ TABLE = (
            ("tests/test_regret.py::TestConditionedRun",
             FAILURE + "regret-lemma1-squared-C1e152]"),
            "a conditioner's gradient sum that overflows faults, naming its coordinate"),
+    Mutant("projection-zero-weight-unchecked", "src/nol/conditioners.py",
+           "    if zero is not None:", "    if False:",
+           ("tests/test_regret.py::TestConditionedRun",),
+           "a projection weight that m_i^2's overflow makes 0 faults, naming its coordinate"),
     Mutant("oracle-accepts-l2-ball", "src/nol/regret.py",
            "    if ball.q != 1:\n        raise NolError(", "    if ball.q > 2:\n        raise NolError(",
            ("tests/test_regret.py::TestBestInHindsight",),
@@ -206,14 +214,20 @@ TABLE = (
            "a sweep cell fails in progressive_validation's words, gradient sum before weight"),
     # the sweep
     Mutant("sweep-cell-names-the-wrong-example", "src/nol/evaluate.py",
-           "n + j + 1", "n + j",
+           'errors[r] = f"example {n + j + 1}: {reason}"',
+           'errors[r] = f"example {n + j}: {reason}"',
            ("tests/test_evaluate.py::TestSweepMatchesScalar",),
            "a failed sweep cell names the example progressive_validation names"),
     Mutant("sweep-loss-sum-reassociated", "src/nol/evaluate.py",
-           "train_sums = np.add.accumulate(np.vstack([train, L]))[1:]",
-           "train_sums = train + np.add.accumulate(L)",
+           "S = np.add.accumulate(np.concatenate([sums[:, None], np.stack([L, E])], axis=1),\n"
+           "                                  axis=1)[:, 1:]",
+           "S = sums[:, None] + np.add.accumulate(np.stack([L, E]), axis=1)",
            ("tests/test_evaluate.py::TestSweepBlocks",),
            "the sweep adds losses one example at a time: cells do not depend on the block size"),
+    Mutant("sweep-label-check-passes-0", "src/nol/evaluate.py",
+           "np.abs(y) != 1.0", "np.abs(y) > 1.0",
+           (FAILURE + "sweep-zero-one-labels]",),
+           "a sweep names the first label that is not -1 or +1, 0 included"),
     Mutant("tie-split-over-one-tail", "src/nol/evaluate.py",
            "alpha = TIE_FAILURE_PROBABILITY / (2 * len(cells))",
            "alpha = TIE_FAILURE_PROBABILITY / len(cells)",
