@@ -48,11 +48,6 @@ class SparseExample:
         object.__setattr__(self, "features", tuple(cleaned))
         object.__setattr__(self, "label", float(self.label))
 
-    def scaled(self, scale: Mapping[int, float]) -> "SparseExample":
-        """Return a copy with each feature i multiplied by scale.get(i, 1)."""
-        pairs = tuple((i, v * scale.get(i, 1.0)) for i, v in self.features)
-        return SparseExample(pairs, self.label)
-
 
 def _validated_example(features: tuple, label: float) -> SparseExample:
     """A SparseExample without ``__post_init__``'s checks, for pairs the

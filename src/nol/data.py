@@ -303,6 +303,10 @@ def parse_synth_spec(spec: str):
         hi = float(args.get("hi", 3.0))
         if d < 0 or not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("d must be >= 0 and lo, hi finite")
+        if lo > hi:
+            raise ValueError(f"lo {lo!r} exceeds hi {hi!r}")
+        if hi >= math.log10(np.finfo(float).max):
+            raise ValueError(f"the scale 10**hi overflows at hi {hi!r}")
         return lambda seed: synth_scaled(
             d=d, T=T, seed=seed, log10_scale_lo=lo, log10_scale_hi=hi)
     except ValueError as e:

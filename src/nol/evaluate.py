@@ -82,17 +82,13 @@ def _eval_loss(yhat, y, loss_scale: Optional[float]):
 
 def _loss_scale(examples: Iterable[SparseExample], task: str) -> Optional[float]:
     """The eval loss scale of a task: None for classification, whose eval
-    loss is 0-1, and the labels' (max - min)^2 for regression."""
+    loss is 0-1, and for regression the labels' (max - min)^2, the worst
+    possible squared loss, read in a pass of its own over examples: it
+    scales regression eval losses into [0, 1]."""
     if task == "classification":
         return None
-    if task == "regression":
-        return _regression_scale(examples)
-    raise ValueError(f"unknown task {task!r}")
-
-
-def _regression_scale(examples: Iterable[SparseExample]) -> float:
-    """The labels' (max - min)^2, the worst possible squared loss, read in a
-    pass of its own over examples: it scales regression eval losses into [0, 1]."""
+    if task != "regression":
+        raise ValueError(f"unknown task {task!r}")
     _two_passes(examples, "a regression run", "the labels for the loss scale")
     labels = [ex.label for ex in examples]
     if not labels:

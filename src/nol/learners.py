@@ -501,7 +501,10 @@ class GridLearner:
         """Predict, score and step every row on each example of the block in
         turn, on a copy of the block's columns of W and G, transposed;
         returns (predictions, losses, faults, the copies). When checked, the
-        rows that turn non-finite are reported and retired."""
+        live rows that an example turns non-finite are retired, each with the
+        first fault that Learner.observe meets: in its kind's statistics, then
+        coordinate by coordinate in the gradient sum and the weight, then in
+        the prediction and the loss."""
         K, R = len(self.kinds), len(self.etas)
         n = R // K
         g_ids, g_rows, clip_c = self._g_ids, self._g_rows, self.clip_c
@@ -542,42 +545,35 @@ class GridLearner:
                 Wx = Wx - step
             WT[c] = Wx
             if checked:
-                rows = self._check(j, ex.features, Wx, GT[c], yhat, lval, block.faults)
+                found = {}   # row -> its first fault
+                for k, (at, reason) in block.faults.items():
+                    if at == j:
+                        rows = self.kinds[k].rows
+                        found.update(dict.fromkeys(range(rows.start, rows.stop), reason))
+                Gx = GT[c]
+                for r in self._nonfinite_rows(yhat[None], lval[None], Wx, Gx).tolist():
+                    if r in found:
+                        continue
+                    g = np.flatnonzero(g_ids == r)
+                    cols = [Gx[:, g[0]], Wx[:, r]] if len(g) else [Wx[:, r]]
+                    what = ("gradient sum", "weight")[-len(cols):]
+                    values = np.column_stack(cols)
+                    bad = np.flatnonzero(~np.isfinite(values))  # row-major: by coordinate
+                    if len(bad):
+                        k, col = divmod(int(bad[0]), len(cols))
+                        found[r] = _nonfinite_reason(what[col], values[k, col], ex.features[k][0])
+                    elif not math.isfinite(yhat[r]):
+                        found[r] = _nonfinite_reason("prediction", yhat[r])
+                    else:
+                        found[r] = _nonfinite_reason("loss", lval[r])
+                rows = [r for r in found if self._live[r]]
                 if rows:
-                    faults.update((r, (j, reason)) for r, reason in rows.items())
-                    rows = list(rows)
+                    faults.update((r, (j, found[r])) for r in rows)
                     self._live[rows] = False
                     self.W[rows] = WT[:, rows] = 0.0
                     g = np.isin(g_ids, rows)
                     self.G[g] = GT[:, g] = 0.0
         return Y, L, faults, WT, GT
-
-    def _check(self, j, supp, Wx, Gx, yhat, lval, stat_faults) -> dict:
-        """The live rows that example j turned non-finite: row -> the first
-        fault that Learner.observe meets, in its kind's statistics, then
-        coordinate by coordinate in the gradient sum and the weight, then in
-        the prediction and the loss. Wx and Gx are (support, rows)."""
-        found = {}
-        for k, (at, reason) in stat_faults.items():
-            if at == j:
-                rows = self.kinds[k].rows
-                found.update(dict.fromkeys(range(rows.start, rows.stop), reason))
-        for r in self._nonfinite_rows(yhat[None], lval[None], Wx, Gx).tolist():
-            if r in found:
-                continue
-            g = np.flatnonzero(self._g_ids == r)
-            cols = [Gx[:, g[0]], Wx[:, r]] if len(g) else [Wx[:, r]]
-            what = ("gradient sum", "weight")[-len(cols):]
-            values = np.column_stack(cols)
-            bad = np.flatnonzero(~np.isfinite(values))   # row-major: coordinate by coordinate
-            if len(bad):
-                k, c = divmod(int(bad[0]), len(cols))
-                found[r] = _nonfinite_reason(what[c], values[k, c], supp[k][0])
-            elif not math.isfinite(yhat[r]):
-                found[r] = _nonfinite_reason("prediction", yhat[r])
-            else:
-                found[r] = _nonfinite_reason("loss", lval[r])
-        return {r: reason for r, reason in found.items() if self._live[r]}
 
     def _nonfinite_rows(self, Y, L, WT, GT):
         """The live rows that hold a non-finite value: in Y, L or WT, each

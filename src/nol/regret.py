@@ -57,7 +57,7 @@ def apply_scaling(stream: Iterable[SparseExample], D: Dict[int, float]):
         if not d > 0:
             raise ValueError("scaling diagonal must be strictly positive")
     for ex in stream:
-        yield ex.scaled(D)
+        yield SparseExample(tuple((i, v * D.get(i, 1.0)) for i, v in ex.features), ex.label)
 
 
 def random_instance(seed: int, d: int = 3, T: int = 200,
@@ -105,12 +105,6 @@ class RegretLedger:
     box: EnclosingBox = field(default_factory=EnclosingBox)
     first_abs: Dict[int, float] = field(default_factory=dict)
     total_loss: float = 0.0
-
-    def comparator_loss(self, loss: Loss, w: Dict[int, float]) -> float:
-        total = 0.0
-        for r in self.rounds:
-            total += loss.value(predict(w, r.x), r.x.label)
-        return total
 
     def delta_ratios(self) -> Dict[int, float]:
         """Per coordinate: max |x_i| over the run / first nonzero |x_i|."""
@@ -384,7 +378,11 @@ def lemma1_check(ledger: RegretLedger, loss: Loss, w: Dict[int, float]) -> Bound
     if not rounds:
         raise NolError("lemma1_check requires a no-projection ledger")
 
-    regret = ledger.total_loss - ledger.comparator_loss(loss, w)
+    # left to right: the builtin sum compensates from Python 3.12 on
+    comparator_loss = 0.0
+    for r in rounds:
+        comparator_loss += loss.value(predict(w, r.x), r.x.label)
+    regret = ledger.total_loss - comparator_loss
 
     # w_1 = 0, as conditioned_run starts from {}; and the support of A only
     # grows, so each round's increments lie on its own A's keys

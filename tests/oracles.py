@@ -2,7 +2,8 @@
 search over a q-norm ball, the grid cross-check of
 ``nol.regret.best_in_hindsight`` built on it (it certifies nothing; d <= 3),
 the row-wise numpy L1 ball projection the grid search uses, and a learner
-that runs the update rules in 60-digit decimal arithmetic.
+that runs the update rules in 60-digit decimal arithmetic. Also the tests'
+shorthand for an example, ``ex``.
 """
 
 import decimal
@@ -12,7 +13,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from nol.core import SparseExample
 from nol.regret import _dense_in_ball_coords
+
+
+def ex(feats, y=1.0):
+    """The example whose features are the dict feats (index -> value), labelled y."""
+    return SparseExample(tuple(sorted(feats.items())), y)
 
 
 def _logistic(preds, y):

@@ -20,7 +20,7 @@ from nol.conditioners import (
     lemma2_bound,
     project,
 )
-from nol.core import SparseExample, get_loss
+from nol.core import get_loss
 from nol.data import synth_figure1, synth_scaled
 from nol.errors import NumericFault
 from nol.evaluate import default_eta_grid
@@ -37,7 +37,7 @@ from nol.regret import (
     theorem2_check,
     theorem2_components,
 )
-from oracles import grid_minimize
+from oracles import ex, grid_minimize
 
 LOSSES = ("squared", "hinge", "logistic")
 
@@ -46,10 +46,6 @@ def report(number, name, ok, detail):
     line = f"criterion {number} ({name}): {'PASS' if ok else 'FAIL'} — {detail}"
     print(line)
     assert ok, line
-
-
-def ex(feats, y=1.0):
-    return SparseExample(tuple(sorted(feats.items())), y)
 
 
 def rel_close(a, b, tol):

@@ -13,11 +13,7 @@ from nol.conditioners import (
     lemma2_bound,
     project,
 )
-from nol.core import SparseExample
-
-
-def ex(feats, y=1.0):
-    return SparseExample(tuple(sorted(feats.items())), y)
+from oracles import ex
 
 
 class TestHindsight:

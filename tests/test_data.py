@@ -18,10 +18,7 @@ from nol.data import (
     synth_scaled,
 )
 from nol.errors import DataFormatError
-
-
-def ex(feats, y=1.0):
-    return SparseExample(tuple(sorted(feats.items())), y)
+from oracles import ex
 
 
 class TestSvmlight:
@@ -313,8 +310,16 @@ class TestSynthSpec:
         assert gen(5) == synth_scaled(2, 10, seed=5, log10_scale_lo=-1,
                                       log10_scale_hi=1)
 
+    def test_scaled_spec_edges(self):
+        # one scale where lo == hi, and the largest finite scales
+        assert parse_synth_spec("scaled:d=2,T=3,lo=1,hi=1")(0) == synth_scaled(
+            2, 3, log10_scale_lo=1, log10_scale_hi=1)
+        assert parse_synth_spec("scaled:d=2,T=3,lo=308,hi=308.25")(0) == synth_scaled(
+            2, 3, log10_scale_lo=308, log10_scale_hi=308.25)
+
     @pytest.mark.parametrize("bad", ["nope:T=5", "figure1:s", "figure1:T=x", "figure1:s=0",
-                                     "figure1:s=inf", "scaled:d=-1", "scaled:lo=nan"])
+                                     "figure1:s=inf", "scaled:d=-1", "scaled:lo=nan",
+                                     "scaled:lo=3,hi=-3", "scaled:lo=309,hi=310"])
     def test_bad_specs(self, bad):
         with pytest.raises(DataFormatError):
             parse_synth_spec(bad)

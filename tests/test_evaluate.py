@@ -24,10 +24,7 @@ from nol.evaluate import (
     sweep,
 )
 from nol.learners import KINDS, Learner, LearnerConfig
-
-
-def ex(feats, y=1.0):
-    return SparseExample(tuple(sorted(feats.items())), y)
+from oracles import ex
 
 
 SQ = get_loss("squared")
@@ -447,7 +444,7 @@ class TestOneShotRegression:
 
 def regression_loss_scale(labels):
     """The regression loss scale of examples with these labels."""
-    return evaluate._regression_scale([SparseExample((), y) for y in labels])
+    return evaluate._loss_scale([SparseExample((), y) for y in labels], "regression")
 
 
 class TestRegressionLossScale:

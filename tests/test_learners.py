@@ -11,13 +11,10 @@ from nol.data import synth_figure1
 from nol.errors import NumericFault
 from nol.learners import KINDS, GridLearner, Learner, LearnerConfig, run_stream
 from nol.regret import apply_scaling, random_instance
+from oracles import ex
 
 SQ = get_loss("squared")
 HINGE = get_loss("hinge")
-
-
-def ex(feats, y=1.0):
-    return SparseExample(tuple(sorted(feats.items())), y)
 
 
 def observe(grid, x):

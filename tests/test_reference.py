@@ -10,7 +10,7 @@ import pytest
 from nol.core import LOSS_KINDS, SparseExample, get_loss
 from nol.learners import KINDS, LearnerConfig, run_stream
 from nol.regret import random_instance
-from oracles import REFERENCE_DIGITS, reference_run
+from oracles import REFERENCE_DIGITS, ex, reference_run
 
 # sgd's steps are not scaled by the features; larger ones overflow the
 # squared loss on random_instance's features of up to 1e2
@@ -54,10 +54,6 @@ def test_exact_scale_invariance(kind, loss_kind):
     a = reference_run(kind, 0.5, loss, stream).predictions
     b = reference_run(kind, 0.5, loss, scaled).predictions
     assert max(abs(p - q) / max(1, abs(p)) for p, q in zip(a, b)) <= Decimal("1e-40")
-
-
-def ex(feats, y=1.0):
-    return SparseExample(tuple(sorted(feats.items())), y)
 
 
 # TestWorkedExamples in test_learners.py, step by step: (kind, eta, stream,

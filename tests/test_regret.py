@@ -5,7 +5,7 @@ import pytest
 
 from nol import regret
 from nol.conditioners import ComparatorBall, EnclosingBox, SQRT2
-from nol.core import SparseExample, get_loss
+from nol.core import get_loss, predict
 from nol.errors import NolError, NumericFault
 from nol.regret import (
     FISTA_GAP_TOL,
@@ -21,16 +21,12 @@ from nol.regret import (
     theorem2_check,
     theorem2_components,
 )
-from oracles import _batch_project_l1, grid_oracle
+from oracles import _batch_project_l1, ex, grid_oracle
 
 SQ = get_loss("squared")
 # hinge-oracle radii besides the default C = 1: the simplex's warm start is
 # already optimal at 0.5 and needs pivots at 2 and 10
 HINGE_CS = (0.5, 2.0, 10.0)
-
-
-def ex(feats, y=1.0):
-    return SparseExample(tuple(sorted(feats.items())), y)
 
 
 def ball_loss(stream, loss, w):
@@ -361,6 +357,17 @@ class TestLemma1:
             rep = lemma1_check(ledger, loss, w)
             for name, want in self.definition(ledger, w).items():
                 assert rep.components[name] == pytest.approx(want, rel=1e-12, abs=0.0), name
+
+    @pytest.mark.parametrize("loss_kind", ["squared", "hinge", "logistic"])
+    def test_regret_against_the_comparator(self, loss_kind):
+        loss = get_loss(loss_kind)
+        stream = random_instance(5, d=3, T=50, classification=loss.classification)
+        ledger = conditioned_run(stream, loss, C=1.0, recipe="streaming", projection=False)
+        w = {0: 0.2, 2: -0.1}
+        comparator = math.fsum(loss.value(predict(w, e), e.label) for e in stream)
+        rep = lemma1_check(ledger, loss, w)
+        assert rep.empirical_regret == pytest.approx(ledger.total_loss - comparator,
+                                                     rel=0.0, abs=1e-9)
 
 
 class TestTheorem1:

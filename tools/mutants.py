@@ -167,6 +167,16 @@ TABLE = (
            "return math.fsum([t * 2.0 ** -64 for t in terms]) * 2.0 ** 64", "raise",
            ("tests/test_core.py::TestPredict",),
            "a partial sum that overflows leaves predict the exact sum, whatever the order"),
+    # the regret lab's adversary and ledger
+    Mutant("scaling-adversary-divides", "src/nol/regret.py",
+           "v * D.get(i, 1.0)", "v / D.get(i, 1.0)",
+           ("tests/test_regret.py::TestScalingAdversary",),
+           "apply_scaling multiplies feature i by D_i"),
+    Mutant("lemma1-comparator-skips-first-round", "src/nol/regret.py",
+           "    for r in rounds:\n        comparator_loss +=",
+           "    for r in rounds[1:]:\n        comparator_loss +=",
+           ("tests/test_regret.py::TestLemma1",),
+           "lemma1_check's regret counts the comparator's loss on every round"),
     # the hindsight oracle
     Mutant("fista-without-restart", "src/nol/regret.py",
            "if (v - u_new) @ (u_new - u) > 0.0:", "if False:",
@@ -251,6 +261,13 @@ TABLE = (
            "if k in args or k not in _SYNTH_KEYS[name]:", "if False:",
            ("tests/test_data.py::TestSynthSpec",),
            "a --synth key the generator does not take, or a repeated one, is an error"),
+    Mutant("synth-spec-lo-above-hi", "src/nol/data.py", "        if lo > hi:\n",
+           "        if False:\n", (FAILURE + "train-synth-lo-above-hi]",),
+           "a --synth scaled spec with lo above hi is a usage error, not numpy's"),
+    Mutant("synth-spec-scale-overflows", "src/nol/data.py",
+           "        if hi >= math.log10(np.finfo(float).max):\n", "        if False:\n",
+           (FAILURE + "train-synth-scale-overflows]",),
+           "a --synth scaled spec whose largest scale is not a finite float is a usage error"),
     Mutant("checked-pairs-drop-the-rest", "src/nol/data.py",
            "            feats.append((idx, val))\n    return feats",
            "            feats.append((idx, val))\n    return feats[:1]",

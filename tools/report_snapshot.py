@@ -109,11 +109,14 @@ FAILURES = (
     Failure("train-data-seed-negative", 1, "train --data {tmp}/seed.svm " + SGD + " --seed -1",
             f"nol train: error: {SEED} (see nol train -h)\n", {"seed.svm": b"1 0:1\n-1 0:2\n"}),
     *(Failure(f"train-synth-{name}", 1, f"train --synth {spec} --learner ng --loss hinge --eta 1",
-              f"nol train: error: {SYNTH} {spec!r}: {words}; figure1 takes s, T "
-              "(see nol train -h)\n")
-      for name, spec, words in (("lowercase-key", "figure1:t=10", "unknown key 't'"),
-                                ("unknown-key", "figure1:T=10,bogus=1", "unknown key 'bogus'"),
-                                ("repeated-key", "figure1:T=10,T=20", "repeated key 'T'"))),
+              f"nol train: error: {SYNTH} {spec!r}: {words} (see nol train -h)\n")
+      for name, spec, words in (
+          ("lowercase-key", "figure1:t=10", "unknown key 't'; figure1 takes s, T"),
+          ("unknown-key", "figure1:T=10,bogus=1", "unknown key 'bogus'; figure1 takes s, T"),
+          ("repeated-key", "figure1:T=10,T=20", "repeated key 'T'; figure1 takes s, T"),
+          ("lo-above-hi", "scaled:d=5,T=5,lo=3,hi=-3", "lo 3.0 exceeds hi -3.0"),
+          ("scale-overflows", "scaled:d=5,T=5,lo=309,hi=310",
+           "the scale 10**hi overflows at hi 310.0"))),
     Failure("train-unwritable-report", 1,
             "train --synth figure1:T=10 " + SGD + " --report {tmp}/missing-dir/r.json",
             "nol train: error: argument --report: cannot write '{tmp}/missing-dir/r.json': "
