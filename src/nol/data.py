@@ -9,9 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import repeat
-from operator import lt
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -23,12 +21,19 @@ from .errors import DataFormatError
 # ---------------------------------------------------------------------------
 # svmlight-like text format: "label idx:val idx:val ..."
 
-def _checked_pairs(tokens: Sequence[str], line_number: int) -> list:
-    """The nonzero (index, value) pairs of a line's tokens, checked one token
-    at a time; raises the DataFormatError that names the first bad token."""
+def parse_svmlight_line(line: str, line_number: int = 0) -> SparseExample:
+    """The example of one svmlight line, checked one token at a time: a
+    DataFormatError names the first bad token, and zero values are dropped."""
+    parts = line.split()
+    if not parts:
+        raise DataFormatError(f"line {line_number}: empty line")
+    try:
+        label = float(parts[0])
+    except ValueError:
+        raise DataFormatError(f"line {line_number}: bad label {parts[0]!r}")
     feats = []
     prev = -1
-    for tok in tokens:
+    for tok in parts[1:]:
         idx_s, _, val_s = tok.partition(":")
         try:
             idx = int(idx_s)
@@ -45,40 +50,9 @@ def _checked_pairs(tokens: Sequence[str], line_number: int) -> list:
         prev = idx
         if val != 0.0:
             feats.append((idx, val))
-    return feats
-
-
-def parse_svmlight_line(line: str, line_number: int = 0) -> SparseExample:
-    parts = line.split()
-    if not parts:
-        raise DataFormatError(f"line {line_number}: empty line")
-    try:
-        label = float(parts[0])
-    except ValueError:
-        raise DataFormatError(f"line {line_number}: bad label {parts[0]!r}")
-    tokens = parts[1:]
-    # The whole line at once, with the conversions _checked_pairs makes per
-    # token, so both accept the same lines; any failure (or a sum of finite
-    # values that overflows) goes to _checked_pairs, which names the fault.
-    if tokens:
-        idx_s, _, val_s = zip(*map(str.partition, tokens, repeat(":")))
-        try:
-            idx = list(map(int, idx_s))
-            vals = list(map(float, val_s))
-            ok = idx[0] >= 0 and all(map(lt, idx, idx[1:])) and math.isfinite(sum(vals))
-        except ValueError:
-            ok = False
-        if not ok:
-            pairs = _checked_pairs(tokens, line_number)
-        elif 0.0 in vals:
-            pairs = [(i, v) for i, v in zip(idx, vals) if v != 0.0]
-        else:
-            pairs = zip(idx, vals)
-    else:
-        pairs = ()
     if not math.isfinite(label):
         raise DataFormatError(f"line {line_number}: non-finite label {parts[0]!r}")
-    return _validated_example(tuple(pairs), label)
+    return _validated_example(tuple(feats), label)
 
 
 def serialize_svmlight(ex: SparseExample) -> str:
@@ -114,16 +88,15 @@ def read_delimited(lines: Iterable[str],
         header_line = next(it)
     except StopIteration:
         raise DataFormatError("empty delimited file")
-    delim = "\t" if "\t" in header_line else ","
-    columns = next(csv.reader(io.StringIO(header_line), delimiter=delim), None)
-    if columns is None:
+    if not header_line.strip():
         raise DataFormatError("line 1: empty header")
+    delim = "\t" if "\t" in header_line else ","
+    columns = next(csv.reader(io.StringIO(header_line), delimiter=delim))
     label_idx = next_index = len(columns) - 1
     categories: Dict[tuple, int] = {}
 
     for n, line in enumerate(it, start=2):
-        line = line.rstrip("\n")
-        if not line:
+        if not line.strip():
             continue
         row = next(csv.reader(io.StringIO(line), delimiter=delim))
         if len(row) != len(columns):

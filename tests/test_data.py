@@ -45,6 +45,11 @@ class TestSvmlight:
         ("1 1.5:2", "malformed token '1.5:2'"),
         ("1 0:1 0:2", "indices must be strictly increasing, got 0 after 0"),
         ("nan 0:1", "non-finite label 'nan'"),
+        # the first bad token is named, checked in the order of the loop
+        ("1 -2:x", "malformed token '-2:x'"),
+        ("1 5:1 3:nan", "indices must be strictly increasing, got 3 after 5"),
+        ("nan 0:x", "malformed token '0:x'"),
+        ("1 2:inf 1:1", "non-finite value in '2:inf'"),
     ]
 
     @pytest.mark.parametrize("bad,message", REJECTS, ids=[bad for bad, _ in REJECTS])
@@ -54,7 +59,7 @@ class TestSvmlight:
         assert str(excinfo.value) == f"line 7: {message}"
 
     def test_finite_values_whose_sum_overflows_are_kept(self):
-        # the whole-line sum is inf, so the token-by-token path parses the line
+        # each value is finite, so the line is kept though the values' sum is not
         e = parse_svmlight_line("1 0:1e308 1:1e308")
         assert e.features == ((0, 1e308), (1, 1e308))
 
@@ -153,12 +158,15 @@ class TestDelimited:
             list(read_delimited([]))
 
     def test_blank_header_rejected(self):
-        with pytest.raises(DataFormatError, match="^line 1: empty header$"):
-            list(read_delimited(["", "1,2"]))
+        # a line of spaces and tabs is blank
+        for header in ("", "   ", " \t "):
+            with pytest.raises(DataFormatError, match="^line 1: empty header$"):
+                list(read_delimited([header, "1,2"]))
 
     def test_blank_data_line_skipped(self):
-        got = list(read_delimited(["a,y", "1,1", "", "2,0"]))
-        assert got == [ex({0: 1.0}, 1.0), ex({0: 2.0}, 0.0)]
+        for d, blank in ((",", ""), (",", "   "), ("\t", " \t ")):
+            got = list(read_delimited([f"a{d}y", f"1{d}1", blank, f"2{d}0"]))
+            assert got == [ex({0: 1.0}, 1.0), ex({0: 2.0}, 0.0)]
 
     def test_non_finite_value_rejected(self):
         with pytest.raises(DataFormatError, match="^line 2: non-finite value 'inf'$"):

@@ -269,10 +269,13 @@ TABLE = (
            (FAILURE + "train-synth-scale-overflows]",),
            "a --synth scaled spec whose largest scale is not a finite float is a usage error"),
     Mutant("checked-pairs-drop-the-rest", "src/nol/data.py",
-           "            feats.append((idx, val))\n    return feats",
-           "            feats.append((idx, val))\n    return feats[:1]",
+           "_validated_example(tuple(feats), label)", "_validated_example(tuple(feats[:1]), label)",
            ("tests/test_data.py::TestSvmlight",),
-           "a line whose finite values sum past the float range keeps every pair"),
+           "every nonzero pair of a line is kept"),
+    Mutant("svmlight-negative-index-unchecked", "src/nol/data.py",
+           "        if idx < 0:\n", "        if False:\n",
+           ("tests/test_data.py::TestSvmlight",),
+           "a negative index is named as such, not as an index that does not increase"),
     Mutant("delimited-empty-cell-is-a-category", "src/nol/data.py",
            '            if cell == "":\n                continue\n', "",
            ("tests/test_data.py::TestDelimited",),

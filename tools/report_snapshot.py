@@ -139,6 +139,9 @@ FAILURES = (
     Failure("train-csv-field-count", 2, "train --data {tmp}/fields.csv --format csv " + SGD,
             "data error: line 3: expected 2 fields, got 3\n",
             {"fields.csv": b"a,y\n1,1\n2,3,-1\n"}),
+    Failure("train-csv-whitespace-header", 2,
+            "train --data {tmp}/blank-header.csv --format csv " + SGD,
+            "data error: line 1: empty header\n", {"blank-header.csv": b"   \n1,2\n"}),
     Failure("csv-non-finite-data-error", 2, "train --data {tmp}/inf.csv --format csv " + SGD,
             "data error: line 2: non-finite value 'inf'\n", {"inf.csv": b"a,y\ninf,1\n"}),
     Failure("train-invalid-label", 2,
