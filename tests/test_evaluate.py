@@ -361,8 +361,9 @@ def _sums_can_differ(kind, eta, loss, stream, clip_c):
     seen = []
 
     def recording(w, x):
-        seen.append([w[i] * v for i, v in x.features if i in w])
-        return predict(w, x)
+        y = predict(w, x)   # the exact sum, even where math.fsum's partial sums overflow
+        seen.append((y, [w[i] * v for i, v in x.features if i in w]))
+        return y
 
     learner = Learner(LearnerConfig(kind, eta, clip_c), loss)
     with mock.patch.object(learners, "predict", recording):
@@ -370,7 +371,7 @@ def _sums_can_differ(kind, eta, loss, stream, clip_c):
             for x in stream:
                 learner.observe(x)
     return any((math.inf in p and -math.inf in p)
-               or (p and abs(math.fsum(p)) < 1e-12 * max(map(abs, p))) for p in seen)
+               or (p and abs(y) < 1e-12 * max(map(abs, p))) for y, p in seen)
 
 
 class TestFailureContract:
@@ -395,6 +396,10 @@ class TestFailureContract:
                      ex({0: -1.0, 1: -100.0}, -1.0)], loss_kind="squared", clip_c=None)
     @example(stream=[ex({0: -1.0, 3: -1e35}, -1.0), ex({1: -100.0, 2: -1e8}, -1.0),
                      ex({1: -1.0, 2: -1.0, 3: 1e54}, -1.0), ex({0: -1.0, 1: -1.0}, 1.0)],
+             loss_kind="squared", clip_c=None)
+    # finite products whose partial sums overflow, as math.fsum cannot add them
+    @example(stream=[ex({0: -1e104, 2: -1e104}, -1.0),
+                     ex({0: -7.498942093324558e+103, 2: -3.1622776601683794e+103}, 1.0)],
              loss_kind="squared", clip_c=None)
     def test_cells_fail_as_progressive_validation(self, stream, loss_kind, clip_c):
         task = "regression" if loss_kind == "squared" else "classification"
